@@ -18,7 +18,7 @@ the discrete-operator evaluation is kept as a consistency cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,17 +35,18 @@ class PeakConfiguration:
     angles: tuple[float, ...]
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        # each check is written so that NaN fails it
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         a = np.asarray(self.angles, dtype=float)
         if a.size < 1:
             raise ValueError("need at least one peak")
-        if np.any(np.diff(a) <= 0):
+        if not np.all(np.diff(a) > 0):
             raise ValueError("angles must be strictly increasing")
-        if a[0] < -np.pi or a[-1] >= np.pi:
+        if not -np.pi <= a[0] <= a[-1] < np.pi:
             raise ValueError("angles must lie in [-pi, pi)")
         object.__setattr__(self, "angles", tuple(float(v) for v in a))
-        if np.any(np.asarray(self.gaps) <= 2.0):
+        if not np.all(np.asarray(self.gaps) > 2.0):
             raise ValueError(
                 f"peak separation violated: gaps {self.gaps} must all exceed 2"
             )
@@ -120,14 +121,18 @@ class AnsatzBundle:
     power_sum: GridField  # Σ_{i,l} U_{i,l}^p, kept for the algebraic residual
 
 
-def _peak_sums(config, profile, grid, i):
-    """(v_i, ∂v_i/∂x₁, Σ_l U_{i,l}^p) on the grid for peak i."""
+def image_sums(profile: GroundStateProfile, grid: StripGrid, centres):
+    """(Σ_c U_c, Σ_c ∂U_c/∂x₁, Σ_c U_c^p) with U_c = U(x₁ − c, x₂).
+
+    The one sum over ground-state translates: the caller chooses the image
+    centres, and with them the lattice and its cutoff.
+    """
     X1, X2 = grid.meshes()
     p = profile.exponent
     v = np.zeros(grid.shape)
     dv = np.zeros(grid.shape)
     vp = np.zeros(grid.shape)
-    for pos in config.image_positions(i):
+    for pos in centres:
         r = np.hypot(X1 - pos, X2)
         u = eval_radial(profile, r)
         v += u
@@ -136,6 +141,16 @@ def _peak_sums(config, profile, grid, i):
             du = np.where(r > 0, eval_radial_derivative(profile, r) * (X1 - pos) / r, 0.0)
         dv += du
     return v, dv, vp
+
+
+def peak_distance_field(grid: StripGrid, positions) -> np.ndarray:
+    """d_x: distance of every node to the nearest peak image."""
+    X1, X2 = grid.meshes()
+    d = np.full(grid.shape, np.inf)
+    for pos in positions:
+        dx1 = grid.wrap_x1(X1 - pos)
+        d = np.minimum(d, np.hypot(dx1, X2))
+    return d
 
 
 def build_ansatz(
@@ -155,20 +170,14 @@ def build_ansatz(
     ubar = np.zeros(grid.shape)
     power_sum = np.zeros(grid.shape)
     for i in range(config.k):
-        v, dv, vp = _peak_sums(config, profile, grid, i)
+        v, dv, vp = image_sums(profile, grid, config.image_positions(i))
         peak_fields.append(GridField(grid, v))
         translation_modes.append(GridField(grid, dv))
         ubar += v
         power_sum += vp
 
     # cell labels: nearest peak in periodic x₁ distance, ties to lower index
-    half = 0.5 * grid.period
-    dists = np.stack(
-        [
-            np.abs((grid.x1 - pos + half) % grid.period - half)
-            for pos in config.positions
-        ]
-    )
+    dists = np.stack([np.abs(grid.wrap_x1(grid.x1 - pos)) for pos in config.positions])
     labels_x1 = np.argmin(dists, axis=0)  # argmin takes the first minimum
     cell_labels = np.repeat(labels_x1[:, None], grid.nodes_xp, axis=1)
 

@@ -12,7 +12,7 @@ C |b|^p used throughout the expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -31,25 +31,20 @@ class InteractionSpec:
     b: float
     y0: float
     dimension: int = 1
-    half_cell: bool = False
-    full_line: bool = False
 
     def __post_init__(self):
-        if not self.a > self.b > 0:
-            raise ValueError("need a > b > 0")
-        if abs(self.y0) <= 2:
-            raise ValueError("separation |y0| must be large compared to 1")
+        if not math.inf > self.a > self.b > 0:
+            raise ValueError("need finite a > b > 0")
+        if not math.inf > abs(self.y0) > 2:
+            raise ValueError("separation |y0| must be finite and large compared to 1")
         if self.dimension not in (1, 2):
             raise ValueError("only line and strip integrals are provided")
 
     @property
     def cell(self) -> tuple[float, float]:
-        """Ω_i around peak i at the origin, neighbor at y₀ (or half-cell Ω_i⁺)."""
-        if self.full_line:
-            return (-abs(self.y0) - 40.0, abs(self.y0) + 40.0)
+        """Ω_i around peak i at the origin, neighbor at y₀."""
         half = abs(self.y0) / 2
-        lo = 0.0 if self.half_cell else -half
-        return (lo, half) if self.y0 > 0 else (-half, -lo)
+        return (-half, half)
 
 
 def _x1_integrand(spec: InteractionSpec):
@@ -160,10 +155,7 @@ def interaction_limit(spec: InteractionSpec, separations) -> LimitEstimate:
     ys = np.asarray(sorted(separations), dtype=float)
     vals = []
     for y in ys:
-        s = InteractionSpec(
-            spec.f, spec.g, spec.a, spec.b, float(np.sign(spec.y0) * y),
-            spec.dimension, spec.half_cell,
-        )
+        s = replace(spec, y0=float(np.sign(spec.y0) * y))
         vals.append(rescale(s, interaction_quadrature(s)))
     vals = np.array(vals)
     gaps = np.abs(vals - vals[-1])

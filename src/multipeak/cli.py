@@ -5,13 +5,15 @@ config file overridden by flags.  Summaries are JSON with all floats
 rendered at 17 significant digits and a sha256 content hash of the
 resolved configuration and results, so identical inputs reproduce
 bit-identical output (no timestamps).  Exit codes: 0 success, 2 config
-error, 3 numerical failure, 4 assertion failure.
+error (raised while a command resolves and validates its inputs), 3
+numerical failure (raised after that), 4 assertion failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import sys
@@ -73,14 +75,6 @@ def emit_summary(command: str, config: dict, results: dict, out: str | None) -> 
     return text
 
 
-def make_grid(eps: float, R: float = 12.0, h: float = 0.25) -> dom.StripGrid:
-    """Grid with mesh widths close to h; n₁ rounded to a multiple of 4."""
-    period = 2 * np.pi / eps
-    n1 = max(8, 4 * round(period / (4 * h)))
-    n2 = max(4, round(R / h))
-    return dom.StripGrid(eps, R, n1, n2)
-
-
 def _parse_peaks(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(t) for t in text.split(","))
@@ -92,7 +86,10 @@ def _load_config(path: str | None, section: str) -> dict:
     if not path:
         return {}
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file {path} not found")
     merged = {}
@@ -124,39 +121,49 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _validate_exponent(cfg):
-    p = cfg.get("p", 3.0)
-    n = cfg.get("dim", 2)
-    if p < 2:
-        raise ConfigError(f"constraint violated: p >= 2 (got p = {p})")
-    if n >= 3 and p >= (n + 2) / (n - 2):
-        raise ConfigError(f"constraint violated: subcritical p for N = {n}")
+def _check(ok: bool, constraint: str) -> None:
+    """NaN-safe: a comparison with NaN is False, so NaN fails the check."""
+    if not ok:
+        raise ConfigError(f"constraint violated: {constraint}")
+
+
+def _exponent(cfg) -> tuple[int, float]:
+    n, p = cfg.get("dim", 2), cfg.get("p", 3.0)
+    gs.validate_exponent(n, p)
     return n, p
 
 
-_PROFILE_CACHE: dict = {}
+def _grid(cfg, eps: float) -> dom.StripGrid:
+    return dom.make_grid(eps, cfg.get("transverse", 12.0), cfg.get("h", 0.25))
 
 
-def _profile(n, p, tol=1e-12):
-    key = (n, p, tol)
-    if key not in _PROFILE_CACHE:
-        _PROFILE_CACHE[key] = gs.solve_ground_state(n, p, tol=tol)
-    return _PROFILE_CACHE[key]
+@functools.cache
+def _profile(n, p):
+    return gs.solve_ground_state(n, p, tol=1e-12)
 
 
-def _bundle_from(cfg):
+# parameters of the single-ε commands, in the order their summaries list them
+_BUNDLE_CASTS = dict(dim=int, p=float, eps=float, k=int, peaks=_parse_peaks,
+                     h=float, transverse=float)
+
+
+def _bundle_inputs(cfg):
+    """Resolve (configuration, grid, N, p) of a single-ε command."""
     eps = _require(cfg, "eps")
-    grid = make_grid(eps, cfg.get("transverse", 12.0), cfg.get("h", 0.25))
+    grid = _grid(cfg, eps)
     if cfg.get("peaks"):
         config = ans.PeakConfiguration(eps, cfg["peaks"])
     else:
         config = ans.uniform_configuration(eps, cfg.get("k", 1))
-    n, p = _validate_exponent(cfg)
-    profile = _profile(n, p)
-    return ans.build_ansatz(config, profile, grid)
+    n, p = _exponent(cfg)
+    return config, grid, n, p
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each command resolves and validates its inputs, then returns its summary
+# name, the resolved config and the closure computing the results, so main
+# maps a failure to an exit code by the phase it comes from.
 
 
 def cmd_groundstate(args):
@@ -164,104 +171,110 @@ def cmd_groundstate(args):
     cfg.setdefault("dim", 2)
     cfg.setdefault("p", 3.0)
     cfg.setdefault("tol", 1e-12)
-    _validate_exponent(cfg)
-    profile = gs.solve_ground_state(cfg["dim"], cfg["p"], tol=cfg["tol"])
-    if args.profile_out:
-        with open(args.profile_out, "w") as fh:
-            fh.write(profile.to_json())
-    results = {
-        "center_value": profile.center_value,
-        "tail_L0": profile.tail_L0,
-        "tail_L1": profile.tail_L1,
-        "tail_match_radius": profile.tail_match_radius,
-        "tail_spread_L0": profile.tail_spread_L0,
-        "tail_spread_L1": profile.tail_spread_L1,
-    }
-    emit_summary("groundstate", cfg, results, args.out)
+    _exponent(cfg)
+    _check(cfg["tol"] > 0, f"tol > 0 (got {cfg['tol']})")
+
+    def compute():
+        profile = gs.solve_ground_state(cfg["dim"], cfg["p"], tol=cfg["tol"])
+        if args.profile_out:
+            with open(args.profile_out, "w") as fh:
+                fh.write(profile.to_json())
+        return {
+            "center_value": profile.center_value,
+            "tail_L0": profile.tail_L0,
+            "tail_L1": profile.tail_L1,
+            "tail_match_radius": profile.tail_match_radius,
+            "tail_spread_L0": profile.tail_spread_L0,
+            "tail_spread_L1": profile.tail_spread_L1,
+        }
+
+    return "groundstate", cfg, compute
 
 
 def cmd_ansatz(args):
-    cfg = _resolve(
-        args,
-        "ansatz",
-        dict(dim=int, p=float, eps=float, k=int, peaks=_parse_peaks,
-             h=float, transverse=float),
-    )
-    bundle = _bundle_from(cfg)
-    res = ans.residual(bundle)
-    rate = ans.residual_rate(bundle.config.sigma_min, bundle.profile.dimension)
-    results = {
-        "sigma_min": bundle.config.sigma_min,
-        "half_gaps": list(bundle.config.half_gaps),
-        "residual_sup": res.sup_norm(),
-        "residual_l2": ans.residual_l2(bundle),
-        "rate_scale": rate,
-        "sup_over_rate": res.sup_norm() / rate,
-    }
-    emit_summary("ansatz", cfg, results, args.out)
+    cfg = _resolve(args, "ansatz", _BUNDLE_CASTS)
+    config, grid, n, p = _bundle_inputs(cfg)
+
+    def compute():
+        bundle = ans.build_ansatz(config, _profile(n, p), grid)
+        res = ans.residual(bundle)
+        rate = ans.residual_rate(bundle.config.sigma_min, bundle.profile.dimension)
+        return {
+            "sigma_min": bundle.config.sigma_min,
+            "half_gaps": list(bundle.config.half_gaps),
+            "residual_sup": res.sup_norm(),
+            "residual_l2": ans.residual_l2(bundle),
+            "rate_scale": rate,
+            "sup_over_rate": res.sup_norm() / rate,
+        }
+
+    return "ansatz", cfg, compute
 
 
 def cmd_spectrum(args):
-    cfg = _resolve(
-        args,
-        "spectrum",
-        dict(dim=int, p=float, eps=float, k=int, peaks=_parse_peaks,
-             h=float, transverse=float, count=int),
-    )
-    bundle = _bundle_from(cfg)
-    count = cfg.get("count", bundle.config.k + 4)
-    result = spec.lowest_eigenpairs(bundle, count=count)
-    basis = spec.near_kernel_basis(result, bundle)
-    results = {
-        "eigenvalues": result.eigenvalues,
-        "near_kernel_count": result.near_kernel_count,
-        "overlap_matrix": result.overlap_matrix,
-        "alphas": basis.alphas,
-        "alignment_residuals": basis.alignment_residuals,
-    }
-    if args.weighted_report:
-        results["weighted_eigenvector_norms"] = [
-            {
-                "eta": eta,
-                "norms": [
-                    wgt.weighted_sup(phi, bundle.config, eta)
-                    for phi in basis.fields
-                ],
-            }
-            for eta in wgt.DEFAULT_ETAS
-        ]
-    emit_summary("spectrum", cfg, results, args.out)
+    cfg = _resolve(args, "spectrum", dict(_BUNDLE_CASTS, count=int))
+    config, grid, n, p = _bundle_inputs(cfg)
+    count = cfg.get("count", config.k + 4)
+    _check(count >= config.k + 2, f"count >= k + 2 (got {count} for k = {config.k})")
+
+    def compute():
+        bundle = ans.build_ansatz(config, _profile(n, p), grid)
+        result = spec.lowest_eigenpairs(bundle, count=count)
+        basis = spec.near_kernel_basis(result, bundle)
+        results = {
+            "eigenvalues": result.eigenvalues,
+            "near_kernel_count": result.near_kernel_count,
+            "overlap_matrix": result.overlap_matrix,
+            "alphas": basis.alphas,
+            "alignment_residuals": basis.alignment_residuals,
+        }
+        if args.weighted_report:
+            results["weighted_eigenvector_norms"] = [
+                {
+                    "eta": eta,
+                    "norms": [
+                        wgt.weighted_sup(phi, bundle.config, eta)
+                        for phi in basis.fields
+                    ],
+                }
+                for eta in wgt.DEFAULT_ETAS
+            ]
+        return results
+
+    return "spectrum", cfg, compute
 
 
 def cmd_reduce(args):
-    cfg = _resolve(
-        args,
-        "reduce",
-        dict(dim=int, p=float, eps=float, k=int, peaks=_parse_peaks,
-             h=float, transverse=float, tol=float),
-    )
-    bundle = _bundle_from(cfg)
-    result = spec.lowest_eigenpairs(bundle, count=bundle.config.k + 3)
-    basis = spec.near_kernel_basis(result, bundle)
-    state = red.solve_correction(bundle, basis, tol=cfg.get("tol", 1e-13))
-    rate = ans.residual_rate(bundle.config.sigma_min, bundle.profile.dimension)
-    results = {
-        "sigma_min": bundle.config.sigma_min,
-        "sup_norm": state.sup_norm,
-        "h1_norm": state.h1_norm,
-        "iterations": state.iterations,
-        "d_coeffs": state.d_coeffs,
-        "sup_over_rate": state.sup_norm / rate,
-    }
-    if args.weighted_report:
-        results["weighted_correction"] = [
-            {
-                "eta": eta,
-                "norm": wgt.weighted_sup(state.correction, bundle.config, eta),
-            }
-            for eta in wgt.DEFAULT_ETAS
-        ]
-    emit_summary("reduce", cfg, results, args.out)
+    cfg = _resolve(args, "reduce", dict(_BUNDLE_CASTS, tol=float))
+    config, grid, n, p = _bundle_inputs(cfg)
+    tol = cfg.get("tol", 1e-13)
+    _check(tol > 0, f"tol > 0 (got {tol})")
+
+    def compute():
+        bundle = ans.build_ansatz(config, _profile(n, p), grid)
+        result = spec.lowest_eigenpairs(bundle, count=bundle.config.k + 3)
+        basis = spec.near_kernel_basis(result, bundle)
+        state = red.solve_correction(bundle, basis, tol=tol)
+        rate = ans.residual_rate(bundle.config.sigma_min, bundle.profile.dimension)
+        results = {
+            "sigma_min": bundle.config.sigma_min,
+            "sup_norm": state.sup_norm,
+            "h1_norm": state.h1_norm,
+            "iterations": state.iterations,
+            "d_coeffs": state.d_coeffs,
+            "sup_over_rate": state.sup_norm / rate,
+        }
+        if args.weighted_report:
+            results["weighted_correction"] = [
+                {
+                    "eta": eta,
+                    "norm": wgt.weighted_sup(state.correction, bundle.config, eta),
+                }
+                for eta in wgt.DEFAULT_ETAS
+            ]
+        return results
+
+    return "reduce", cfg, compute
 
 
 def cmd_equilibrate(args):
@@ -272,37 +285,35 @@ def cmd_equilibrate(args):
              h=float, transverse=float),
     )
     eps = _require(cfg, "eps")
+    grids = {eps: _grid(cfg, eps)}  # equilibrate moves angles at fixed ε
     k = cfg.get("k", 2)
-    if k < 2:
-        raise ConfigError("constraint violated: equilibrate requires k >= 2")
-    n, p = _validate_exponent(cfg)
-    profile = _profile(n, p)
+    _check(k >= 2, f"equilibrate requires k >= 2 (got k = {k})")
+    n, p = _exponent(cfg)
     base = ans.uniform_configuration(eps, k)
     perturb = cfg.get("perturb", 0.05)
     angles = list(base.angles)
     angles[1] += perturb * 2 * np.pi / k
     initial = ans.PeakConfiguration(eps, tuple(angles))
-
-    def factory(e):
-        return make_grid(e, cfg.get("transverse", 12.0), cfg.get("h", 0.25))
-
     rate = ans.residual_rate(initial.sigma_min, n)
-    result = red.equilibrate(
-        initial, profile, factory, tol=cfg.get("tol", 1e-2 * rate)
-    )
-    gaps = np.asarray(result.config.gaps)
-    results = {
-        "initial_angles": list(initial.angles),
-        "final_angles": list(result.config.angles),
-        "final_gaps": gaps,
-        "uniform_gap": 2 * np.pi / (k * eps),
-        "gap_relative_spread": float(
-            (gaps.max() - gaps.min()) / (2 * np.pi / (k * eps))
-        ),
-        "newton_steps": result.newton_steps,
-        "d_history": [list(d) for d in result.d_history],
-    }
-    emit_summary("equilibrate", cfg, results, args.out)
+    tol = cfg.get("tol", 1e-2 * rate)
+    _check(tol > 0, f"tol > 0 (got {tol})")
+
+    def compute():
+        result = red.equilibrate(initial, _profile(n, p), grids.__getitem__, tol=tol)
+        gaps = np.asarray(result.config.gaps)
+        return {
+            "initial_angles": list(initial.angles),
+            "final_angles": list(result.config.angles),
+            "final_gaps": gaps,
+            "uniform_gap": 2 * np.pi / (k * eps),
+            "gap_relative_spread": float(
+                (gaps.max() - gaps.min()) / (2 * np.pi / (k * eps))
+            ),
+            "newton_steps": result.newton_steps,
+            "d_history": [list(d) for d in result.d_history],
+        }
+
+    return "equilibrate", cfg, compute
 
 
 def cmd_dancer(args):
@@ -312,53 +323,54 @@ def cmd_dancer(args):
         dict(dim=int, p=float, eps=float, k=int, eta=float,
              h=float, transverse=float, tol=float),
     )
-    n, p = _validate_exponent(cfg)
-    profile = _profile(n, p)
+    n, p = _exponent(cfg)
     k = cfg.get("k", 1)
     eta = cfg.get("eta", 0.3)
     tol = cfg.get("tol", 1e-11)
+    _check(0 < eta < 1, f"0 < eta < 1 (got {eta})")
+    _check(tol > 0, f"tol > 0 (got {tol})")
     if args.eps_sweep:
         epsilons = [float(t) for t in args.eps_sweep.split(",")]
     else:
         epsilons = [_require(cfg, "eps")]
+    grids = {e: _grid(cfg, e) for e in epsilons}
+    configs = [ans.uniform_configuration(e, k) for e in epsilons]
 
-    def factory(e):
-        return make_grid(e, cfg.get("transverse", 12.0), cfg.get("h", 0.25))
-
-    rows = []
-    for e in epsilons:
-        grid = factory(e)
-        bundle = ans.build_ansatz(
-            ans.uniform_configuration(e, k), profile, grid
-        )
-        sol = dnc.newton_solve(bundle, tol=tol)
-        evenness = dnc.verify_evenness(sol)
-        if evenness > 10 * max(tol, 1e-9):
-            raise AssertionFailure(
-                f"evenness defect {evenness:.3e} above threshold at eps={e}"
+    def compute():
+        profile = _profile(n, p)
+        rows = []
+        for e, config in zip(epsilons, configs):
+            bundle = ans.build_ansatz(config, profile, grids[e])
+            sol = dnc.newton_solve(bundle, tol=tol)
+            evenness = dnc.verify_evenness(sol)
+            if evenness > 10 * max(tol, 1e-9):
+                raise AssertionFailure(
+                    f"evenness defect {evenness:.3e} above threshold at eps={e}"
+                )
+            full, half = dnc.minimal_period_gaps(sol)
+            rows.append(
+                {
+                    "eps": e,
+                    "iterations": sol.iterations,
+                    "residual_history": sol.newton_history,
+                    "min_value": float(sol.field.data.min()),
+                    "evenness_defect": evenness,
+                    "period_defect": full,
+                    "half_period_defect": half,
+                }
             )
-        full, half = dnc.minimal_period_gaps(sol)
-        rows.append(
-            {
-                "eps": e,
-                "iterations": sol.iterations,
-                "residual_history": sol.newton_history,
-                "min_value": float(sol.field.data.min()),
-                "evenness_defect": evenness,
-                "period_defect": full,
-                "half_period_defect": half,
+        results: dict = {"runs": rows}
+        if len(epsilons) >= 3:
+            report = dnc.psi_decay_fit(profile, epsilons, k, eta, grids.__getitem__)
+            results["psi_decay"] = {
+                "epsilons": report.epsilons,
+                "weighted_sups": report.weighted_sups,
+                "abscissa": report.abscissa,
+                "slope": report.slope,
             }
-        )
-    results: dict = {"runs": rows}
-    if len(epsilons) >= 3:
-        report = dnc.psi_decay_fit(profile, epsilons, k, eta, factory)
-        results["psi_decay"] = {
-            "epsilons": report.epsilons,
-            "weighted_sups": report.weighted_sups,
-            "abscissa": report.abscissa,
-            "slope": report.slope,
-        }
-    emit_summary("dancer", cfg, results, args.out)
+        return results
+
+    return "dancer", cfg, compute
 
 
 def cmd_oracle(args):
@@ -367,36 +379,43 @@ def cmd_oracle(args):
         cfg.setdefault("p", 3.0)
         cfg.setdefault("n", 100000)
         cfg.setdefault("seed", 7)
-        if cfg["p"] < 2:
-            raise ConfigError("constraint violated: p >= 2")
-        report = asym.taylor_remainder_check(cfg["n"], cfg["p"], cfg["seed"])
-        results = {
-            "max_ratio": report.max_ratio,
-            "argmax": list(report.argmax),
-            "samples": report.samples,
-        }
-        emit_summary("oracle-taylor", cfg, results, args.out)
-    else:
-        cfg = _resolve(args, "oracle", dict(a=float, b=float, y0=float, dim=int))
-        cfg.setdefault("a", 2.0)
-        cfg.setdefault("b", 1.0)
-        cfg.setdefault("y0", 12.0)
-        cfg.setdefault("dim", 1)
-        spec_ = asym.InteractionSpec(
-            f=lambda r: np.exp(-r),
-            g=lambda r: np.exp(-r),
-            a=cfg["a"],
-            b=cfg["b"],
-            y0=cfg["y0"],
-            dimension=cfg["dim"],
-        )
+        gs.validate_exponent(1, cfg["p"])  # the Taylor remainder has no dimension
+        _check(cfg["n"] >= 1, f"n >= 1 (got {cfg['n']})")
+        _check(cfg["seed"] >= 0, f"seed >= 0 (got {cfg['seed']})")
+
+        def compute():
+            report = asym.taylor_remainder_check(cfg["n"], cfg["p"], cfg["seed"])
+            return {
+                "max_ratio": report.max_ratio,
+                "argmax": list(report.argmax),
+                "samples": report.samples,
+            }
+
+        return "oracle-taylor", cfg, compute
+
+    cfg = _resolve(args, "oracle", dict(a=float, b=float, y0=float, dim=int))
+    cfg.setdefault("a", 2.0)
+    cfg.setdefault("b", 1.0)
+    cfg.setdefault("y0", 12.0)
+    cfg.setdefault("dim", 1)
+    spec_ = asym.InteractionSpec(
+        f=lambda r: np.exp(-r),
+        g=lambda r: np.exp(-r),
+        a=cfg["a"],
+        b=cfg["b"],
+        y0=cfg["y0"],
+        dimension=cfg["dim"],
+    )
+
+    def compute():
         value = asym.interaction_quadrature(spec_)
-        results = {
+        return {
             "value": value,
             "rescaled": asym.rescale(spec_, value),
             "mass_constant": asym.mass_constant(spec_),
         }
-        emit_summary("oracle-interactions", cfg, results, args.out)
+
+    return "oracle-interactions", cfg, compute
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,6 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(code: int, kind: str, exc: Exception) -> int:
+    sys.stderr.write(json.dumps({"error": kind, "detail": str(exc)}) + "\n")
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -480,22 +504,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        args.func(args)
-    except (ConfigError, ValueError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": "config", "detail": str(exc)}) + "\n"
-        )
-        return EXIT_CONFIG
+        command, cfg, compute = args.func(args)
+    except ValueError as exc:  # ConfigError and the validators of the layers
+        return _fail(EXIT_CONFIG, "config", exc)
+    try:
+        emit_summary(command, cfg, compute(), args.out)
     except AssertionFailure as exc:
-        sys.stderr.write(
-            json.dumps({"error": "assertion", "detail": str(exc)}) + "\n"
-        )
-        return EXIT_ASSERTION
-    except (RuntimeError, gs.ShootingError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": "numerical", "detail": str(exc)}) + "\n"
-        )
-        return EXIT_NUMERICAL
+        return _fail(EXIT_ASSERTION, "assertion", exc)
+    except Exception as exc:  # after validation every failure is numerical
+        return _fail(EXIT_NUMERICAL, "numerical", exc)
     return 0
 
 

@@ -21,19 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from .ansatz import AnsatzBundle, uniform_configuration, build_ansatz
-from .domain import (
-    GridField,
-    StripGrid,
-    align_shift,
-    inner_products,
-    reflect_x1,
-    shift_x1,
+from .ansatz import (
+    AnsatzBundle,
+    build_ansatz,
+    image_sums,
+    peak_distance_field,
+    uniform_configuration,
 )
-from .groundstate import GroundStateProfile, eval_radial
-from .reduction import solve_correction
+from .domain import GridField, align_shift, reflect_x1, shift_x1
+from .groundstate import GroundStateProfile
+from .reduction import constrained_solve, solve_correction
 from .spectrum import lowest_eigenpairs, near_kernel_basis
 
 
@@ -64,20 +62,6 @@ def nonlinear_residual(u: GridField, p: float) -> GridField:
     return GridField(u.grid, (A @ u.data.ravel()).reshape(u.grid.shape) - up)
 
 
-def periodized_profile_sum(
-    profile: GroundStateProfile, grid: StripGrid, center: float, sub_period: float
-) -> GridField:
-    """Σ_l U(x₁ − center − l·sub_period, x₂) over enough lattice images."""
-    X1, X2 = grid.meshes()
-    span = grid.period + 30.0
-    L = int(np.ceil(span / sub_period)) + 1
-    total = np.zeros(grid.shape)
-    for l in range(-L, L + 1):
-        r = np.hypot(X1 - center - l * sub_period, X2)
-        total += eval_radial(profile, r)
-    return GridField(grid, total)
-
-
 def newton_solve(
     bundle: AnsatzBundle,
     pin: int = 0,
@@ -106,9 +90,8 @@ def newton_solve(
     grid = bundle.grid
     p = bundle.profile.exponent
     A = grid.helmholtz_matrix
-    B = A
     t_pin = bundle.translation_modes[pin]
-    c = grid.weight * (B @ t_pin.data.ravel())
+    c = grid.weight * (A @ t_pin.data.ravel())
     # the pinning constraint always references the bundle's own ansatz, so
     # probe runs started from different fields target the same bordered root
     u0 = bundle.ubar.data.ravel().copy()
@@ -120,12 +103,8 @@ def newton_solve(
             break
         up = np.maximum(u, 0.0)
         J = A - sp.diags(p * up ** (p - 1) * (u > 0))
-        K = sp.bmat(
-            [[J, sp.csc_matrix(c[:, None])], [sp.csc_matrix(c[None, :]), None]],
-            format="csc",
-        )
         g = float(c @ (u - u0))
-        step = splu(K).solve(np.concatenate([-res, [-g]]))[:-1]
+        step, _ = constrained_solve(J, c[:, None])(-res, -g)
         # non-monotone acceptance: full steps along the soft near-kernel
         # direction overshoot transiently before Newton contracts, so the
         # reference is the worst of the recent residuals
@@ -159,9 +138,12 @@ def newton_solve(
     field = GridField(grid, u.reshape(grid.shape))
     k = bundle.config.k
     pin_loc = bundle.config.positions[pin]
-    psi = field - periodized_profile_sum(
-        bundle.profile, grid, pin_loc, 2 * np.pi / (k * bundle.config.epsilon)
-    )
+    # ψ against the sub-period lattice through the pin, reaching a period
+    # plus 30 decay lengths past the cell on either side
+    sub = 2 * np.pi / (k * bundle.config.epsilon)
+    L = int(np.ceil((grid.period + 30.0) / sub)) + 1
+    images, _, _ = image_sums(bundle.profile, grid, pin_loc + sub * np.arange(-L, L + 1))
+    psi = field - GridField(grid, images)
     return DancerSolution(
         field=field,
         epsilon=bundle.config.epsilon,
@@ -194,16 +176,6 @@ def minimal_period_gaps(sol: DancerSolution) -> tuple[float, float]:
     full = (sol.field - shift_x1(sol.field, sub)).sup_norm()
     half = (sol.field - shift_x1(sol.field, 0.5 * sub)).sup_norm()
     return full, half
-
-
-def peak_distance_field(grid: StripGrid, positions) -> np.ndarray:
-    """d_x: distance of every node to the nearest peak image."""
-    X1, X2 = grid.meshes()
-    d = np.full(grid.shape, np.inf)
-    for pos in positions:
-        dx1 = grid.wrap_x1(X1 - pos)
-        d = np.minimum(d, np.hypot(dx1, X2))
-    return d
 
 
 @dataclass

@@ -15,9 +15,8 @@ form of the −Δ+1 matrix.
 
 from __future__ import annotations
 
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -119,6 +118,23 @@ class StripGrid:
         return (A + sp.identity(self.size)).tocsr()
 
 
+def make_grid(eps: float, R: float = 12.0, h: float = 0.25) -> StripGrid:
+    """Grid with mesh widths close to h; n₁ rounded to a multiple of 4.
+
+    Raises
+    ------
+    ValueError
+        Unless ε, R and h are all finite and positive.
+    """
+    for name, value in (("eps", eps), ("R", R), ("h", h)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    period = 2 * np.pi / eps
+    n1 = max(8, 4 * round(period / (4 * h)))
+    n2 = max(4, round(R / h))
+    return StripGrid(eps, R, n1, n2)
+
+
 @dataclass
 class GridField:
     """Scalar field sampled on a :class:`StripGrid` (shape n₁ × n₂)."""
@@ -174,20 +190,6 @@ class GridField:
         )
         data = np.frombuffer(raw, dtype="<f8").reshape(grid.shape)
         return cls(grid, data.copy())
-
-    def to_csv(self, fh) -> None:
-        """x1,x2,value rows for plotting."""
-        close = False
-        if isinstance(fh, str):
-            fh, close = open(fh, "w"), True
-        try:
-            fh.write("x1,x2,value\n")
-            for i, x1 in enumerate(self.grid.x1):
-                for j, x2 in enumerate(self.grid.x2):
-                    fh.write(f"{x1:.17g},{x2:.17g},{self.data[i, j]:.17g}\n")
-        finally:
-            if close:
-                fh.close()
 
 
 def _check_same_grid(u: GridField, w: GridField) -> None:
@@ -256,11 +258,6 @@ def gradient_magnitude(u: GridField) -> np.ndarray:
     padded = np.concatenate([d[:, :1], d, np.zeros((d.shape[0], 1))], axis=1)
     g2 = (padded[:, 2:] - padded[:, :-2]) / (2 * u.grid.h2)
     return np.sqrt(g1**2 + g2**2)
-
-
-def gradient_sup(u: GridField) -> float:
-    """Sup norm of the centered-difference gradient magnitude."""
-    return float(np.max(gradient_magnitude(u)))
 
 
 def shift_x1(u: GridField, tau: float) -> GridField:

@@ -14,7 +14,7 @@ computed tail.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -37,11 +37,12 @@ class SupercriticalError(ValueError):
 _DECAY_FLOOR = 1e-12
 
 
-def _validate_exponent(dimension: int, p: float) -> None:
+def validate_exponent(dimension: int, p: float) -> None:
+    """Reject N < 1, p outside [2, ∞) (NaN included) and supercritical p."""
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
-    if p < 2:
-        raise ValueError(f"exponent must satisfy p >= 2, got {p}")
+    if not 2 <= p < np.inf:
+        raise ValueError(f"exponent must satisfy 2 <= p < inf, got {p}")
     if dimension >= 3 and p >= (dimension + 2) / (dimension - 2):
         raise SupercriticalError(
             f"p = {p} is not subcritical for N = {dimension} "
@@ -217,7 +218,7 @@ def solve_ground_state(
         Window for fitting the tail constants; defaults to [8, 12] clipped
         to the clean part of the computed tail.
     """
-    _validate_exponent(dimension, p)
+    validate_exponent(dimension, p)
     if tol <= 0:
         raise ValueError("tol must be positive")
 

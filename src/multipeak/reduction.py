@@ -7,9 +7,10 @@ The exact equation for u = ū + v is rewritten as
 with v constrained H¹-orthogonal to the near-kernel basis φ_i.  The right
 side is split into its component along the (−Δ+1)φ_i (coefficients d_i) and
 the orthogonal remainder; the constrained linear solves use a bordered
-symmetric system factored once per configuration.  Setting every d_i to
-zero is the reduced equation for the peak positions; Newton on those
-scalars drives the configuration to uniform spacing.
+symmetric system factored once per configuration (:func:`constrained_solve`,
+shared with the weighted estimates and the pinned Newton step).  Setting
+every d_i to zero is the reduced equation for the peak positions; Newton on
+those scalars drives the configuration to uniform spacing.
 
 Both M(ū) and R(v) are evaluated algebraically from the profile — never
 through the discrete Laplacian — so the exponentially small scales they
@@ -24,16 +25,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .ansatz import (
-    AnsatzBundle,
-    PeakConfiguration,
-    build_ansatz,
-    residual,
-    uniform_configuration,
-)
+from .ansatz import AnsatzBundle, PeakConfiguration, build_ansatz, residual
 from .domain import GridField, StripGrid, h1_norm, inner_products
 from .groundstate import GroundStateProfile, eval_radial, eval_radial_derivative
-from .spectrum import NearKernelBasis, lowest_eigenpairs, near_kernel_basis
+from .spectrum import (
+    NearKernelBasis,
+    assemble_linearized,
+    lowest_eigenpairs,
+    near_kernel_basis,
+)
 
 
 class ContractionError(RuntimeError):
@@ -74,7 +74,6 @@ class ReductionState:
     bundle: AnsatzBundle
     basis: NearKernelBasis
     correction: GridField
-    delta: np.ndarray
     d_coeffs: np.ndarray
     sup_norm: float
     h1_norm: float
@@ -100,26 +99,30 @@ def split_projection(
     return GridField(h.grid, rem), d
 
 
-def _bordered_factor(bundle: AnsatzBundle, basis: NearKernelBasis):
-    """LU factorization of [[𝕃, C], [Cᵀ, 0]] with C columns (−Δ+1)φ_i."""
-    from .spectrum import assemble_linearized
+def constraint_columns(basis: NearKernelBasis) -> np.ndarray:
+    """C with columns (−Δ+1)φ_i, so that Cᵀv = 0 means ⟨v, φ_i⟩_{H¹} = 0 for all i."""
+    B = basis.fields[0].grid.helmholtz_matrix
+    return np.stack([B @ phi.data.ravel() for phi in basis.fields], axis=1)
 
-    L = assemble_linearized(bundle)
-    B = bundle.grid.helmholtz_matrix
-    C = np.stack([B @ phi.data.ravel() for phi in basis.fields], axis=1)
-    k = C.shape[1]
+
+def constrained_solve(A, C: np.ndarray):
+    """Factor the bordered system [[A, C], [Cᵀ, 0]] once and return its solver.
+
+    The solver maps (rhs, constraint_rhs=0) to (x, μ) with A x + C μ = rhs
+    and Cᵀx = constraint_rhs.
+    """
+    n, k = C.shape
     K = sp.bmat(
-        [[L, sp.csc_matrix(C)], [sp.csc_matrix(C.T), sp.csc_matrix((k, k))]],
+        [[A, sp.csc_matrix(C)], [sp.csc_matrix(C.T), sp.csc_matrix((k, k))]],
         format="csc",
     )
-    return splu(K), C, L
+    lu = splu(K)
 
+    def solve(rhs: np.ndarray, constraint_rhs=0.0):
+        sol = lu.solve(np.concatenate([rhs, np.broadcast_to(constraint_rhs, k)]))
+        return sol[:n], sol[n:]
 
-def solve_constrained(lu, n: int, rhs_vec: np.ndarray):
-    """Solve the bordered system; returns (primal, multipliers)."""
-    k = lu.shape[0] - n
-    sol = lu.solve(np.concatenate([rhs_vec, np.zeros(k)]))
-    return sol[:n], sol[n:]
+    return solve
 
 
 def solve_correction(
@@ -136,9 +139,10 @@ def solve_correction(
     """
     grid = bundle.grid
     p = bundle.profile.exponent
-    lu, C, L = _bordered_factor(bundle, basis)
+    L = assemble_linearized(bundle)
+    C = constraint_columns(basis)
+    solve = constrained_solve(L, C)
     minus_M = -residual(bundle).data
-    n = grid.size
 
     v = np.zeros(grid.shape)
     mu = np.zeros(bundle.config.k)
@@ -146,7 +150,7 @@ def solve_correction(
     for it in range(1, max_iter + 1):
         h = GridField(grid, minus_M + power_remainder(bundle.ubar.data, v, p))
         h_perp, d = split_projection(h, basis)
-        v_flat, mu = solve_constrained(lu, n, h_perp.data.ravel())
+        v_flat, mu = solve(h_perp.data.ravel())
         v_new = v_flat.reshape(grid.shape)
         inc = float(np.max(np.abs(v_new - v)))
         increments.append(inc)
@@ -168,7 +172,6 @@ def solve_correction(
         bundle=bundle,
         basis=basis,
         correction=field,
-        delta=np.zeros(bundle.config.k),
         d_coeffs=d,
         sup_norm=field.sup_norm(),
         h1_norm=h1_norm(field),

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzBundle, PeakConfiguration
-from .dancer import peak_distance_field
+from .ansatz import AnsatzBundle, PeakConfiguration, peak_distance_field
 from .domain import GridField, gradient_magnitude, inner_products
-from .reduction import _bordered_factor, solve_constrained, split_projection
-from .spectrum import NearKernelBasis
+from .reduction import constrained_solve, constraint_columns, split_projection
+from .spectrum import NearKernelBasis, assemble_linearized
 
 DEFAULT_ETAS = (0.3, 0.5, 0.7)
 
@@ -72,8 +71,9 @@ def solve_orthogonal(
         (relative).
     """
     h_perp, _ = split_projection(h, basis)
-    lu, C, L = _bordered_factor(bundle, basis)
-    xi_vec, mu = solve_constrained(lu, h.grid.size, h_perp.data.ravel())
+    L = assemble_linearized(bundle)
+    C = constraint_columns(basis)
+    xi_vec, mu = constrained_solve(L, C)(h_perp.data.ravel())
     xi = GridField(h.grid, xi_vec.reshape(h.grid.shape))
     rhs_norm = np.linalg.norm(h_perp.data)
     res = np.linalg.norm(L @ xi_vec + C @ mu - h_perp.data.ravel())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from multipeak.ansatz import build_ansatz, uniform_configuration
-from multipeak.cli import make_grid
+from multipeak.domain import make_grid
 from multipeak.groundstate import solve_ground_state
 from multipeak.reduction import solve_correction
 from multipeak.spectrum import lowest_eigenpairs, near_kernel_basis

@@ -26,7 +26,7 @@ from multipeak.asymptotics import (
     taylor_remainder,
     taylor_remainder_check,
 )
-from multipeak.cli import main, make_grid
+from multipeak.cli import main
 from multipeak.dancer import (
     align_and_compare,
     minimal_period_gaps,
@@ -34,7 +34,7 @@ from multipeak.dancer import (
     psi_decay_fit,
     verify_evenness,
 )
-from multipeak.domain import GridField, solve_helmholtz
+from multipeak.domain import GridField, make_grid, solve_helmholtz
 from multipeak.groundstate import eval_radial, profile_tail_constants, solve_ground_state
 from multipeak.reduction import d_mesh_limit, equilibrate
 from multipeak.spectrum import lowest_eigenpairs, principal_angles

@@ -14,8 +14,7 @@ from multipeak.ansatz import (
     residual_rate,
     uniform_configuration,
 )
-from multipeak.cli import make_grid
-from multipeak.domain import shift_x1
+from multipeak.domain import make_grid, shift_x1
 
 
 def test_configuration_validation():
@@ -27,6 +26,9 @@ def test_configuration_validation():
         PeakConfiguration(0.3, (4.0,))  # outside [-pi, pi)
     with pytest.raises(ValueError):
         PeakConfiguration(2.0, (-np.pi, 0.0))  # gap π/2 < 2 in x units
+    for eps, angles in ((np.nan, (0.0,)), (0.3, (np.nan,)), (0.3, (-1.0, np.nan))):
+        with pytest.raises(ValueError):
+            PeakConfiguration(eps, angles)
 
 
 def test_uniform_configuration_gaps():

@@ -40,6 +40,9 @@ def test_spec_validation():
         InteractionSpec(decay, decay, a=2.0, b=1.0, y0=1.0)
     with pytest.raises(ValueError):
         InteractionSpec(decay, decay, a=2.0, b=1.0, y0=12.0, dimension=3)
+    for a, y0 in ((math.inf, 12.0), (math.nan, 12.0), (2.0, math.nan), (2.0, math.inf)):
+        with pytest.raises(ValueError):
+            InteractionSpec(decay, decay, a=a, b=1.0, y0=y0)
 
 
 @settings(deadline=None, max_examples=10)

@@ -2,9 +2,12 @@
 
 import hashlib
 import json
+import signal
 
+import numpy as np
 import pytest
 
+from multipeak import asymptotics
 from multipeak.cli import EXIT_CONFIG, EXIT_NUMERICAL, _render, main
 
 
@@ -88,3 +91,55 @@ def test_oracle_taylor_deterministic(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
     doc = json.loads(f1.read_text())
     assert doc["results"]["max_ratio"] <= 1.0 + 1e-12
+
+
+@pytest.fixture
+def deadline():
+    """Fail a command that has not returned within 10 s instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError("command did not exit within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+DESK = ["ansatz", "--eps", "0.3", "--k", "2"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        DESK + [flag, value]
+        for flag in ("--h", "--transverse", "--eps", "--p")
+        for value in ("0", "-0.25", "nan", "inf")
+    ]
+    + [
+        ["dancer", "--eps", "0.3", "--tol", "-1"],
+        ["dancer", "--eps", "0.3", "--eta", "1.5"],
+        ["reduce", "--eps", "0.3", "--k", "2", "--tol", "nan"],
+        ["spectrum", "--eps", "0.3", "--k", "0"],
+        ["oracle", "taylor", "--n", "0"],
+        ["oracle", "interactions", "--y0", "nan"],
+    ],
+    ids=" ".join,
+)
+def test_invalid_input_is_a_config_error(args, deadline, capsys):
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.splitlines()[-1])["error"] == "config"
+
+
+def test_linalg_failure_after_validation_is_numerical(monkeypatch, capsys):
+    """LinAlgError subclasses ValueError; raised while computing it still exits 3."""
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(asymptotics, "taylor_remainder_check", singular)
+    assert main(["oracle", "taylor", "--n", "10"]) == EXIT_NUMERICAL
+    assert json.loads(capsys.readouterr().err)["error"] == "numerical"

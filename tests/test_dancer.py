@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multipeak.ansatz import image_sums, peak_distance_field
 from multipeak.dancer import (
     align_and_compare,
     minimal_period_gaps,
     newton_solve,
     nonlinear_residual,
-    peak_distance_field,
-    periodized_profile_sum,
     verify_evenness,
 )
 from multipeak.domain import GridField, shift_x1
@@ -51,7 +50,8 @@ def test_psi_small_compared_to_peak(solution_k1):
 
 def test_periodized_sum_periodic(profile_n2, bundle_k1):
     grid = bundle_k1.grid
-    total = periodized_profile_sum(profile_n2, grid, 0.0, grid.period)
+    v, _, _ = image_sums(profile_n2, grid, grid.period * np.arange(-4, 5))
+    total = GridField(grid, v)
     moved = shift_x1(total, grid.period)
     assert (total - moved).sup_norm() < 1e-12
 

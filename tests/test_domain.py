@@ -13,6 +13,7 @@ from multipeak.domain import (
     h1_norm,
     inner_products,
     l2_norm,
+    make_grid,
     reflect_x1,
     shift_x1,
     solve_helmholtz,
@@ -49,6 +50,11 @@ def test_grid_validation():
         StripGrid(-0.5, 10.0, 48, 32)
     with pytest.raises(ValueError):
         StripGrid(0.5, 10.0, 2, 32)
+    for bad in (0.0, -0.25, np.nan, np.inf):
+        for args in ((bad,), (0.3, bad), (0.3, 12.0, bad)):
+            with pytest.raises(ValueError):
+                make_grid(*args)
+    assert make_grid(0.3).shape == (84, 48)
 
 
 def test_h1_product_matches_operator_form():

@@ -87,5 +87,6 @@ def test_eval_ground_state_radial(profile_n2):
 def test_supercritical_rejected():
     with pytest.raises(SupercriticalError):
         solve_ground_state(3, 5.0)
-    with pytest.raises(ValueError):
-        solve_ground_state(2, 1.5)
+    for p in (1.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            solve_ground_state(2, p)

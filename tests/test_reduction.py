@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multipeak.domain import GridField, inner_products
 from multipeak.reduction import (
+    constrained_solve,
+    constraint_columns,
     d_mesh_limit,
     interaction_d,
     power_remainder,
@@ -27,14 +29,20 @@ def test_power_remainder_matches_direct_formula(u, v):
 
 @settings(deadline=None, max_examples=100)
 @given(u=finite, v=st.floats(-1.0, 1.0, allow_nan=False))
+@example(u=0.5, v=-0.375)  # s = −3/4: the ratio is 24/7 ≈ 3.43, under 3.5
 def test_power_remainder_quadratic_smallness(u, v):
-    """|R(tv)| shrinks at least quadratically as t → 0 on the smooth branch."""
+    """Halving v on the smooth branch scales R by exactly 8(3+s)/(6+s), s = v/ū.
+
+    For p = 3, R(v) = v²(3ū + v), so the ratio runs from 3.2 (s → −1)
+    through 4 (s = 0) to 8 (s → ∞); no single factor bounds it from below.
+    """
     if u + v <= 0:
         return
     r1 = float(power_remainder(np.array([u]), np.array([v]), 3.0)[0])
     r2 = float(power_remainder(np.array([u]), np.array([v / 2]), 3.0)[0])
     if abs(r1) > 1e-12 * u**3:
-        assert abs(r2) <= abs(r1) / 3.5  # 4× for the v² term, 8× for v³
+        s = v / u
+        assert r1 / r2 == pytest.approx(8 * (3 + s) / (6 + s), rel=1e-12)
 
 
 def test_power_remainder_cancellation_free():
@@ -55,10 +63,24 @@ def test_split_projection_annihilates_basis(bundle_k2, basis_k2):
         assert abs(l2) < 1e-10 * max(abs(inner_products(h, phi)[0]), 1.0)
 
 
+def test_constrained_solve_inhomogeneous_constraint(bundle_k2, basis_k2):
+    """A x + C μ = rhs and Cᵀx = constraint_rhs hold to roundoff."""
+    from multipeak.spectrum import assemble_linearized
+
+    A = assemble_linearized(bundle_k2)
+    C = constraint_columns(basis_k2)
+    rng = np.random.default_rng(3)
+    rhs = rng.standard_normal(A.shape[0])
+    target = np.array([0.3, -0.7])
+    x, mu = constrained_solve(A, C)(rhs, target)
+    assert mu.shape == (2,)
+    assert np.linalg.norm(A @ x + C @ mu - rhs) < 1e-12 * np.linalg.norm(rhs)
+    assert C.T @ x == pytest.approx(target, abs=1e-12)  # ‖C‖‖x‖ ≈ 1e2 here
+
+
 def test_correction_state_invariants(state_k2, basis_k2):
     assert state_k2.iterations <= 30
     assert state_k2.solve_residual < 1e-10
-    assert np.all(state_k2.delta == 0.0)
     assert state_k2.sup_norm == state_k2.correction.sup_norm()
     v = state_k2.correction
     for phi in basis_k2.fields:
@@ -73,7 +95,7 @@ def test_projection_vs_interaction_coefficients(profile_n2):
     default mesh the discrete-eigenbasis floor limits agreement to ~1.5%.
     """
     from multipeak.ansatz import PeakConfiguration, build_ansatz
-    from multipeak.cli import make_grid
+    from multipeak.domain import make_grid
     from multipeak.reduction import solve_correction
     from multipeak.spectrum import lowest_eigenpairs, near_kernel_basis
 

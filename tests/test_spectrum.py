@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from multipeak.ansatz import build_ansatz, uniform_configuration
-from multipeak.cli import make_grid
-from multipeak.domain import inner_products
+from multipeak.domain import inner_products, make_grid
 from multipeak.spectrum import (
     NearKernelError,
     apply_linearized,
