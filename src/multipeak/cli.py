@@ -251,13 +251,10 @@ def cmd_reduce(args):
     _check(tol > 0, f"tol > 0 (got {tol})")
 
     def compute():
-        bundle = ans.build_ansatz(config, _profile(n, p), grid)
-        result = spec.lowest_eigenpairs(bundle, count=bundle.config.k + 3)
-        basis = spec.near_kernel_basis(result, bundle)
-        state = red.solve_correction(bundle, basis, tol=tol)
-        rate = ans.residual_rate(bundle.config.sigma_min, bundle.profile.dimension)
+        state = red.reduce(config, _profile(n, p), grid, tol=tol)
+        rate = ans.residual_rate(config.sigma_min, n)
         results = {
-            "sigma_min": bundle.config.sigma_min,
+            "sigma_min": config.sigma_min,
             "sup_norm": state.sup_norm,
             "h1_norm": state.h1_norm,
             "iterations": state.iterations,
@@ -268,7 +265,7 @@ def cmd_reduce(args):
             results["weighted_correction"] = [
                 {
                     "eta": eta,
-                    "norm": wgt.weighted_sup(state.correction, bundle.config, eta),
+                    "norm": wgt.weighted_sup(state.correction, config, eta),
                 }
                 for eta in wgt.DEFAULT_ETAS
             ]

@@ -22,17 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .ansatz import (
-    AnsatzBundle,
-    build_ansatz,
-    image_sums,
-    peak_distance_field,
-    uniform_configuration,
-)
+from .ansatz import AnsatzBundle, image_sums, peak_distance_field, uniform_configuration
 from .domain import GridField, align_shift, reflect_x1, shift_x1
 from .groundstate import GroundStateProfile
-from .reduction import constrained_solve, solve_correction
-from .spectrum import lowest_eigenpairs, near_kernel_basis
+from .reduction import constrained_solve, reduce
 
 
 class NewtonError(RuntimeError):
@@ -213,10 +206,7 @@ def psi_decay_fit(
     for e in eps:
         grid = grid_factory(e)
         config = uniform_configuration(e, k)
-        bundle = build_ansatz(config, profile, grid)
-        result = lowest_eigenpairs(bundle, count=k + 3)
-        basis = near_kernel_basis(result, bundle)
-        state = solve_correction(bundle, basis)
+        state = reduce(config, profile, grid)
         d_x = peak_distance_field(grid, config.positions)
         sups.append(float(np.max(np.abs(state.correction.data) * np.exp(eta * d_x))))
     sups = np.array(sups)

@@ -15,7 +15,6 @@ form of the −Δ+1 matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,20 +117,42 @@ class StripGrid:
         return (A + sp.identity(self.size)).tocsr()
 
 
+# Coarsest admissible mesh width.  The ground state varies on the unit
+# length scale, and the near-kernel eigenvalues (0 in the continuum) are
+# mesh error: at ε = 0.3, k = 2, p = 3 they sit at −0.021 for h = 0.25 and
+# at −0.076 for h = 0.5, next to the 0.1 near-kernel threshold, and for
+# h = 1 the near kernel is lost.
+MAX_MESH_WIDTH = 0.5
+
+# Largest admissible unknown count.  It bounds a command's memory: the
+# sparse LU factorizations of the eigensolve and the constrained solve grow
+# faster than the unknown count (the mesh-limit benchmark, whose finest grid
+# is 592×195 = 115k, peaks near 620 MiB), and 500k still admits the next
+# level of that ladder, 1184×391 = 462,944 unknowns.
+MAX_UNKNOWNS = 500_000
+
+
 def make_grid(eps: float, R: float = 12.0, h: float = 0.25) -> StripGrid:
     """Grid with mesh widths close to h; n₁ rounded to a multiple of 4.
 
     Raises
     ------
     ValueError
-        Unless ε, R and h are all finite and positive.
+        Unless ε, R and h are all finite and positive, h is at most
+        MAX_MESH_WIDTH and the grid has at most MAX_UNKNOWNS nodes.
     """
     for name, value in (("eps", eps), ("R", R), ("h", h)):
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be finite and positive, got {value}")
+    if h > MAX_MESH_WIDTH:
+        raise ValueError(f"h = {h} is above the maximum mesh width {MAX_MESH_WIDTH}")
     period = 2 * np.pi / eps
     n1 = max(8, 4 * round(period / (4 * h)))
     n2 = max(4, round(R / h))
+    if n1 * n2 > MAX_UNKNOWNS:
+        raise ValueError(
+            f"{n1}x{n2} grid has {n1 * n2} unknowns, above the cap {MAX_UNKNOWNS}"
+        )
     return StripGrid(eps, R, n1, n2)
 
 
@@ -168,29 +189,6 @@ class GridField:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.data)))
 
-    def to_bytes(self) -> bytes:
-        header = {
-            "epsilon": self.grid.epsilon,
-            "transverse_extent": self.grid.transverse_extent,
-            "nodes_x1": self.grid.nodes_x1,
-            "nodes_xp": self.grid.nodes_xp,
-            "dtype": "float64",
-        }
-        return json.dumps(header).encode() + b"\n" + self.data.astype("<f8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "GridField":
-        head, _, raw = blob.partition(b"\n")
-        meta = json.loads(head)
-        grid = StripGrid(
-            epsilon=meta["epsilon"],
-            transverse_extent=meta["transverse_extent"],
-            nodes_x1=meta["nodes_x1"],
-            nodes_xp=meta["nodes_xp"],
-        )
-        data = np.frombuffer(raw, dtype="<f8").reshape(grid.shape)
-        return cls(grid, data.copy())
-
 
 def _check_same_grid(u: GridField, w: GridField) -> None:
     if u.grid is not w.grid and u.grid != w.grid:
@@ -203,14 +201,14 @@ def apply_helmholtz(u: GridField) -> GridField:
     return GridField(u.grid, (A @ u.data.ravel()).reshape(u.grid.shape))
 
 
-def solve_helmholtz(rhs: GridField, tol: float = 1e-10, maxiter: int = 20000) -> GridField:
+def solve_helmholtz(rhs: GridField, tol: float = 1e-10) -> GridField:
     """Solve (−Δ+1)u = rhs by diagonally preconditioned conjugate gradients.
 
     Raises
     ------
     RuntimeError
-        If the iteration cap is hit; the message reports the achieved
-        relative residual.
+        If the cap of 20000 iterations is hit; the message reports the
+        achieved relative residual.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -220,7 +218,7 @@ def solve_helmholtz(rhs: GridField, tol: float = 1e-10, maxiter: int = 20000) ->
     if bnorm == 0:
         return GridField(rhs.grid, np.zeros(rhs.grid.shape))
     M = sp.diags(1.0 / A.diagonal())
-    x, info = cg(A, b, rtol=0.1 * tol, atol=0.0, maxiter=maxiter, M=M)
+    x, info = cg(A, b, rtol=0.1 * tol, atol=0.0, maxiter=20000, M=M)
     rel = np.linalg.norm(A @ x - b) / bnorm
     if info != 0 or rel >= tol:
         raise RuntimeError(

@@ -35,6 +35,8 @@ class SupercriticalError(ValueError):
 
 
 _DECAY_FLOOR = 1e-12
+_R_MAX = 25.0  # radial extent of the shooting and of the stored profile
+_GRID_STEP = 0.005  # spacing of the stored profile
 
 
 def validate_exponent(dimension: int, p: float) -> None:
@@ -78,9 +80,6 @@ class GroundStateProfile:
     @cached_property
     def _derivative_spline(self) -> CubicSpline:
         return CubicSpline(self.radial_grid, self.derivatives)
-
-    def __call__(self, r):
-        return eval_radial(self, r)
 
     def to_json(self) -> str:
         payload = {
@@ -130,7 +129,7 @@ def _radial_rhs(N, p):
     return rhs
 
 
-def _classify(N, p, u0, r_max):
+def _classify(N, p, u0):
     """Integrate from the center and label the initial datum.
 
     Returns 'low' when U' turns nonnegative while U > 0 (undershoot) and
@@ -159,7 +158,7 @@ def _classify(N, p, u0, r_max):
 
     sol = solve_ivp(
         _radial_rhs(N, p),
-        (0.0, r_max),
+        (0.0, _R_MAX),
         (u0, 0.0),
         method="DOP853",
         rtol=1e-12,
@@ -175,32 +174,28 @@ def _classify(N, p, u0, r_max):
         # at the decay floor a true decay has U' ≈ −U; a transversal zero
         # crossing arrives with an O(1)-steeper slope
         return "low" if sol.y_events[2][0][1] > -np.sqrt(_DECAY_FLOOR) else "high"
-    # reached r_max with U > 0 decreasing: near-threshold, treat by sign
+    # reached _R_MAX with U > 0 decreasing: near-threshold, treat by sign
     return "low" if sol.y[0, -1] > 0 else "high"
 
 
-def _bracket_center_value(N, p, r_max):
+def _bracket_center_value(N, p):
     lo = 1.0 + 1e-9
-    if _classify(N, p, lo, r_max) != "low":
+    if _classify(N, p, lo) != "low":
         raise ShootingError("lower bracket endpoint does not undershoot", (lo, None))
     hi = 2.0
     for _ in range(12):
-        if _classify(N, p, hi, r_max) == "high":
+        if _classify(N, p, hi) == "high":
             return lo, hi
         lo = hi
         hi *= 2.0
     raise ShootingError("no overshoot found while expanding bracket", (lo, hi))
 
 
-def solve_ground_state(
-    dimension: int,
-    p: float,
-    tol: float = 1e-12,
-    r_max: float = 25.0,
-    grid_step: float = 0.005,
-    fit_window: tuple[float, float] | None = None,
-) -> GroundStateProfile:
+def solve_ground_state(dimension: int, p: float, tol: float = 1e-12) -> GroundStateProfile:
     """Compute the positive radial decaying solution of U'' + (N-1)/r U' = U - U^p.
+
+    The profile is stored on [0, 25] with spacing 0.005; the tail constants
+    are fitted on [8, 12] clipped to the clean part of the computed tail.
 
     Parameters
     ----------
@@ -210,25 +205,18 @@ def solve_ground_state(
         Nonlinearity exponent, 2 <= p, subcritical for N >= 3.
     tol : float
         Bisection width for the shooting parameter U(0).
-    r_max : float
-        Radial extent of the stored grid.
-    grid_step : float
-        Uniform spacing of the stored grid.
-    fit_window : (float, float), optional
-        Window for fitting the tail constants; defaults to [8, 12] clipped
-        to the clean part of the computed tail.
     """
     validate_exponent(dimension, p)
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    lo, hi = _bracket_center_value(dimension, p, r_max)
+    lo, hi = _bracket_center_value(dimension, p)
     width = hi - lo
     for _ in range(200):
         if width < tol:
             break
         mid = 0.5 * (lo + hi)
-        if _classify(dimension, p, mid, r_max) == "low":
+        if _classify(dimension, p, mid) == "low":
             lo = mid
         else:
             hi = mid
@@ -237,12 +225,12 @@ def solve_ground_state(
         raise ShootingError("bisection failed to converge", (lo, hi))
 
     u0 = 0.5 * (lo + hi)
-    grid = np.arange(0.0, r_max + 0.5 * grid_step, grid_step)
+    grid = np.arange(0.0, _R_MAX + 0.5 * _GRID_STEP, _GRID_STEP)
     # tighter settings than the bisection passes: the stored values feed
     # finite-difference residual checks that amplify interpolation noise
     sol = solve_ivp(
         _radial_rhs(dimension, p),
-        (0.0, r_max),
+        (0.0, _R_MAX),
         (u0, 0.0),
         method="DOP853",
         rtol=1e-13,
@@ -264,9 +252,8 @@ def solve_ground_state(
     )
     r_clean = grid[bad[0] - 1] if bad.size and bad[0] > 0 else grid[-1]
 
-    if fit_window is None:
-        hi_r = min(12.0, r_clean)
-        fit_window = (max(0.6 * hi_r, hi_r - 4.0), hi_r)
+    hi_r = min(12.0, r_clean)
+    fit_window = (max(0.6 * hi_r, hi_r - 4.0), hi_r)
     L0, L1, spread0, spread1 = fit_tail_constants(
         dimension, grid, values, derivs, fit_window
     )
@@ -359,13 +346,6 @@ def eval_radial_derivative(profile: GroundStateProfile, r):
             -profile.tail_L1 * rt ** ((1 - profile.dimension) / 2) * np.exp(-rt)
         )
     return out
-
-
-def eval_ground_state(profile: GroundStateProfile, point) -> float:
-    """U at a point of R^N (total function: huge radii underflow to 0)."""
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    r = float(np.linalg.norm(point))
-    return float(eval_radial(profile, r))
 
 
 def ode_residual(profile: GroundStateProfile, r_max: float | None = None):

@@ -10,7 +10,9 @@ the orthogonal remainder; the constrained linear solves use a bordered
 symmetric system factored once per configuration (:func:`constrained_solve`,
 shared with the weighted estimates and the pinned Newton step).  Setting
 every d_i to zero is the reduced equation for the peak positions; Newton on
-those scalars drives the configuration to uniform spacing.
+those scalars drives the configuration to uniform spacing.  The chain ansatz
+→ eigenpairs → near-kernel basis → correction is the one pipeline step
+:func:`reduce`.
 
 Both M(ū) and R(v) are evaluated algebraically from the profile — never
 through the discrete Laplacian — so the exponentially small scales they
@@ -126,16 +128,13 @@ def constrained_solve(A, C: np.ndarray):
 
 
 def solve_correction(
-    bundle: AnsatzBundle,
-    basis: NearKernelBasis,
-    tol: float = 1e-13,
-    max_iter: int = 30,
+    bundle: AnsatzBundle, basis: NearKernelBasis, tol: float = 1e-13
 ) -> ReductionState:
     """Fixed-point solve of 𝕃v = h(v)⊥, ⟨v, φ_i⟩_{H¹} = 0, with δ_i ≡ 0.
 
     Iterates v ↦ 𝕃⁻¹[(−M(ū) + R(v))⊥] until the sup-norm increment drops
-    below tol (absolute); three consecutive growing increments abort with
-    :class:`ContractionError`.
+    below tol (absolute), for at most 30 iterations; three consecutive
+    growing increments abort with :class:`ContractionError`.
     """
     grid = bundle.grid
     p = bundle.profile.exponent
@@ -147,7 +146,7 @@ def solve_correction(
     v = np.zeros(grid.shape)
     mu = np.zeros(bundle.config.k)
     increments, it = [], 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 31):
         h = GridField(grid, minus_M + power_remainder(bundle.ubar.data, v, p))
         h_perp, d = split_projection(h, basis)
         v_flat, mu = solve(h_perp.data.ravel())
@@ -178,6 +177,18 @@ def solve_correction(
         iterations=it,
         solve_residual=res,
     )
+
+
+def reduce(
+    config: PeakConfiguration,
+    profile: GroundStateProfile,
+    grid: StripGrid,
+    tol: float = 1e-13,
+) -> ReductionState:
+    """The one pipeline step: ansatz, k+3 eigenpairs, near-kernel basis, correction."""
+    bundle = build_ansatz(config, profile, grid)
+    result = lowest_eigenpairs(bundle, count=config.k + 3)
+    return solve_correction(bundle, near_kernel_basis(result, bundle), tol=tol)
 
 
 def interaction_d(bundle: AnsatzBundle, basis: NearKernelBasis, i: int) -> float:
@@ -215,37 +226,23 @@ def d_mesh_limit(
     config: PeakConfiguration,
     profile: GroundStateProfile,
     grid: StripGrid,
-    levels: int = 3,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mesh-limit (d_proj, d_int) by Richardson extrapolation over halvings.
 
     The projection coefficients and the interaction integrals each carry an
     O(h²) eigenbasis error that is flat in the separation and can mask the
     exponentially small consistency gap between the two routes.  Evaluating
-    both on `levels` successively halved grids and eliminating the h² (and,
-    for three levels, h⁴) terms recovers the continuum values.
+    both on three successively halved grids and eliminating the h² and h⁴
+    terms recovers the continuum values.
     """
-    if levels not in (2, 3):
-        raise ValueError("levels must be 2 or 3")
-    grids = [grid]
-    for _ in range(levels - 1):
-        grids.append(grids[-1].refined())
     proj, inter = [], []
-    for g in grids:
-        bundle = build_ansatz(config, profile, g)
-        result = lowest_eigenpairs(bundle, count=config.k + 3)
-        basis = near_kernel_basis(result, bundle)
-        state = solve_correction(bundle, basis)
+    for _ in range(3):
+        state = reduce(config, profile, grid)
         proj.append(state.d_coeffs)
-        inter.append(
-            np.array(
-                [interaction_d(bundle, basis, i) for i in range(config.k)]
-            )
-        )
-    if levels == 2:
-        weights = np.array([-1.0, 4.0]) / 3.0
-    else:
-        weights = np.array([1.0, -20.0, 64.0]) / 45.0
+        row = [interaction_d(state.bundle, state.basis, i) for i in range(config.k)]
+        inter.append(np.array(row))
+        grid = grid.refined()
+    weights = np.array([1.0, -20.0, 64.0]) / 45.0
     d_proj = sum(w * d for w, d in zip(weights, proj))
     d_int = sum(w * d for w, d in zip(weights, inter))
     return d_proj, d_int
@@ -258,37 +255,18 @@ class EquilibrateResult:
     newton_steps: int
 
 
-def _reduced_d(
-    config: PeakConfiguration,
-    profile: GroundStateProfile,
-    grid_factory,
-    with_correction: bool = True,
-) -> np.ndarray:
-    grid = grid_factory(config.epsilon)
-    bundle = build_ansatz(config, profile, grid)
-    result = lowest_eigenpairs(bundle, count=config.k + 3)
-    basis = near_kernel_basis(result, bundle)
-    if with_correction:
-        state = solve_correction(bundle, basis)
-        return state.d_coeffs
-    _, d = split_projection(GridField(grid, -residual(bundle).data), basis)
-    return d
-
-
 def equilibrate(
     initial: PeakConfiguration,
     profile: GroundStateProfile,
     grid_factory,
     tol: float,
-    max_steps: int = 12,
-    with_correction: bool = True,
 ) -> EquilibrateResult:
     """Damped Newton on peak angles driving every d_i to zero.
 
     The first angle is pinned (removing the translation family); the
     Jacobian of the remaining angles is formed by forward differences.
     Steps that leave the separation regime or fail to reduce max|d| are
-    halved.
+    halved; at most 12 Newton steps are taken.
 
     Parameters
     ----------
@@ -303,7 +281,7 @@ def equilibrate(
     def evaluate(angles_free):
         angles = (initial.angles[0], *angles_free)
         config = PeakConfiguration(initial.epsilon, angles)
-        return config, _reduced_d(config, profile, grid_factory, with_correction)
+        return config, reduce(config, profile, grid_factory(config.epsilon)).d_coeffs
 
     free = np.array(initial.angles[1:])
     config, d = evaluate(free)
@@ -312,7 +290,7 @@ def equilibrate(
         return EquilibrateResult(config, history, newton_steps=0)
 
     fd_step = 1e-4
-    for step in range(1, max_steps + 1):
+    for step in range(1, 13):
         J = np.empty((initial.k, free.size))
         for j in range(free.size):
             pert = free.copy()
@@ -340,6 +318,6 @@ def equilibrate(
         if np.max(np.abs(d)) < tol:
             return EquilibrateResult(config, history, newton_steps=step)
     raise RuntimeError(
-        f"equilibrate did not reach |d| < {tol} in {max_steps} steps "
+        f"equilibrate did not reach |d| < {tol} in 12 steps "
         f"(last d = {d})"
     )

@@ -43,11 +43,18 @@ class SpectralResult:
     eigenvalues: np.ndarray
     eigenvectors: list[GridField]
     residuals: np.ndarray
-    overlap_matrix: np.ndarray
+    near_kernel: np.ndarray  # indices of the eigenvalues with |λ| < GAP_THRESHOLD
+    translation_products: np.ndarray  # [m, i] = ⟨ξ_m, ∂v_i/∂x₁⟩_{H¹}
 
     @property
     def near_kernel_count(self) -> int:
-        return int(np.sum(np.abs(self.eigenvalues) < GAP_THRESHOLD))
+        return len(self.near_kernel)
+
+    @property
+    def overlap_matrix(self) -> np.ndarray:
+        """H¹ overlaps with the normalized translation modes."""
+        tnorms = np.array([h1_norm(t) for t in self.bundle.translation_modes])
+        return self.translation_products / tnorms
 
 
 def assemble_linearized(bundle: AnsatzBundle) -> sp.csr_matrix:
@@ -55,12 +62,6 @@ def assemble_linearized(bundle: AnsatzBundle) -> sp.csr_matrix:
     p = bundle.profile.exponent
     pot = p * np.maximum(bundle.ubar.data, 0.0) ** (p - 1)
     return (bundle.grid.helmholtz_matrix - sp.diags(pot.ravel())).tocsr()
-
-
-def apply_linearized(bundle: AnsatzBundle, u: GridField) -> GridField:
-    return GridField(
-        u.grid, (assemble_linearized(bundle) @ u.data.ravel()).reshape(u.grid.shape)
-    )
 
 
 def _b_orthonormalize(B, vecs):
@@ -78,9 +79,7 @@ def _b_orthonormalize(B, vecs):
     return out
 
 
-def lowest_eigenpairs(
-    bundle: AnsatzBundle, count: int, tol: float = 1e-8
-) -> SpectralResult:
+def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
     """Smallest `count` weighted eigenvalues by two-shift shift-invert.
 
     One Lanczos run targets the bottom cluster near 1−p, a second the
@@ -90,7 +89,7 @@ def lowest_eigenpairs(
     Raises
     ------
     RuntimeError
-        If any returned pair's residual ‖𝕃ξ − λBξ‖₂ exceeds tol.
+        If any returned pair's residual ‖𝕃ξ − λBξ‖₂ exceeds 1e-8·‖Bξ₀‖₂.
     """
     if count < bundle.config.k + 2:
         raise ValueError("count must be at least k + 2 to see the spectral gap")
@@ -126,7 +125,7 @@ def lowest_eigenpairs(
     residuals = np.array(
         [np.linalg.norm(L @ v - lam * (B @ v)) for lam, v in zip(vals, kept_vecs)]
     )
-    if np.any(residuals > tol * np.linalg.norm(B @ kept_vecs[0])):
+    if np.any(residuals > 1e-8 * np.linalg.norm(B @ kept_vecs[0])):
         raise RuntimeError(f"eigen-residuals too large: {residuals}")
 
     # scale so the quadrature-weighted H¹ norm is 1 (B-orthonormal in the
@@ -137,23 +136,16 @@ def lowest_eigenpairs(
         for v in kept_vecs
     ]
 
-    # H¹ overlaps with the normalized translation modes
-    tnorms = [h1_norm(t) for t in bundle.translation_modes]
-    overlap = np.array(
-        [
-            [
-                inner_products(f, t)[1] / tn
-                for t, tn in zip(bundle.translation_modes, tnorms)
-            ]
-            for f in fields
-        ]
+    products = np.array(
+        [[inner_products(f, t)[1] for t in bundle.translation_modes] for f in fields]
     )
     return SpectralResult(
         bundle=bundle,
         eigenvalues=vals,
         eigenvectors=fields,
         residuals=residuals,
-        overlap_matrix=overlap,
+        near_kernel=np.flatnonzero(np.abs(vals) < GAP_THRESHOLD),
+        translation_products=products,
     )
 
 
@@ -164,7 +156,6 @@ class NearKernelBasis:
     fields: list[GridField]
     alphas: np.ndarray
     alignment_residuals: np.ndarray
-    eigenvalues: np.ndarray
 
 
 def near_kernel_basis(result: SpectralResult, bundle: AnsatzBundle) -> NearKernelBasis:
@@ -177,21 +168,13 @@ def near_kernel_basis(result: SpectralResult, bundle: AnsatzBundle) -> NearKerne
     ⟨φ_i, ∂v_i/∂x₁⟩_{H¹} > 0.
     """
     k = bundle.config.k
-    idx = [m for m, lam in enumerate(result.eigenvalues) if abs(lam) < GAP_THRESHOLD]
+    idx = result.near_kernel
     if len(idx) != k:
         raise NearKernelError(
             f"near-kernel dimension {len(idx)} != k = {k}", result.eigenvalues
         )
     vecs = [result.eigenvectors[m] for m in idx]
-    lams = result.eigenvalues[idx]
-
-    M = np.array(
-        [
-            [inner_products(v, t)[1] for t in bundle.translation_modes]
-            for v in vecs
-        ]
-    )
-    W, _, Vt = np.linalg.svd(M)
+    W, _, Vt = np.linalg.svd(result.translation_products[idx])
     Q = W @ Vt
     rotated = []
     for i in range(k):
@@ -212,23 +195,18 @@ def near_kernel_basis(result: SpectralResult, bundle: AnsatzBundle) -> NearKerne
         fields=fields,
         alphas=np.array(alphas),
         alignment_residuals=np.array(residuals),
-        eigenvalues=lams,
     )
 
 
 def principal_angles(result: SpectralResult, bundle: AnsatzBundle) -> np.ndarray:
-    """Principal angles between the near-kernel and span{∂v_i/∂x₁} in H¹."""
-    B = bundle.grid.helmholtz_matrix
-    wgt = bundle.grid.weight
-    idx = [m for m, lam in enumerate(result.eigenvalues) if abs(lam) < GAP_THRESHOLD]
-    E = np.stack([result.eigenvectors[m].data.ravel() for m in idx], axis=1)
-    T = np.stack([t.data.ravel() for t in bundle.translation_modes], axis=1)
-    # B-orthonormalize both frames, then SVD of the cross-Gram matrix
-    def orthonormal(X):
-        G = wgt * (X.T @ (B @ X))
-        Lc = np.linalg.cholesky(G)
-        return X @ np.linalg.inv(Lc).T
+    """Principal angles between the near-kernel and span{∂v_i/∂x₁} in H¹.
 
-    Eo, To = orthonormal(E), orthonormal(T)
-    s = np.linalg.svd(wgt * (Eo.T @ (B @ To)), compute_uv=False)
+    The eigenvectors are already H¹-orthonormal, so only the translation
+    frame is orthonormalized (by the Cholesky factor of its Gram matrix)
+    before the SVD of the cross-Gram matrix.
+    """
+    modes = bundle.translation_modes
+    gram = np.array([[inner_products(a, b)[1] for b in modes] for a in modes])
+    cross = result.translation_products[result.near_kernel]
+    s = np.linalg.svd(cross @ np.linalg.inv(np.linalg.cholesky(gram)).T, compute_uv=False)
     return np.arccos(np.clip(s, -1.0, 1.0))

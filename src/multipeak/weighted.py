@@ -57,7 +57,6 @@ def solve_orthogonal(
     h: GridField,
     bundle: AnsatzBundle,
     basis: NearKernelBasis,
-    tol: float = 1e-10,
 ) -> GridField:
     """Solve 𝕃ξ = h⊥ with ⟨ξ, φ_i⟩_{H¹} = 0 by the bordered system.
 
@@ -67,8 +66,8 @@ def solve_orthogonal(
     Raises
     ------
     RuntimeError
-        If the solve residual or the orthogonality defect exceeds tol
-        (relative).
+        If the relative solve residual exceeds 1e-10 or the orthogonality
+        defect exceeds 1e-8.
     """
     h_perp, _ = split_projection(h, basis)
     L = assemble_linearized(bundle)
@@ -77,7 +76,7 @@ def solve_orthogonal(
     xi = GridField(h.grid, xi_vec.reshape(h.grid.shape))
     rhs_norm = np.linalg.norm(h_perp.data)
     res = np.linalg.norm(L @ xi_vec + C @ mu - h_perp.data.ravel())
-    if rhs_norm > 0 and res > tol * rhs_norm:
+    if rhs_norm > 0 and res > 1e-10 * rhs_norm:
         raise RuntimeError(f"bordered solve residual {res:.3e} too large")
     xi_h1 = max(inner_products(xi, xi)[1], 1e-300)
     for phi in basis.fields:

@@ -10,7 +10,7 @@ import pytest
 from multipeak.ansatz import build_ansatz, uniform_configuration
 from multipeak.domain import make_grid
 from multipeak.groundstate import solve_ground_state
-from multipeak.reduction import solve_correction
+from multipeak.reduction import reduce, solve_correction
 from multipeak.spectrum import lowest_eigenpairs, near_kernel_basis
 
 
@@ -72,11 +72,6 @@ def sigma_sweep(profile_n2):
     rows = {}
     for sigma in (4, 5, 6, 7, 8):
         eps = np.pi / (2 * sigma)
-        bundle = build_ansatz(
-            uniform_configuration(eps, 2), profile_n2, make_grid(eps)
-        )
-        result = lowest_eigenpairs(bundle, count=5)
-        basis = near_kernel_basis(result, bundle)
-        state = solve_correction(bundle, basis)
-        rows[sigma] = (bundle, basis, state)
+        state = reduce(uniform_configuration(eps, 2), profile_n2, make_grid(eps))
+        rows[sigma] = (state.bundle, state.basis, state)
     return rows

@@ -118,6 +118,8 @@ DESK = ["ansatz", "--eps", "0.3", "--k", "2"]
         for value in ("0", "-0.25", "nan", "inf")
     ]
     + [
+        DESK + ["--h", "100"],
+        DESK + ["--h", "0.001"],
         ["dancer", "--eps", "0.3", "--tol", "-1"],
         ["dancer", "--eps", "0.3", "--eta", "1.5"],
         ["reduce", "--eps", "0.3", "--k", "2", "--tol", "nan"],

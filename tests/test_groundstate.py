@@ -6,7 +6,6 @@ import pytest
 from multipeak.groundstate import (
     GroundStateProfile,
     SupercriticalError,
-    eval_ground_state,
     eval_radial,
     eval_radial_derivative,
     ode_residual,
@@ -76,12 +75,6 @@ def test_tail_branch_continuous(profile_n2):
         profile_n2, np.array([rm - 1e-9, rm + 1e-9])
     )
     assert abs(dabove - dbelow) < 0.06 * abs(dbelow)
-
-
-def test_eval_ground_state_radial(profile_n2):
-    a = eval_ground_state(profile_n2, (3.0, 4.0))
-    b = eval_ground_state(profile_n2, (5.0, 0.0))
-    assert a == pytest.approx(b, rel=1e-14)
 
 
 def test_supercritical_rejected():

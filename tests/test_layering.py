@@ -42,20 +42,30 @@ def test_lower_layers_do_not_import_cli_or_dancer(path):
         assert module not in ("cli", "dancer"), f"{path.stem} imports {module}"
 
 
+def callers(*names):
+    """(module, top-level function) of every call of one of `names` in the package."""
+    for path in MODULES:
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                    if name in names:
+                        yield path.stem, getattr(top, "name", None)
+
+
 def test_one_bordered_factorization():
     """splu and sp.bmat are called only inside reduction.constrained_solve."""
-    for path in MODULES:
-        tree = ast.parse(path.read_text())
-        owners = {
-            id(node): fn.name
-            for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef)
-            for node in ast.walk(fn)
-        }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                f = node.func
-                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-                if name in ("splu", "bmat"):
-                    where = (path.stem, owners.get(id(node)))
-                    assert where == ("reduction", "constrained_solve"), where
+    assert set(callers("splu", "bmat")) == {("reduction", "constrained_solve")}
+
+
+def test_one_pipeline_step():
+    """The eigenpairs → basis → correction chain is written out only in reduction.reduce.
+
+    The spectrum command alone asks for eigenpairs without a correction.
+    """
+    assert set(callers("solve_correction")) == {("reduction", "reduce")}
+    assert set(callers("lowest_eigenpairs")) == {
+        ("reduction", "reduce"),
+        ("cli", "cmd_spectrum"),
+    }

@@ -9,9 +9,9 @@ from multipeak.domain import GridField, inner_products
 from multipeak.reduction import (
     constrained_solve,
     constraint_columns,
-    d_mesh_limit,
     interaction_d,
     power_remainder,
+    reduce,
     split_projection,
 )
 
@@ -94,18 +94,14 @@ def test_projection_vs_interaction_coefficients(profile_n2):
     An asymmetric pair is used so the coefficients are nonzero; at the
     default mesh the discrete-eigenbasis floor limits agreement to ~1.5%.
     """
-    from multipeak.ansatz import PeakConfiguration, build_ansatz
+    from multipeak.ansatz import PeakConfiguration
     from multipeak.domain import make_grid
-    from multipeak.reduction import solve_correction
-    from multipeak.spectrum import lowest_eigenpairs, near_kernel_basis
 
     sigma = 5.0
     eps = 2 * np.pi / (2 * sigma + 8 * sigma / 3)
     config = PeakConfiguration(eps, (-np.pi, -np.pi + 2 * sigma * eps))
-    bundle = build_ansatz(config, profile_n2, make_grid(eps))
-    basis = near_kernel_basis(lowest_eigenpairs(bundle, count=5), bundle)
-    state = solve_correction(bundle, basis)
-    d_int = np.array([interaction_d(bundle, basis, i) for i in range(2)])
+    state = reduce(config, profile_n2, make_grid(eps))
+    d_int = np.array([interaction_d(state.bundle, state.basis, i) for i in range(2)])
     rel = np.abs(d_int - state.d_coeffs) / np.abs(state.d_coeffs)
     assert np.max(rel) < 0.05
 
@@ -116,11 +112,6 @@ def test_interaction_d_requires_pair(bundle_k1, spectral_k1):
     basis1 = near_kernel_basis(spectral_k1, bundle_k1)
     with pytest.raises(ValueError):
         interaction_d(bundle_k1, basis1, 0)
-
-
-def test_d_mesh_limit_validates_levels(bundle_k2, profile_n2):
-    with pytest.raises(ValueError):
-        d_mesh_limit(bundle_k2.config, profile_n2, bundle_k2.grid, levels=4)
 
 
 def test_uniform_pair_coefficients_cancel(state_k2):

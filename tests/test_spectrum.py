@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from multipeak.ansatz import build_ansatz, uniform_configuration
-from multipeak.domain import inner_products, make_grid
+from multipeak.domain import GridField, inner_products, make_grid
 from multipeak.spectrum import (
     NearKernelError,
-    apply_linearized,
+    assemble_linearized,
     lowest_eigenpairs,
     near_kernel_basis,
     principal_angles,
@@ -22,7 +22,10 @@ def test_ground_state_exact_eigenvector_identity(bundle_k1):
     exponentially small lattice-image interaction.
     """
     ubar = bundle_k1.ubar
-    Lu = apply_linearized(bundle_k1, ubar)
+    Lu = GridField(
+        ubar.grid,
+        (assemble_linearized(bundle_k1) @ ubar.data.ravel()).reshape(ubar.grid.shape),
+    )
     num = inner_products(Lu, ubar)[0]
     den = inner_products(ubar, ubar)[1]
     assert num / den == pytest.approx(-2.0, rel=2e-2)
@@ -67,6 +70,20 @@ def test_principal_angles_small(spectral_k2, bundle_k2):
     angles = principal_angles(spectral_k2, bundle_k2)
     assert angles.shape == (2,)
     assert angles.max() < 0.1
+    # reference: B-orthonormalize both frames by Cholesky, then SVD of the
+    # cross-Gram matrix; agrees only while the eigenvectors are H¹-orthonormal
+    B, wgt = bundle_k2.grid.helmholtz_matrix, bundle_k2.grid.weight
+
+    def orthonormal(X):
+        return X @ np.linalg.inv(np.linalg.cholesky(wgt * (X.T @ (B @ X)))).T
+
+    E = np.stack(
+        [spectral_k2.eigenvectors[m].data.ravel() for m in spectral_k2.near_kernel],
+        axis=1,
+    )
+    T = np.stack([t.data.ravel() for t in bundle_k2.translation_modes], axis=1)
+    s = np.linalg.svd(wgt * (orthonormal(E).T @ (B @ orthonormal(T))), compute_uv=False)
+    assert angles == pytest.approx(np.arccos(np.clip(s, -1.0, 1.0)), abs=1e-10)
 
 
 def test_near_kernel_error_for_merged_peaks(profile_n2):
