@@ -328,6 +328,8 @@ def cmd_dancer(args):
     _check(tol > 0, f"tol > 0 (got {tol})")
     if args.eps_sweep:
         epsilons = [float(t) for t in args.eps_sweep.split(",")]
+        _check(len(set(epsilons)) == len(epsilons),
+               f"distinct eps in sweep (got {args.eps_sweep})")
     else:
         epsilons = [_require(cfg, "eps")]
     grids = {e: _grid(cfg, e) for e in epsilons}
@@ -350,6 +352,7 @@ def cmd_dancer(args):
                     "eps": e,
                     "iterations": sol.iterations,
                     "residual_history": sol.newton_history,
+                    "multiplier": sol.multiplier,
                     "min_value": float(sol.field.data.min()),
                     "evenness_defect": evenness,
                     "period_defect": full,

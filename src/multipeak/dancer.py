@@ -1,10 +1,14 @@
 """Newton continuation to the discrete periodic solution and its probes.
 
-The full equation −Δu + u − u₊^p = 0 is solved by damped Newton from the
+The full equation −Δu + u − u₊^p = 0 is solved by plain Newton from the
 multi-peak ansatz.  The x₁-translation family makes the Jacobian singular,
-so a scalar pinning constraint ⟨u − u₀, ∂v_pin/∂x₁⟩_{H¹} = 0 is appended
-as a bordered row; evenness is *not* imposed by the solver and is checked
-a posteriori by reflecting the converged field.
+so a pinning constraint ⟨u − ū, ∂v₀/∂x₁⟩_{H¹} = 0 is appended as a
+bordered row with its multiplier μ as one more unknown (Keller's bordering
+with a phase condition).  The grid breaks the translation symmetry, so off
+the lattice F(u) = 0 has no pinned root; the solver finds F(u) + μc = 0,
+and μ vanishes on the lattice and under refinement.  Evenness is *not*
+imposed by the solver and is checked a posteriori by reflecting the
+converged field.
 
 The deviation ψ of the solution from the periodized sum of ground-state
 translates is exponentially small in the separation — far below the mesh
@@ -28,8 +32,12 @@ from .groundstate import GroundStateProfile
 from .reduction import constrained_solve, reduce
 
 
+PIN = 0  # index of the peak whose translation mode pins the solution
+MAX_ITER = 40
+
+
 class NewtonError(RuntimeError):
-    """Newton iteration left its basin or hit the iteration cap."""
+    """‖F(u) + μc‖ did not fall below tol within MAX_ITER steps, or was not finite."""
 
 
 @dataclass
@@ -41,7 +49,8 @@ class DancerSolution:
     k: int
     pin_location: float
     psi: GridField
-    newton_history: list[float]
+    newton_history: list[float]  # ‖F(u) + μc‖ per iterate
+    multiplier: float  # μ of the pinning constraint
 
     @property
     def iterations(self) -> int:
@@ -57,80 +66,58 @@ def nonlinear_residual(u: GridField, p: float) -> GridField:
 
 def newton_solve(
     bundle: AnsatzBundle,
-    pin: int = 0,
     tol: float = 1e-11,
-    max_iter: int = 40,
     initial: GridField | None = None,
-    stall_tol: float = 1e-7,
 ) -> DancerSolution:
-    """Damped Newton on F(u) = (−Δ+1)u − u₊^p with bordered pinning.
+    """Newton on G(u, μ) = (F(u) + μc, cᵀ(u − ū)) = 0.
+
+    F(u) = (−Δ+1)u − u₊^p and c is the H¹ pinning direction ∂v₀/∂x₁, so
+    the second equation fixes the x₁-translation against the bundle's own
+    ansatz ū (starts from different fields target the same root).  The
+    multiplier μ is the force that holds the solution at that translate
+    against the grid lattice; it vanishes on the lattice and under
+    refinement.  Each step solves the bordered system once and updates u
+    and μ together.
 
     Parameters
     ----------
     bundle : AnsatzBundle
-        Supplies the starting guess (its ū unless `initial` is given) and
-        the pinning direction ∂v_pin/∂x₁.
-    pin : int
-        Index of the peak whose translation mode anchors the solution.
+        Supplies ū (the start unless `initial` is given) and ∂v₀/∂x₁.
     tol : float
-        Target on the Euclidean norm of the nodal residual.
-    stall_tol : float
-        The mesh breaks the continuous translation symmetry, so a pinning
-        location incommensurate with the lattice leaves a tiny but nonzero
-        residual floor.  A stalled iteration is accepted if its residual
-        is already below this floor tolerance.
+        Target on the Euclidean norm of F(u) + μc.
+
+    Raises
+    ------
+    NewtonError
+        If ‖F(u) + μc‖ is not below tol after MAX_ITER steps, or is not
+        finite.
     """
     grid = bundle.grid
     p = bundle.profile.exponent
     A = grid.helmholtz_matrix
-    t_pin = bundle.translation_modes[pin]
-    c = grid.weight * (A @ t_pin.data.ravel())
-    # the pinning constraint always references the bundle's own ansatz, so
-    # probe runs started from different fields target the same bordered root
-    u0 = bundle.ubar.data.ravel().copy()
-    u = (initial.data.ravel().copy() if initial is not None else u0.copy())
-    res = A @ u - np.maximum(u, 0.0) ** p
-    history = [float(np.linalg.norm(res))]
-    for _ in range(max_iter):
+    c = grid.weight * (A @ bundle.translation_modes[PIN].data.ravel())
+    u0 = bundle.ubar.data.ravel()
+    u = (bundle.ubar if initial is None else initial).data.ravel()
+    mu = 0.0
+    history = []
+    while True:
+        field = GridField(grid, u.reshape(grid.shape))
+        G = nonlinear_residual(field, p).data.ravel() + mu * c
+        history.append(float(np.linalg.norm(G)))
         if history[-1] < tol:
             break
-        up = np.maximum(u, 0.0)
-        J = A - sp.diags(p * up ** (p - 1) * (u > 0))
-        g = float(c @ (u - u0))
-        step, _ = constrained_solve(J, c[:, None])(-res, -g)
-        # non-monotone acceptance: full steps along the soft near-kernel
-        # direction overshoot transiently before Newton contracts, so the
-        # reference is the worst of the recent residuals
-        ref = max(history[-5:])
-        scale, improved = 1.0, False
-        for _ in range(12):
-            trial = u + scale * step
-            trial_res = A @ trial - np.maximum(trial, 0.0) ** p
-            if np.linalg.norm(trial_res) < ref:
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            if history[-1] < stall_tol:
-                break  # at the lattice symmetry-breaking floor
+        if len(history) > MAX_ITER or not np.isfinite(history[-1]):
             raise NewtonError(
-                f"line search exhausted at residual {history[-1]:.3e}"
+                f"no convergence: residual {history[-1]:.3e} after "
+                f"{len(history) - 1} of {MAX_ITER} iterations"
             )
-        u = u + scale * step
-        res = A @ u - np.maximum(u, 0.0) ** p
-        history.append(float(np.linalg.norm(res)))
-        if len(history) >= 4 and history[-4] < stall_tol and history[-1] > 0.5 * history[-4]:
-            break  # stagnating below the floor
-    else:
-        if history[-1] >= stall_tol:
-            raise NewtonError(
-                f"no convergence in {max_iter} iterations "
-                f"(residual {history[-1]:.3e})"
-            )
+        J = A - sp.diags(p * np.maximum(u, 0.0) ** (p - 1) * (u > 0))
+        step, dmu = constrained_solve(J, c[:, None])(-G, -float(c @ (u - u0)))
+        u = u + step
+        mu += float(dmu[0])
 
-    field = GridField(grid, u.reshape(grid.shape))
     k = bundle.config.k
-    pin_loc = bundle.config.positions[pin]
+    pin_loc = bundle.config.positions[PIN]
     # ψ against the sub-period lattice through the pin, reaching a period
     # plus 30 decay lengths past the cell on either side
     sub = 2 * np.pi / (k * bundle.config.epsilon)
@@ -144,6 +131,7 @@ def newton_solve(
         pin_location=pin_loc,
         psi=psi,
         newton_history=history,
+        multiplier=mu,
     )
 
 

@@ -7,10 +7,15 @@ session-scoped so the acceptance suite and the unit tests share them.
 import numpy as np
 import pytest
 
-from multipeak.ansatz import build_ansatz, uniform_configuration
+from multipeak.ansatz import (
+    PeakConfiguration,
+    build_ansatz,
+    residual_rate,
+    uniform_configuration,
+)
 from multipeak.domain import make_grid
 from multipeak.groundstate import solve_ground_state
-from multipeak.reduction import reduce, solve_correction
+from multipeak.reduction import equilibrate, reduce, solve_correction
 from multipeak.spectrum import lowest_eigenpairs, near_kernel_basis
 
 
@@ -75,3 +80,27 @@ def sigma_sweep(profile_n2):
         state = reduce(uniform_configuration(eps, 2), profile_n2, make_grid(eps))
         rows[sigma] = (state.bundle, state.basis, state)
     return rows
+
+
+@pytest.fixture(scope="session")
+def equilibrated(profile_n2):
+    """Criterion 08's perturbed equilibrations, shared with the Newton chain test.
+
+    Seed 7 draws the perturbation of k = 2 at ε = 0.3 first, then k = 3 at
+    ε = 0.2.  Maps k to (uniform configuration, tolerance, result).
+    """
+    rng = np.random.default_rng(7)
+    runs = {}
+    for k, eps in ((2, 0.3), (3, 0.2)):
+        uniform = uniform_configuration(eps, k)
+        gap_angle = 2 * np.pi / k
+        perturbed = PeakConfiguration(
+            eps,
+            tuple(
+                a + 0.05 * gap_angle * s
+                for a, s in zip(uniform.angles, rng.uniform(-1, 1, k))
+            ),
+        )
+        tol = 1e-2 * residual_rate(uniform.sigma_min, 2)
+        runs[k] = (uniform, tol, equilibrate(perturbed, profile_n2, make_grid, tol=tol))
+    return runs

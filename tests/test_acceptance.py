@@ -155,25 +155,12 @@ def test_criterion_07_d_consistency(profile_n2):
     assert ok
 
 
-def test_criterion_08_equidistribution(profile_n2):
+def test_criterion_08_equidistribution(profile_n2, equilibrated):
     details, ok = [], True
-    rng = np.random.default_rng(7)
-    for k, eps in ((2, 0.3), (3, 0.2)):
-        factory = lambda e: make_grid(e)
-        uniform = uniform_configuration(eps, k)
-        gap_angle = 2 * np.pi / k
-        perturbed = PeakConfiguration(
-            eps,
-            tuple(
-                a + 0.05 * gap_angle * s
-                for a, s in zip(uniform.angles, rng.uniform(-1, 1, k))
-            ),
-        )
-        tol = 1e-2 * residual_rate(uniform.sigma_min, 2)
-        res = equilibrate(perturbed, profile_n2, factory, tol=tol)
+    for k, (uniform, tol, res) in equilibrated.items():
         gaps = np.asarray(res.config.gaps)
         dev = float(np.max(np.abs(gaps - uniform.period / k)) / (uniform.period / k))
-        sym = equilibrate(uniform, profile_n2, factory, tol=tol)
+        sym = equilibrate(uniform, profile_n2, make_grid, tol=tol)
         ok = ok and dev < 1e-3 and sym.newton_steps == 0 and np.max(
             np.abs(sym.d_history[0])
         ) < tol

@@ -122,6 +122,7 @@ DESK = ["ansatz", "--eps", "0.3", "--k", "2"]
         DESK + ["--h", "0.001"],
         ["dancer", "--eps", "0.3", "--tol", "-1"],
         ["dancer", "--eps", "0.3", "--eta", "1.5"],
+        ["dancer", "--eps-sweep", "0.3,0.3,0.3", "--k", "1"],
         ["reduce", "--eps", "0.3", "--k", "2", "--tol", "nan"],
         ["spectrum", "--eps", "0.3", "--k", "0"],
         ["oracle", "taylor", "--n", "0"],

@@ -5,15 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multipeak.ansatz import image_sums, peak_distance_field
+from multipeak.ansatz import (
+    build_ansatz,
+    image_sums,
+    peak_distance_field,
+    uniform_configuration,
+)
 from multipeak.dancer import (
+    PIN,
     align_and_compare,
     minimal_period_gaps,
     newton_solve,
     nonlinear_residual,
     verify_evenness,
 )
-from multipeak.domain import GridField, shift_x1
+from multipeak.domain import GridField, make_grid, shift_x1
 
 
 @pytest.fixture(scope="module")
@@ -21,13 +27,70 @@ def solution_k1(bundle_k1):
     return newton_solve(bundle_k1, tol=1e-11)
 
 
-def test_newton_converges_fast(solution_k1):
+def pinning_direction(bundle):
+    """c with cᵀu = ⟨u, ∂v_pin/∂x₁⟩_{H¹}, the bordered column of the solver."""
+    grid = bundle.grid
+    return grid.weight * (grid.helmholtz_matrix @ bundle.translation_modes[PIN].data.ravel())
+
+
+def test_newton_converges_fast(solution_k1, bundle_k1):
     assert solution_k1.iterations <= 8
-    assert solution_k1.newton_history[-1] < 1e-7
-    res = nonlinear_residual(solution_k1.field, 3.0)
-    assert np.linalg.norm(res.data) == pytest.approx(
-        solution_k1.newton_history[-1], rel=1e-8
+    assert solution_k1.newton_history[-1] < 1e-11
+    res = nonlinear_residual(solution_k1.field, 3.0).data.ravel()
+    res += solution_k1.multiplier * pinning_direction(bundle_k1)
+    assert np.linalg.norm(res) == pytest.approx(
+        solution_k1.newton_history[-1], rel=1e-8, abs=0
     )
+
+
+@pytest.fixture(scope="module")
+def off_lattice(profile_n2):
+    """k = 2, ε = 0.3, both peaks 0.37 desk h₁ off the lattice: (desk, refined) runs."""
+    desk = make_grid(0.3)
+    config = uniform_configuration(0.3, 2).shifted(0.37 * desk.h1 * 0.3)
+    runs = []
+    for grid in (desk, desk.refined()):
+        bundle = build_ansatz(config, profile_n2, grid)
+        runs.append((bundle, newton_solve(bundle, tol=1e-11)))
+    return runs
+
+
+def test_off_lattice_newton_converges(off_lattice):
+    _, sol = off_lattice[0]
+    assert sol.newton_history[-1] <= 1e-11
+
+
+def test_off_lattice_residual_is_the_pinning_force(off_lattice):
+    """Off the lattice F(u) = 0 has no pinned root: ‖F(u)‖ = |μ|‖c‖ > 0."""
+    bundle, sol = off_lattice[0]
+    force = abs(sol.multiplier) * np.linalg.norm(pinning_direction(bundle))
+    assert force > 1e-8
+    assert np.linalg.norm(nonlinear_residual(sol.field, 3.0).data) == pytest.approx(
+        force, rel=1e-6, abs=0
+    )
+
+
+def test_off_lattice_multiplier_vanishes_under_refinement(off_lattice):
+    """The same physical shift is 0.74 h₁ on the halved grid; μ drops to roundoff."""
+    _, fine = off_lattice[1]
+    assert fine.newton_history[-1] <= 1e-11
+    assert abs(fine.multiplier) < 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_equilibrate_then_newton(profile_n2, equilibrated, k):
+    """Newton converges from criterion 08's equilibrated configurations."""
+    uniform, _, result = equilibrated[k]
+    bundle = build_ansatz(result.config, profile_n2, make_grid(uniform.epsilon))
+    assert newton_solve(bundle, tol=1e-11).newton_history[-1] <= 1e-11
+
+
+def test_newton_non_finite_start_raises(bundle_k2):
+    """A NaN or infinite iterate is never reported as converged."""
+    data = bundle_k2.ubar.data.copy()
+    data[3, 3] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError):
+        newton_solve(bundle_k2, initial=GridField(bundle_k2.grid, data))
 
 
 def test_solution_positive(solution_k1):
