@@ -16,6 +16,7 @@ import configparser
 import functools
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -214,8 +215,8 @@ def cmd_ansatz(args):
 def cmd_spectrum(args):
     cfg = _resolve(args, "spectrum", dict(_BUNDLE_CASTS, count=int))
     config, grid, n, p = _bundle_inputs(cfg)
-    count = cfg.get("count", config.k + 4)
-    _check(count >= config.k + 2, f"count >= k + 2 (got {count} for k = {config.k})")
+    count = cfg.get("count", 2 * config.k + 2)
+    _check(count >= 2 * config.k + 1, f"count >= 2k + 1 (got {count} for k = {config.k})")
 
     def compute():
         bundle = ans.build_ansatz(config, _profile(n, p), grid)
@@ -504,6 +505,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
+        for path in (args.out, getattr(args, "profile_out", None)):
+            _check(not path or os.path.isdir(os.path.dirname(path) or "."),
+                   f"the directory of {path} exists")
         command, cfg, compute = args.func(args)
     except ValueError as exc:  # ConfigError and the validators of the layers
         return _fail(EXIT_CONFIG, "config", exc)

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .ansatz import AnsatzBundle, image_sums, peak_distance_field, uniform_configuration
+from .ansatz import AnsatzBundle, image_sums, uniform_configuration
 from .domain import GridField, align_shift, reflect_x1, shift_x1
 from .groundstate import GroundStateProfile
 from .reduction import constrained_solve, reduce
+from .weighted import weighted_sup
 
 
 PIN = 0  # index of the peak whose translation mode pins the solution
@@ -192,11 +193,9 @@ def psi_decay_fit(
     eps = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     sups = []
     for e in eps:
-        grid = grid_factory(e)
         config = uniform_configuration(e, k)
-        state = reduce(config, profile, grid)
-        d_x = peak_distance_field(grid, config.positions)
-        sups.append(float(np.max(np.abs(state.correction.data) * np.exp(eta * d_x))))
+        state = reduce(config, profile, grid_factory(e))
+        sups.append(weighted_sup(state.correction, config, eta))
     sups = np.array(sups)
     if np.any(np.diff(sups) >= 0):
         raise RuntimeError(f"weighted sups not monotone along sweep: {sups}")

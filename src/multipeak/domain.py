@@ -82,7 +82,12 @@ class StripGrid:
         return (np.asarray(x) + half) % self.period - half
 
     def refined(self) -> "StripGrid":
-        """Grid with both mesh widths exactly halved."""
+        """Grid with h₁ exactly halved and h₂ nearly halved.
+
+        h₂ goes from R/(n₂+½) to R/(2n₂+1½), a ratio (n₂+½)/(2n₂+1½) that is
+        ½ − O(1/n₂) (0.4974 at n₂ = 48), so Richardson weights built for
+        exact halving cancel the h₂² term only up to O(h₂²/n₂).
+        """
         return StripGrid(
             epsilon=self.epsilon,
             transverse_extent=self.transverse_extent,

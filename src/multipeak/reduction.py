@@ -29,7 +29,7 @@ from scipy.sparse.linalg import splu
 
 from .ansatz import AnsatzBundle, PeakConfiguration, build_ansatz, residual
 from .domain import GridField, StripGrid, h1_norm, inner_products
-from .groundstate import GroundStateProfile, eval_radial, eval_radial_derivative
+from .groundstate import GroundStateProfile
 from .spectrum import (
     NearKernelBasis,
     assemble_linearized,
@@ -185,9 +185,9 @@ def reduce(
     grid: StripGrid,
     tol: float = 1e-13,
 ) -> ReductionState:
-    """The one pipeline step: ansatz, k+3 eigenpairs, near-kernel basis, correction."""
+    """The one pipeline step: ansatz, 2k+1 eigenpairs, near-kernel basis, correction."""
     bundle = build_ansatz(config, profile, grid)
-    result = lowest_eigenpairs(bundle, count=config.k + 3)
+    result = lowest_eigenpairs(bundle, count=2 * config.k + 1)
     return solve_correction(bundle, near_kernel_basis(result, bundle), tol=tol)
 
 
@@ -196,28 +196,21 @@ def interaction_d(bundle: AnsatzBundle, basis: NearKernelBasis, i: int) -> float
 
     d_i = p α_i / ‖φ_i‖²_{H¹} · ∫_{Ω_i} U_i^{p−1} (ū − U_i) ∂U_i/∂x₁ dx,
 
-    where U_i is the principal translate of peak i (the nearest image on
-    its own cell) and ū − U_i collects every other summand.  The α_i factor
-    carries the normalization of φ_i relative to the translation mode.
+    where U_i = Σ_l U_{i,l} is peak i with all its lattice images (the
+    ansatz's own peak field), so ū − U_i holds only the other peaks.  The
+    α_i factor carries the normalization of φ_i relative to the translation
+    mode.
     """
     if bundle.config.k < 2:
         raise ValueError("interaction coefficients require k >= 2")
-    grid = bundle.grid
-    profile = bundle.profile
-    p = profile.exponent
-    pos = bundle.config.positions[i]
-
-    X1, X2 = grid.meshes()
-    dx1 = grid.wrap_x1(X1 - pos)
-    r = np.hypot(dx1, X2)
-    Ui = eval_radial(profile, r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dUi = np.where(r > 0, eval_radial_derivative(profile, r) * dx1 / r, 0.0)
+    p = bundle.profile.exponent
+    Ui = bundle.peak_fields[i].data
+    dUi = bundle.translation_modes[i].data
     others = bundle.ubar.data - Ui
 
     mask = bundle.cell_labels == i
     integrand = Ui ** (p - 1) * others * dUi
-    integral = grid.weight * float(integrand[mask].sum())
+    integral = bundle.grid.weight * float(integrand[mask].sum())
     phi = basis.fields[i]
     return p * basis.alphas[i] * integral / inner_products(phi, phi)[1]
 
@@ -233,7 +226,8 @@ def d_mesh_limit(
     O(h²) eigenbasis error that is flat in the separation and can mask the
     exponentially small consistency gap between the two routes.  Evaluating
     both on three successively halved grids and eliminating the h² and h⁴
-    terms recovers the continuum values.
+    terms recovers the continuum values (up to O(h₂²/n₂), since h₂ is only
+    nearly halved; see :meth:`StripGrid.refined`).
     """
     proj, inter = [], []
     for _ in range(3):

@@ -9,8 +9,8 @@ a symmetric-definite pencil (B = −Δ+1 is positive definite), so the
 spectrum is real and bounded above by 1.  For a k-peak configuration the
 low spectrum consists of a bottom cluster near 1−p and a k-dimensional
 near-kernel cluster near 0 asymptotically spanned by the translation modes
-∂v_i/∂x₁; both clusters are captured by shift-invert Lanczos runs at two
-separate shifts.
+∂v_i/∂x₁; both clusters are captured by one shift-invert Lanczos run with
+its shift below the bottom cluster.
 """
 
 from __future__ import annotations
@@ -64,68 +64,34 @@ def assemble_linearized(bundle: AnsatzBundle) -> sp.csr_matrix:
     return (bundle.grid.helmholtz_matrix - sp.diags(pot.ravel())).tocsr()
 
 
-def _b_orthonormalize(B, vecs):
-    """Gram–Schmidt in the B inner product (stabilizes clustered pairs)."""
-    out = []
-    for v in vecs:
-        w = v.copy()
-        for _ in range(2):
-            for q in out:
-                w -= (q @ (B @ w)) * q
-        nrm = np.sqrt(w @ (B @ w))
-        if nrm < 1e-10:
-            continue
-        out.append(w / nrm)
-    return out
-
-
 def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
-    """Smallest `count` weighted eigenvalues by two-shift shift-invert.
+    """Smallest `count` weighted eigenvalues by one shift-invert Lanczos run.
 
-    One Lanczos run targets the bottom cluster near 1−p, a second the
-    near-kernel cluster near 0; the merged set is deduplicated by B-overlap
-    and re-orthonormalized.
+    The shift 1−p−½ lies below the bottom cluster near 1−p, so the `count`
+    eigenvalues nearest it are the smallest ones while the spectrum lies
+    above 1−p−½.  The start vector is seeded, so reruns are bit-identical,
+    and generic, so every symmetry class (each member of a degenerate pair)
+    is in its Krylov space.  The lowest 2k eigenvalues are the bottom and
+    near-kernel clusters, so `count` ≥ 2k+1 also sees the gap above them.
 
     Raises
     ------
     RuntimeError
         If any returned pair's residual ‖𝕃ξ − λBξ‖₂ exceeds 1e-8·‖Bξ₀‖₂.
     """
-    if count < bundle.config.k + 2:
-        raise ValueError("count must be at least k + 2 to see the spectral gap")
+    if count < 2 * bundle.config.k + 1:
+        raise ValueError("count must be at least 2k + 1 to see the spectral gap")
     L = assemble_linearized(bundle)
     B = bundle.grid.helmholtz_matrix
     p = bundle.profile.exponent
+    v0 = np.random.default_rng(0).standard_normal(L.shape[0])
+    # ascending eigenvalues, B-orthonormal eigenvector columns
+    vals, vecs = eigsh(L, k=count, M=B, sigma=-(p - 1) - 0.5, which="LM", tol=1e-12, v0=v0)
 
-    pairs = []
-    v0 = np.full(L.shape[0], 1.0 / np.sqrt(L.shape[0]))  # deterministic start
-    for shift, block in (( -(p - 1) - 0.5, count), (-0.02, count)):
-        vals, vecs = eigsh(L, k=block, M=B, sigma=shift, which="LM", tol=1e-12, v0=v0)
-        pairs.extend(zip(vals, vecs.T))
-    pairs.sort(key=lambda t: t[0])
-
-    # deduplicate across the two runs by B-overlap, then orthonormalize
-    kept_vals, kept_vecs = [], []
-    for lam, vec in pairs:
-        nrm = np.sqrt(vec @ (B @ vec))
-        vec = vec / nrm
-        dup = any(
-            abs(lam - lv) < 1e-6 and abs(vec @ (B @ kv)) > 0.5
-            for lv, kv in zip(kept_vals, kept_vecs)
-        )
-        if not dup:
-            kept_vals.append(float(lam))
-            kept_vecs.append(vec)
-    kept_vals = kept_vals[:count]
-    kept_vecs = _b_orthonormalize(B, kept_vecs[:count])
-
-    vals = np.array(kept_vals[: len(kept_vecs)])
     if np.any(vals >= 1.0):
         raise RuntimeError(f"eigenvalue >= 1 returned: {vals}")
-    residuals = np.array(
-        [np.linalg.norm(L @ v - lam * (B @ v)) for lam, v in zip(vals, kept_vecs)]
-    )
-    if np.any(residuals > 1e-8 * np.linalg.norm(B @ kept_vecs[0])):
+    residuals = np.linalg.norm(L @ vecs - (B @ vecs) * vals, axis=0)
+    if np.any(residuals > 1e-8 * np.linalg.norm(B @ vecs[:, 0])):
         raise RuntimeError(f"eigen-residuals too large: {residuals}")
 
     # scale so the quadrature-weighted H¹ norm is 1 (B-orthonormal in the
@@ -133,7 +99,7 @@ def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
     scale = 1.0 / np.sqrt(bundle.grid.weight)
     fields = [
         GridField(bundle.grid, scale * v.reshape(bundle.grid.shape))
-        for v in kept_vecs
+        for v in vecs.T
     ]
 
     products = np.array(

@@ -125,6 +125,10 @@ DESK = ["ansatz", "--eps", "0.3", "--k", "2"]
         ["dancer", "--eps-sweep", "0.3,0.3,0.3", "--k", "1"],
         ["reduce", "--eps", "0.3", "--k", "2", "--tol", "nan"],
         ["spectrum", "--eps", "0.3", "--k", "0"],
+        ["spectrum", "--eps", "0.3", "--k", "3", "--count", "6"],
+        DESK + ["--out", "/no/such/dir/a.json"],
+        ["groundstate", "--profile-out", "/no/such/dir/p.json"],
+        ["oracle", "taylor", "--out", "/no/such/dir/t.json"],
         ["oracle", "taylor", "--n", "0"],
         ["oracle", "interactions", "--y0", "nan"],
     ],

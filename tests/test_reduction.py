@@ -117,3 +117,13 @@ def test_interaction_d_requires_pair(bundle_k1, spectral_k1):
 def test_uniform_pair_coefficients_cancel(state_k2):
     """Equidistributed peaks feel equal and opposite pulls: d_i ≈ 0."""
     assert np.max(np.abs(state_k2.d_coeffs)) < 1e-9
+
+
+def test_reduce_four_peaks(profile_n2):
+    """k = 4 needs 2k+1 eigenpairs: the bottom cluster alone fills k of them."""
+    from multipeak.ansatz import uniform_configuration
+    from multipeak.domain import make_grid
+
+    state = reduce(uniform_configuration(0.2, 4), profile_n2, make_grid(0.2))
+    assert len(state.basis.fields) == 4
+    assert np.max(np.abs(state.d_coeffs)) < 1e-9

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from multipeak import spectrum
 from multipeak.ansatz import build_ansatz, uniform_configuration
 from multipeak.domain import GridField, inner_products, make_grid
+from multipeak.groundstate import solve_ground_state
 from multipeak.spectrum import (
     NearKernelError,
     assemble_linearized,
@@ -41,7 +44,7 @@ def test_eigenvectors_b_orthonormal(spectral_k2):
     for i, vi in enumerate(vecs):
         for j, vj in enumerate(vecs):
             h1 = inner_products(vi, vj)[1]
-            assert h1 == pytest.approx(1.0 if i == j else 0.0, abs=1e-7)
+            assert h1 == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
 
 
 def test_eigen_residuals_small(spectral_k2):
@@ -92,11 +95,50 @@ def test_near_kernel_error_for_merged_peaks(profile_n2):
         uniform_configuration(1.2, 2), profile_n2, make_grid(1.2)
     )
     with pytest.raises(NearKernelError) as info:
-        result = lowest_eigenpairs(bundle, count=4)
+        result = lowest_eigenpairs(bundle, count=5)
         near_kernel_basis(result, bundle)
     assert info.value.eigenvalues is not None
 
 
 def test_count_validation(bundle_k2):
+    """The lowest 2k values are the two clusters; one more shows the gap."""
     with pytest.raises(ValueError):
-        lowest_eigenpairs(bundle_k2, count=3)
+        lowest_eigenpairs(bundle_k2, count=4)
+
+
+@pytest.mark.parametrize(
+    "p, grid_args, count",
+    [
+        (2, (0.5, 6.0, 0.5), 8),  # degenerate pairs at λ ≈ −1.2124 and −0.3847
+        (5, (0.3,), 7),  # a run from a symmetric (constant) start misses one of each pair
+    ],
+)
+def test_degenerate_spectrum_matches_dense(p, grid_args, count):
+    """Uniform k = 3 has exactly degenerate pairs; both members are returned."""
+    grid = make_grid(*grid_args)
+    bundle = build_ansatz(
+        uniform_configuration(grid.epsilon, 3), solve_ground_state(2, p, tol=1e-12), grid
+    )
+    result = lowest_eigenpairs(bundle, count=count)
+    dense = scipy.linalg.eigh(
+        assemble_linearized(bundle).toarray(),
+        grid.helmholtz_matrix.toarray(),
+        eigvals_only=True,
+        subset_by_index=[0, count - 1],
+    )
+    assert result.eigenvalues == pytest.approx(dense, abs=1e-10)
+
+
+def test_one_lanczos_run(bundle_k2, monkeypatch):
+    """One shift-invert run, started from a seeded non-constant vector."""
+    calls = []
+    eigsh = spectrum.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigsh", counted)
+    lowest_eigenpairs(bundle_k2, count=6)
+    assert len(calls) == 1
+    assert np.ptp(calls[0]["v0"]) > 0
