@@ -14,6 +14,7 @@ computed tail.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,8 +58,11 @@ class GroundStateProfile:
     """Computed radial profile with far-field continuation.
 
     ``values``/``derivatives`` hold U and U' on ``radial_grid``; past
-    ``tail_match_radius`` they follow the fitted exponential form, so the
-    stored arrays are smooth and strictly decreasing throughout.
+    ``tail_match_radius`` they follow the fitted exponential form.  The
+    arrays are strictly decreasing but not continuous at the matching
+    radius: L0 is the mean of r^((N-1)/2) e^r U over the fit window, not its
+    value at the window's end, so at N = 2, p = 3 U jumps by 0.49 % there
+    (6.12888e-6 just below r = 12, 6.15886e-6 just above).
     """
 
     dimension: int
@@ -76,6 +80,14 @@ class GroundStateProfile:
     @cached_property
     def _value_spline(self) -> CubicSpline:
         return CubicSpline(self.radial_grid, self.values)
+
+    @cached_property
+    def _value_pieces(self) -> tuple[list, list]:
+        """The value spline's breakpoints and coefficients as floats, up to the
+        interval that holds the matching radius (the tail needs no spline)."""
+        spline = self._value_spline
+        n = int(np.searchsorted(spline.x, self.tail_match_radius, side="right")) + 1
+        return spline.x[:n].tolist(), spline.c[:, :n - 1].T.tolist()
 
     @cached_property
     def _derivative_spline(self) -> CubicSpline:
@@ -320,9 +332,36 @@ def profile_tail_constants(profile: GroundStateProfile, window) -> tuple[float, 
     return L0, L1
 
 
+# e^{-r} stays normal below it; larger |r|, ±inf and NaN take the vector
+# path, which guards underflow
+_POINT_LIMIT = 700.0
+
+
+def _radial_point(profile: GroundStateProfile, x: float):
+    """U at one finite |x| < _POINT_LIMIT, bit for bit as the vector path.
+
+    The interval search and the power sum follow scipy's PPoly evaluation;
+    the tail uses numpy's power and exp, whose vector loops differ from
+    Python's ``**`` and ``math.exp`` in the last bit.
+    """
+    if x <= profile.tail_match_radius:
+        knots, coeffs = profile._value_pieces
+        i = min(max(bisect_right(knots, x) - 1, 0), len(knots) - 2)
+        c0, c1, c2, c3 = coeffs[i]
+        s = x - knots[i]
+        return c3 + c2 * s + c1 * (s * s) + c0 * ((s * s) * s)
+    return profile.tail_L0 * np.power(x, (1 - profile.dimension) / 2) * np.exp(-x)
+
+
 def eval_radial(profile: GroundStateProfile, r):
-    """U(r), vectorized; asymptotic branch beyond the matching radius."""
+    """U(r), vectorized; asymptotic branch beyond the matching radius.
+
+    A single point skips the array machinery: quadrature integrands call
+    this one point at a time, where that overhead dominates.
+    """
     r = np.asarray(r, dtype=float)
+    if r.size == 1 and abs(x := r.item()) < _POINT_LIMIT:
+        return np.asarray(_radial_point(profile, x)).reshape(r.shape)
     out = np.empty_like(r)
     inner = r <= profile.tail_match_radius
     out[inner] = profile._value_spline(r[inner])

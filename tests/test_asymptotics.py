@@ -15,6 +15,7 @@ from multipeak.asymptotics import (
     rescale,
     taylor_remainder,
     taylor_remainder_check,
+    taylor_remainders,
 )
 
 
@@ -114,5 +115,40 @@ def test_taylor_check_deterministic():
 
 
 def test_taylor_check_validates_p():
-    with pytest.raises(ValueError):
-        taylor_remainder_check(10, 1.5, seed=0)
+    for p in (1.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            taylor_remainder_check(10, p, seed=0)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.7])
+def test_vectorized_remainder_matches_scalar(p):
+    """Every regime of taylor_remainder, including its boundaries, bit for bit."""
+    rng = np.random.default_rng(5)
+    a = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 3000))
+    b = rng.choice((-1.0, 1.0), 3000) * np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 3000))
+    a = np.concatenate([a, a[:100], a[:100], a[:100], a[:100]])
+    b = np.concatenate([b, 0 * a[:100], -a[:100], 0.5 * a[:100], -0.5 * a[:100]])
+    scalar = [taylor_remainder(x, y, p) for x, y in zip(a.tolist(), b.tolist())]
+    assert np.array_equal(taylor_remainders(a, b, p), scalar)
+
+
+def _taylor_check_by_sample(samples, p, seed):
+    """The sample-by-sample loop the blocked check replaces."""
+    rng = np.random.default_rng(seed)
+    log_a = rng.uniform(np.log(1e-3), np.log(1e3), samples)
+    log_b = rng.uniform(np.log(1e-3), np.log(1e3), samples)
+    signs = rng.choice((-1.0, 1.0), samples)
+    best, arg = 0.0, (0.0, 0.0)
+    for la, lb, sg in zip(log_a, log_b, signs):
+        a, b = math.exp(la), sg * math.exp(lb)
+        ratio = taylor_remainder(a, b, p) / abs(b) ** p
+        if ratio > best:
+            best, arg = ratio, (a, b)
+    return best, arg
+
+
+@pytest.mark.parametrize("p, seed", [(3.0, 3), (2.5, 4), (4.7, 11)])
+def test_blocked_check_matches_sample_loop(p, seed):
+    """Over several blocks the maximum and its first argmax agree bit for bit."""
+    report = taylor_remainder_check(20_000, p, seed)
+    assert (report.max_ratio, report.argmax) == _taylor_check_by_sample(20_000, p, seed)

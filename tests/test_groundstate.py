@@ -77,6 +77,37 @@ def test_tail_branch_continuous(profile_n2):
     assert abs(dabove - dbelow) < 0.06 * abs(dbelow)
 
 
+@pytest.fixture(scope="module")
+def profile_n2_p5():
+    return solve_ground_state(2, 5, tol=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["profile_n1", "profile_n2", "profile_n2_p5"])
+def test_single_point_matches_vector_path(fixture, request):
+    """One point at a time gives the vector path's value bit for bit."""
+    profile = request.getfixturevalue(fixture)
+    knots = profile.radial_grid
+    rm = profile.tail_match_radius
+    r = np.concatenate([
+        knots,
+        np.nextafter(knots, -np.inf),
+        [np.nextafter(rm, -np.inf), rm, np.nextafter(rm, np.inf)],
+        [0.0, 25.0, 30.0, 800.0, -3.0, np.inf, -np.inf, np.nan],
+        np.random.default_rng(0).uniform(0.0, 40.0, 10_000),
+    ])
+    one_by_one = np.array([eval_radial(profile, np.asarray([x]))[0] for x in r])
+    assert np.array_equal(one_by_one, eval_radial(profile, r), equal_nan=True)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+@pytest.mark.parametrize("x", [0.3, 12.5, np.nan])
+def test_single_point_keeps_shape(profile_n2, shape, x):
+    out = eval_radial(profile_n2, np.full(shape, x))
+    assert out.shape == shape
+    assert np.array_equal(out.ravel(), eval_radial(profile_n2, np.array([x, 0.0]))[:1],
+                          equal_nan=True)
+
+
 def test_supercritical_rejected():
     with pytest.raises(SupercriticalError):
         solve_ground_state(3, 5.0)
