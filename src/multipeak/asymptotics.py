@@ -204,6 +204,18 @@ def taylor_remainder(a: float, b: float, p: float) -> float:
 
 
 _BLOCK = 2048  # samples per vectorized block; bounds the temporaries
+# a and |b| are drawn from [1e−3, 1e3], so every binomial term of a sample is
+# at most (a + |b|)^p ≤ (2·10³)^p, finite up to this exponent (93)
+_TAYLOR_MAX_EXPONENT = math.floor(math.log(np.finfo(float).max) / math.log(2e3))
+
+
+def validate_taylor_exponent(p: float) -> None:
+    """Reject p outside [2, _TAYLOR_MAX_EXPONENT] (NaN included)."""
+    if not 2 <= p <= _TAYLOR_MAX_EXPONENT:
+        raise ValueError(
+            f"exponent must satisfy 2 <= p <= {_TAYLOR_MAX_EXPONENT}, got {p}: "
+            "above it (a + |b|)^p overflows for a, |b| sampled up to 1e3"
+        )
 
 
 def _pow_a(a: np.ndarray, y: float) -> np.ndarray:
@@ -275,8 +287,7 @@ def taylor_remainder_check(samples: int, p: float, seed: int) -> TaylorReport:
     bit for bit that of ``taylor_remainder`` sample by sample, the first
     sample attaining the maximum included.
     """
-    if not 2 <= p < math.inf:
-        raise ValueError(f"exponent must satisfy 2 <= p < inf, got {p}")
+    validate_taylor_exponent(p)
     rng = np.random.default_rng(seed)
     log_a = rng.uniform(np.log(1e-3), np.log(1e3), samples)
     log_b = rng.uniform(np.log(1e-3), np.log(1e3), samples)

@@ -1,14 +1,18 @@
 """Radial ground state of -ΔU + U - U^p = 0 in R^N.
 
-The profile is computed by the classic overshoot/undershoot shooting method
-in the radial variable, bisecting the center value U(0) between initial data
-that decay to zero and initial data that turn around or cross zero.  Beyond a
-matching radius the stored values switch to the exponential far-field form
+The profile is one discrete boundary value problem on the nodes
+r_j = 0.005 j of [0, r_m], r_m = 12: eighth-order central differences, an
+even reflection at r = 0 and, past r_m, ghost nodes that follow the
+far-field shape
 
-    U(r) ≈ L0 * r^((1-N)/2) * exp(-r),
+    T(r) = r^((1-N)/2) e^{-r} Σ_{k≤3} a_k(ν) r^{-k},   ν = (N-2)/2,
 
-with the constant L0 (and L1 for the derivative) fitted on a window of the
-computed tail.
+the truncated large-r expansion of r^{-ν} K_ν(r) (DLMF 10.40.2; exact for
+N = 1 and N = 3).  This is the asymptotic boundary condition of Lentini &
+Keller (SIAM J. Numer. Anal. 17, 1980).  A Petviashvili iteration from
+2 sech(r)^{2/(p-1)} leads into Newton's basin, and every step of either is
+one banded solve.  Beyond r_m the profile is U = L0 T with L0 = U(r_m)/T(r_m),
+so U and U' are continuous there.
 """
 
 from __future__ import annotations
@@ -16,28 +20,26 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy import sparse
+from scipy.integrate import newton_cotes
 from scipy.interpolate import CubicSpline
-
-
-class ShootingError(RuntimeError):
-    """Bisection bracket could not be established or refined."""
-
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
-        self.bracket = bracket
+from scipy.linalg import solve_banded
 
 
 class SupercriticalError(ValueError):
     """Exponent outside the subcritical range p < (N+2)/(N-2)."""
 
 
-_DECAY_FLOOR = 1e-12
-_R_MAX = 25.0  # radial extent of the shooting and of the stored profile
-_GRID_STEP = 0.005  # spacing of the stored profile
+_R_MATCH = 12.0  # end of the solved nodes, where the far field takes over
+_GRID_STEP = 0.005  # spacing of the solved nodes
+# eighth-order central differences for U' and U'' on offsets -4..4
+_D1 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
+_D2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 315, -1 / 560])
+_NEWTON_TOL = 1e-10  # sup of the last Newton step, relative to U(0)
+_POHOZAEV_TOL = 1e-6
 
 
 def validate_exponent(dimension: int, p: float) -> None:
@@ -53,16 +55,36 @@ def validate_exponent(dimension: int, p: float) -> None:
         )
 
 
+@cache
+def _series(dimension: int) -> tuple[float, ...]:
+    """a_0..a_3 with a_k = Π_{j≤k} (4ν² − (2j−1)²)/(k! 8^k), ν = (N−2)/2."""
+    a = [1.0]
+    for k in range(1, 4):
+        a.append(a[-1] * ((dimension - 2) ** 2 - (2 * k - 1) ** 2) / (8 * k))
+    return tuple(a)
+
+
+def far_field(dimension: int, r, derivative: bool = False):
+    """The far-field shape T(r), or T'(r), for r > 0.
+
+    Scalars and arrays take the same numpy operations in the same order, so
+    a single point gives the vector path's value bit for bit.
+    """
+    a0, a1, a2, a3 = _series(dimension)
+    alpha = (1 - dimension) / 2
+    q = 1 / r
+    s = a0 + q * (a1 + q * (a2 + q * a3))
+    if derivative:
+        s = (alpha * q - 1) * s - q * q * (a1 + q * (2 * a2 + q * 3 * a3))
+    return np.power(r, alpha) * np.exp(-r) * s
+
+
 @dataclass(frozen=True)
 class GroundStateProfile:
     """Computed radial profile with far-field continuation.
 
-    ``values``/``derivatives`` hold U and U' on ``radial_grid``; past
-    ``tail_match_radius`` they follow the fitted exponential form.  The
-    arrays are strictly decreasing but not continuous at the matching
-    radius: L0 is the mean of r^((N-1)/2) e^r U over the fit window, not its
-    value at the window's end, so at N = 2, p = 3 U jumps by 0.49 % there
-    (6.12888e-6 just below r = 12, 6.15886e-6 just above).
+    ``values``/``derivatives`` hold U and U' on ``radial_grid``, the solved
+    nodes of [0, tail_match_radius]; past it U = tail_L0 · T.
     """
 
     dimension: int
@@ -72,10 +94,7 @@ class GroundStateProfile:
     derivatives: np.ndarray
     center_value: float
     tail_L0: float
-    tail_L1: float
     tail_match_radius: float
-    tail_spread_L0: float = 0.0
-    tail_spread_L1: float = 0.0
 
     @cached_property
     def _value_spline(self) -> CubicSpline:
@@ -83,11 +102,9 @@ class GroundStateProfile:
 
     @cached_property
     def _value_pieces(self) -> tuple[list, list]:
-        """The value spline's breakpoints and coefficients as floats, up to the
-        interval that holds the matching radius (the tail needs no spline)."""
+        """The value spline's breakpoints and coefficients as floats."""
         spline = self._value_spline
-        n = int(np.searchsorted(spline.x, self.tail_match_radius, side="right")) + 1
-        return spline.x[:n].tolist(), spline.c[:, :n - 1].T.tolist()
+        return spline.x.tolist(), spline.c.T.tolist()
 
     @cached_property
     def _derivative_spline(self) -> CubicSpline:
@@ -99,10 +116,7 @@ class GroundStateProfile:
             "exponent": self.exponent,
             "center_value": self.center_value,
             "tail_L0": self.tail_L0,
-            "tail_L1": self.tail_L1,
             "tail_match_radius": self.tail_match_radius,
-            "tail_spread_L0": self.tail_spread_L0,
-            "tail_spread_L1": self.tail_spread_L1,
             "radial_grid": self.radial_grid.tolist(),
             "values": self.values.tolist(),
             "derivatives": self.derivatives.tolist(),
@@ -120,94 +134,37 @@ class GroundStateProfile:
             derivatives=np.asarray(d["derivatives"]),
             center_value=d["center_value"],
             tail_L0=d["tail_L0"],
-            tail_L1=d["tail_L1"],
             tail_match_radius=d["tail_match_radius"],
-            tail_spread_L0=d["tail_spread_L0"],
-            tail_spread_L1=d["tail_spread_L1"],
         )
 
 
-def _radial_rhs(N, p):
-    def rhs(r, y):
-        u, du = y
-        up = max(u, 0.0) ** p
-        if r < 1e-10:
-            # removable singularity: U''(0) = (U(0) - U(0)^p)/N
-            d2u = (u - up) / N
-        else:
-            d2u = u - up - (N - 1) / r * du
-        return (du, d2u)
-
-    return rhs
+def _stencil_matrix(stencil, n, ghost):
+    """The 9-point stencil on nodes 0..n−1 with u_{−j} = u_j and the ghost
+    nodes past the end u_{n−1+i} = ghost[i−1]·u_{n−1}."""
+    rows = np.repeat(np.arange(n), 9)
+    cols = rows + np.tile(np.arange(-4, 5), n)
+    vals = np.tile(stencil, n)
+    past = cols >= n
+    vals[past] *= ghost[cols[past] - n]
+    cols = np.where(past, n - 1, np.abs(cols))
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _classify(N, p, u0):
-    """Integrate from the center and label the initial datum.
-
-    Returns 'low' when U' turns nonnegative while U > 0 (undershoot) and
-    'high' when U crosses zero (overshoot).  Dropping below the decay floor
-    with U' < 0 counts as 'low': the stable manifold is approached from the
-    undershoot side in the bisection.
-    """
-
-    def turn_up(r, y):
-        return y[1]
-
-    turn_up.terminal = True
-    turn_up.direction = 1.0
-
-    def cross_zero(r, y):
-        return y[0]
-
-    cross_zero.terminal = True
-    cross_zero.direction = -1.0
-
-    def floor_hit(r, y):
-        return y[0] - _DECAY_FLOOR
-
-    floor_hit.terminal = True
-    floor_hit.direction = -1.0
-
-    sol = solve_ivp(
-        _radial_rhs(N, p),
-        (0.0, _R_MAX),
-        (u0, 0.0),
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        events=(turn_up, cross_zero, floor_hit),
-        dense_output=False,
-    )
-    if sol.t_events[1].size:
-        return "high"
-    if sol.t_events[0].size:
-        return "low"
-    if sol.t_events[2].size:
-        # at the decay floor a true decay has U' ≈ −U; a transversal zero
-        # crossing arrives with an O(1)-steeper slope
-        return "low" if sol.y_events[2][0][1] > -np.sqrt(_DECAY_FLOOR) else "high"
-    # reached _R_MAX with U > 0 decreasing: near-threshold, treat by sign
-    return "low" if sol.y[0, -1] > 0 else "high"
+def _band(matrix):
+    """``matrix`` in the (9, n) storage of ``solve_banded((4, 4), ...)``."""
+    coo = matrix.tocoo()
+    ab = np.zeros((9, matrix.shape[0]))
+    ab[4 + coo.row - coo.col, coo.col] = coo.data
+    return ab
 
 
-def _bracket_center_value(N, p):
-    lo = 1.0 + 1e-9
-    if _classify(N, p, lo) != "low":
-        raise ShootingError("lower bracket endpoint does not undershoot", (lo, None))
-    hi = 2.0
-    for _ in range(12):
-        if _classify(N, p, hi) == "high":
-            return lo, hi
-        lo = hi
-        hi *= 2.0
-    raise ShootingError("no overshoot found while expanding bracket", (lo, hi))
-
-
-def solve_ground_state(dimension: int, p: float, tol: float = 1e-12) -> GroundStateProfile:
+def solve_ground_state(dimension: int, p: float) -> GroundStateProfile:
     """Compute the positive radial decaying solution of U'' + (N-1)/r U' = U - U^p.
 
-    The profile is stored on [0, 25] with spacing 0.005; the tail constants
-    are fitted on [8, 12] clipped to the clean part of the computed tail.
+    The discrete problem lives on the nodes 0.005 j of [0, 12].  Raises
+    RuntimeError when Newton does not converge, when U is not positive and
+    strictly decreasing, or when ∫|∇U|²/∫U^{p+1} on the nodes misses the
+    Pohozaev value N(p−1)/(2(p+1)) by more than 1e-6 relative.
 
     Parameters
     ----------
@@ -215,121 +172,69 @@ def solve_ground_state(dimension: int, p: float, tol: float = 1e-12) -> GroundSt
         Space dimension N >= 1.
     p : float
         Nonlinearity exponent, 2 <= p, subcritical for N >= 3.
-    tol : float
-        Bisection width for the shooting parameter U(0).
     """
     validate_exponent(dimension, p)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    N, h = dimension, _GRID_STEP
+    r = np.arange(0.0, _R_MATCH + 0.5 * h, h)
+    n = r.size
+    ghost = far_field(N, r[-1] + h * np.arange(1, 5)) / far_field(N, r[-1])
+    d1 = _stencil_matrix(_D1 / h, n, ghost)
+    d2 = _stencil_matrix(_D2 / h**2, n, ghost)
+    # (N−1)U'/r → (N−1)U''(0) at the center
+    radial = np.concatenate([[0.0], (N - 1) / r[1:]])
+    scale = np.concatenate([[N], np.ones(n - 1)])
+    linear = sparse.diags(scale) @ d2 + sparse.diags(radial) @ d1 - sparse.identity(n)
+    band = _band(linear)
 
-    lo, hi = _bracket_center_value(dimension, p)
-    width = hi - lo
+    # Petviashvili: u ← M^{p/(p−1)} L⁻¹u^p, L = 1 − Δ, M = ⟨u, Lu⟩/⟨u, u^p⟩
+    weight = r ** (N - 1)
+    u = 2.0 / np.cosh(r) ** (2 / (p - 1))
     for _ in range(200):
-        if width < tol:
+        up = np.maximum(u, 0.0) ** p
+        m = (weight @ (u * -(linear @ u))) / (weight @ (u * up))
+        new = m ** (p / (p - 1)) * solve_banded((4, 4), -band, up)
+        change = np.max(np.abs(new - u))
+        u = new
+        if not change > 1e-3 * u[0]:
             break
-        mid = 0.5 * (lo + hi)
-        if _classify(dimension, p, mid) == "low":
-            lo = mid
-        else:
-            hi = mid
-        width = hi - lo
+
+    for _ in range(30):
+        up = np.maximum(u, 0.0)
+        jac = band.copy()
+        jac[4] += p * up ** (p - 1)
+        step = solve_banded((4, 4), jac, linear @ u + up**p)
+        u = u - step
+        if np.max(np.abs(step)) <= _NEWTON_TOL * u[0]:
+            break
     else:
-        raise ShootingError("bisection failed to converge", (lo, hi))
+        raise RuntimeError(f"ground-state Newton did not converge (N = {N}, p = {p})")
 
-    u0 = 0.5 * (lo + hi)
-    grid = np.arange(0.0, _R_MAX + 0.5 * _GRID_STEP, _GRID_STEP)
-    # tighter settings than the bisection passes: the stored values feed
-    # finite-difference residual checks that amplify interpolation noise
-    sol = solve_ivp(
-        _radial_rhs(dimension, p),
-        (0.0, _R_MAX),
-        (u0, 0.0),
-        method="DOP853",
-        rtol=1e-13,
-        atol=1e-16,
-        max_step=0.05,
-        t_eval=grid,
-        dense_output=False,
-    )
-    values = sol.y[0].copy()
-    derivs = sol.y[1].copy()
-    if values.size < grid.size:  # blow-up truncated the output
-        pad = grid.size - values.size
-        values = np.concatenate([values, np.full(pad, np.nan)])
-        derivs = np.concatenate([derivs, np.full(pad, np.nan)])
-
-    # clean region: positive, decreasing, above the decay floor
-    bad = np.flatnonzero(
-        ~np.isfinite(values) | (values <= _DECAY_FLOOR) | (derivs >= 0)
-    )
-    r_clean = grid[bad[0] - 1] if bad.size and bad[0] > 0 else grid[-1]
-
-    hi_r = min(12.0, r_clean)
-    fit_window = (max(0.6 * hi_r, hi_r - 4.0), hi_r)
-    L0, L1, spread0, spread1 = fit_tail_constants(
-        dimension, grid, values, derivs, fit_window
-    )
-
-    match_r = fit_window[1]
-    tail = grid > match_r
-    rt = grid[tail]
-    values[tail] = L0 * rt ** ((1 - dimension) / 2) * np.exp(-rt)
-    derivs[tail] = -L1 * rt ** ((1 - dimension) / 2) * np.exp(-rt)
-
-    return GroundStateProfile(
-        dimension=dimension,
-        exponent=p,
-        radial_grid=grid,
-        values=values,
-        derivatives=derivs,
-        center_value=u0,
-        tail_L0=L0,
-        tail_L1=L1,
-        tail_match_radius=match_r,
-        tail_spread_L0=spread0,
-        tail_spread_L1=spread1,
-    )
-
-
-def fit_tail_constants(dimension, grid, values, derivs, window):
-    """Fit L0 and L1 from r^((N-1)/2) e^r U(r) over the window.
-
-    Returns (L0, L1, relative spread of L0, relative spread of L1); a spread
-    above 5% signals an unconverged tail.
-    """
-    r_lo, r_hi = window
-    mask = (grid >= r_lo) & (grid <= r_hi)
-    if not mask.any():
-        raise ValueError(f"fit window {window} outside computed grid")
-    r = grid[mask]
-    if values[mask].min() <= 0:
-        raise ValueError("fit window reaches nonpositive values")
-    if values[mask].max() > 1e-2:
-        raise ValueError("fit window starts before U drops below 1e-2")
-    weight = r ** ((dimension - 1) / 2) * np.exp(r)
-    w0 = weight * values[mask]
-    w1 = weight * np.abs(derivs[mask])
-    L0, L1 = w0.mean(), w1.mean()
-    spread0 = (w0.max() - w0.min()) / L0
-    spread1 = (w1.max() - w1.min()) / L1
-    if spread0 > 0.05 or spread1 > 0.05:
-        raise ShootingError(
-            f"tail fit spread too large ({spread0:.3g}, {spread1:.3g}): "
-            "unconverged tail"
+    du = d1 @ u
+    if not (np.all(u > 0) and np.all(np.diff(u) < 0)):
+        raise RuntimeError(f"ground state is not positive and decreasing (N = {N}, p = {p})")
+    # composite 9-point Newton–Cotes weights, eighth order like the
+    # differences: Simpson's own O(h⁴) error passes 1e-6 at N = 2, p = 9
+    nc, _ = newton_cotes(8, 1)
+    quad = np.zeros(n)
+    quad[:-1] = np.tile(nc[:-1], (n - 1) // 8)
+    quad[8::8] += nc[-1]
+    ratio = (quad @ (weight * du**2)) / (quad @ (weight * u ** (p + 1)))
+    defect = abs(ratio / (N * (p - 1) / (2 * (p + 1))) - 1)
+    if not defect <= _POHOZAEV_TOL:
+        raise RuntimeError(
+            f"Pohozaev identity violated by {defect:.2e} (N = {N}, p = {p}): "
+            "the core is not resolved on the grid"
         )
-    return L0, L1, spread0, spread1
-
-
-def profile_tail_constants(profile: GroundStateProfile, window) -> tuple[float, float]:
-    """Re-fit (L0, L1) on an existing profile over a chosen window."""
-    L0, L1, _, _ = fit_tail_constants(
-        profile.dimension,
-        profile.radial_grid,
-        profile.values,
-        profile.derivatives,
-        window,
+    return GroundStateProfile(
+        dimension=N,
+        exponent=p,
+        radial_grid=r,
+        values=u,
+        derivatives=du,
+        center_value=float(u[0]),
+        tail_L0=float(u[-1] / far_field(N, r[-1])),
+        tail_match_radius=float(r[-1]),
     )
-    return L0, L1
 
 
 # e^{-r} stays normal below it; larger |r|, ±inf and NaN take the vector
@@ -340,9 +245,7 @@ _POINT_LIMIT = 700.0
 def _radial_point(profile: GroundStateProfile, x: float):
     """U at one finite |x| < _POINT_LIMIT, bit for bit as the vector path.
 
-    The interval search and the power sum follow scipy's PPoly evaluation;
-    the tail uses numpy's power and exp, whose vector loops differ from
-    Python's ``**`` and ``math.exp`` in the last bit.
+    The interval search and the power sum follow scipy's PPoly evaluation.
     """
     if x <= profile.tail_match_radius:
         knots, coeffs = profile._value_pieces
@@ -350,11 +253,11 @@ def _radial_point(profile: GroundStateProfile, x: float):
         c0, c1, c2, c3 = coeffs[i]
         s = x - knots[i]
         return c3 + c2 * s + c1 * (s * s) + c0 * ((s * s) * s)
-    return profile.tail_L0 * np.power(x, (1 - profile.dimension) / 2) * np.exp(-x)
+    return profile.tail_L0 * far_field(profile.dimension, x)
 
 
 def eval_radial(profile: GroundStateProfile, r):
-    """U(r), vectorized; asymptotic branch beyond the matching radius.
+    """U(r), vectorized; far-field branch beyond the matching radius.
 
     A single point skips the array machinery: quadrature integrands call
     this one point at a time, where that overhead dominates.
@@ -365,33 +268,27 @@ def eval_radial(profile: GroundStateProfile, r):
     out = np.empty_like(r)
     inner = r <= profile.tail_match_radius
     out[inner] = profile._value_spline(r[inner])
-    rt = r[~inner]
     with np.errstate(under="ignore"):
-        out[~inner] = (
-            profile.tail_L0 * rt ** ((1 - profile.dimension) / 2) * np.exp(-rt)
-        )
+        out[~inner] = profile.tail_L0 * far_field(profile.dimension, r[~inner])
     return out
 
 
 def eval_radial_derivative(profile: GroundStateProfile, r):
-    """U'(r), vectorized, with the leading-order exponential tail."""
+    """U'(r), vectorized; far-field branch beyond the matching radius."""
     r = np.asarray(r, dtype=float)
     out = np.empty_like(r)
     inner = r <= profile.tail_match_radius
     out[inner] = profile._derivative_spline(r[inner])
-    rt = r[~inner]
     with np.errstate(under="ignore"):
-        out[~inner] = (
-            -profile.tail_L1 * rt ** ((1 - profile.dimension) / 2) * np.exp(-rt)
-        )
+        out[~inner] = profile.tail_L0 * far_field(profile.dimension, r[~inner], derivative=True)
     return out
 
 
 def ode_residual(profile: GroundStateProfile, r_max: float | None = None):
-    """|U'' + (N-1)/r U' - U + U^p| on interior nodes of the shooting region.
+    """|U'' + (N-1)/r U' - U + U^p| on interior nodes of the solved region.
 
     U'' is formed by sixth-order central differences of the stored U'
-    values, independent of the integrator's own right-hand side.
+    values, independent of the solver's eighth-order operator.
     """
     if r_max is None:
         r_max = profile.tail_match_radius

@@ -1,6 +1,6 @@
 """Shared fixtures: ground-state profiles and reference configurations.
 
-The expensive objects (shooting solves, eigenpairs, corrections) are
+The expensive objects (ground-state solves, eigenpairs, corrections) are
 session-scoped so the acceptance suite and the unit tests share them.
 """
 
@@ -22,13 +22,13 @@ from multipeak.spectrum import lowest_eigenpairs, near_kernel_basis
 @pytest.fixture(scope="session")
 def profile_n1():
     """N = 1, p = 3 profile (closed-form oracle: √2 sech)."""
-    return solve_ground_state(1, 3, tol=1e-12)
+    return solve_ground_state(1, 3)
 
 
 @pytest.fixture(scope="session")
 def profile_n2():
     """Desk-scale N = 2, p = 3 profile."""
-    return solve_ground_state(2, 3, tol=1e-12)
+    return solve_ground_state(2, 3)
 
 
 @pytest.fixture(scope="session")

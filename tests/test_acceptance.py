@@ -35,7 +35,7 @@ from multipeak.dancer import (
     verify_evenness,
 )
 from multipeak.domain import GridField, make_grid, solve_helmholtz
-from multipeak.groundstate import eval_radial, profile_tail_constants, solve_ground_state
+from multipeak.groundstate import eval_radial, solve_ground_state
 from multipeak.reduction import d_mesh_limit, equilibrate
 from multipeak.spectrum import lowest_eigenpairs, principal_angles
 
@@ -46,7 +46,7 @@ def report(num: int, ok: bool, desc: str, detail: str) -> None:
 
 def test_criterion_01_ground_state_oracle():
     t0 = time.perf_counter()
-    profile = solve_ground_state(1, 3, tol=1e-12)
+    profile = solve_ground_state(1, 3)
     elapsed = time.perf_counter() - t0
     r = np.linspace(0.0, 10.0, 4001)
     err = float(np.max(np.abs(eval_radial(profile, r) - np.sqrt(2.0) / np.cosh(r))))
@@ -61,10 +61,10 @@ def test_criterion_02_tail_constants(profile_n2):
     mask = (r >= 8.0) & (r <= 12.0)
     w = r[mask] ** 0.5 * np.exp(r[mask]) * profile_n2.values[mask]
     spread = float((w.max() - w.min()) / w.mean())
-    L0, _ = profile_tail_constants(profile_n2, (8.0, 12.0))
     ok = spread < 0.02
     report(2, ok, "tail constants",
-           f"relative spread of r^(1/2) e^r U on [8,12] = {spread:.4f} (L0 = {L0:.6f})")
+           f"relative spread of r^(1/2) e^r U on [8,12] = {spread:.4f} "
+           f"(L0 = {profile_n2.tail_L0:.6f})")
     assert ok
 
 

@@ -115,9 +115,10 @@ def test_taylor_check_deterministic():
 
 
 def test_taylor_check_validates_p():
-    for p in (1.5, math.nan, math.inf):
+    for p in (1.5, math.nan, math.inf, 93.5, 100.0):
         with pytest.raises(ValueError):
             taylor_remainder_check(10, p, seed=0)
+    assert math.isfinite(taylor_remainder_check(1000, 93.0, seed=1).max_ratio)
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.7])

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multipeak
 from multipeak import asymptotics
 from multipeak.cli import EXIT_CONFIG, EXIT_NUMERICAL, _render, main
 
@@ -30,6 +35,36 @@ def test_spectrum_reproducible(tmp_path):
     code2, f2 = run(tmp_path, "s2.json", args)
     assert code1 == code2 == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["groundstate", "--dim", "2", "--p", "3"],
+        ["spectrum", "--eps", "0.3", "--k", "2"],
+    ],
+    ids=" ".join,
+)
+def test_fresh_processes_and_blas_threads_agree(tmp_path, args):
+    """Byte-identical output from fresh processes with 1 and 2 BLAS threads."""
+    src = str(Path(multipeak.__file__).parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / f"threads{threads}.json"
+        subprocess.run([sys.executable, "-m", "multipeak.cli", *args, "--out", str(out)],
+                       env=env, check=True, timeout=120)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("args", [["--dim", "3", "--p", "3"], ["--p", "7"]], ids=" ".join)
+def test_groundstate_admissible_inputs_run(tmp_path, args):
+    """N = 3, p = 3 and N = 2, p = 7 are admissible, so they exit 0."""
+    code, f = run(tmp_path, "g.json", ["groundstate", *args])
+    assert code == 0
+    assert json.loads(f.read_text())["results"]["center_value"] > 1
 
 
 def test_content_hash_verifies(tmp_path):
@@ -130,6 +165,8 @@ DESK = ["ansatz", "--eps", "0.3", "--k", "2"]
         ["groundstate", "--profile-out", "/no/such/dir/p.json"],
         ["oracle", "taylor", "--out", "/no/such/dir/t.json"],
         ["oracle", "taylor", "--n", "0"],
+        ["oracle", "taylor", "--p", "100"],
+        ["oracle", "taylor", "--p", "150"],
         ["oracle", "interactions", "--y0", "nan"],
     ],
     ids=" ".join,

@@ -1,15 +1,16 @@
-"""Shooting solver oracles and profile invariants."""
+"""Ground-state solver oracles and profile invariants."""
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from multipeak.groundstate import (
     GroundStateProfile,
     SupercriticalError,
     eval_radial,
     eval_radial_derivative,
+    far_field,
     ode_residual,
-    profile_tail_constants,
     solve_ground_state,
 )
 
@@ -24,25 +25,64 @@ def test_n1_p3_matches_sech_oracle(profile_n1):
 
 def test_n1_p2_matches_sech_squared_oracle():
     """Closed form U(x) = (3/2) sech²(x/2) for the quadratic nonlinearity."""
-    profile = solve_ground_state(1, 2, tol=1e-12)
+    profile = solve_ground_state(1, 2)
     r = np.linspace(0.0, 10.0, 1001)
     exact = 1.5 / np.cosh(r / 2) ** 2
-    assert np.max(np.abs(eval_radial(profile, r) - exact)) < 1e-8
+    assert np.max(np.abs(eval_radial(profile, r) - exact)) < 1e-10
     # tail constant: (3/2) sech²(x/2) → 6 e^{−x}
     assert profile.tail_L0 == pytest.approx(6.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("p", [2.5, 4, 7, 12])
+def test_n1_matches_closed_form(p):
+    """U(x) = ((p+1)/2)^{1/(p−1)} sech^{2/(p−1)}((p−1)x/2) on the line."""
+    profile = solve_ground_state(1, p)
+    r = np.linspace(0.0, 10.0, 2001)
+    exact = ((p + 1) / 2) ** (1 / (p - 1)) / np.cosh((p - 1) * r / 2) ** (2 / (p - 1))
+    assert np.max(np.abs(eval_radial(profile, r) - exact)) < 1e-10
 
 
 def test_n1_p3_tail_constants(profile_n1):
     """√2 sech(x) → 2√2 e^{−x}, and U' → −U in the tail."""
     assert profile_n1.tail_L0 == pytest.approx(2 * np.sqrt(2.0), rel=1e-3)
-    assert profile_n1.tail_L1 == pytest.approx(2 * np.sqrt(2.0), rel=1e-3)
+    r = np.linspace(12.5, 20.0, 50)
+    ratio = eval_radial_derivative(profile_n1, r) / eval_radial(profile_n1, r)
+    assert np.allclose(ratio, -1.0, rtol=0, atol=1e-12)
 
 
 def test_n2_tail_spread_small(profile_n2):
-    L0, L1 = profile_tail_constants(profile_n2, (8.0, 12.0))
-    assert L0 > 0 and L1 > 0
-    assert profile_n2.tail_spread_L0 < 0.02
-    assert profile_n2.tail_spread_L1 < 0.02
+    """U/T is constant on [8, 12] up to the truncation of T's series, and it
+    equals L0 at the matching radius."""
+    r = profile_n2.radial_grid
+    mask = r >= 8.0
+    w = profile_n2.values[mask] / far_field(2, r[mask])
+    assert (w.max() - w.min()) / w[-1] < 1e-4
+    assert w[-1] == profile_n2.tail_L0
+
+
+def test_n2_p3_townes_center_value(profile_n2):
+    assert profile_n2.center_value == pytest.approx(2.2062008646, abs=1e-8)
+
+
+@pytest.mark.parametrize("dimension, p", [(2, 3), (2, 5), (3, 2), (3, 3)])
+def test_pohozaev_and_energy_identities(dimension, p):
+    """∫|∇U|² + ∫U² = ∫U^{p+1} and (N−2)/2 ∫|∇U|² + N/2 ∫U² = N/(p+1) ∫U^{p+1},
+    radial integrals by Simpson's rule on the stored nodes."""
+    profile = solve_ground_state(dimension, p)
+    r = profile.radial_grid
+    w, h = r ** (dimension - 1), r[1] - r[0]
+    grad = simpson(w * profile.derivatives**2, dx=h)
+    mass = simpson(w * profile.values**2, dx=h)
+    power = simpson(w * profile.values ** (p + 1), dx=h)
+    assert (grad + mass) / power == pytest.approx(1.0, abs=1e-7)
+    pohozaev = ((dimension - 2) / 2 * grad + dimension / 2 * mass) / (dimension / (p + 1) * power)
+    assert pohozaev == pytest.approx(1.0, abs=1e-7)
+
+
+def test_unresolved_core_raises():
+    """Near the critical exponent the core is too narrow for the grid."""
+    with pytest.raises(RuntimeError, match="Pohozaev"):
+        solve_ground_state(3, 4.9)
 
 
 @pytest.mark.parametrize("fixture", ["profile_n1", "profile_n2"])
@@ -67,19 +107,19 @@ def test_profile_monotone_decreasing_positive(profile_n2):
 
 
 def test_tail_branch_continuous(profile_n2):
-    """Spline and asymptotic branches agree at the matching radius."""
+    """Spline and far-field branches agree at the matching radius."""
     rm = profile_n2.tail_match_radius
-    below, above = eval_radial(profile_n2, np.array([rm - 1e-9, rm + 1e-9]))
-    assert abs(above - below) < 1e-2 * abs(below) + 1e-16
+    below, above = eval_radial(profile_n2, np.array([rm, np.nextafter(rm, np.inf)]))
+    assert abs(above - below) < 1e-8 * abs(below)
     dbelow, dabove = eval_radial_derivative(
-        profile_n2, np.array([rm - 1e-9, rm + 1e-9])
+        profile_n2, np.array([rm, np.nextafter(rm, np.inf)])
     )
-    assert abs(dabove - dbelow) < 0.06 * abs(dbelow)
+    assert abs(dabove - dbelow) < 1e-8 * abs(dbelow)
 
 
 @pytest.fixture(scope="module")
 def profile_n2_p5():
-    return solve_ground_state(2, 5, tol=1e-12)
+    return solve_ground_state(2, 5)
 
 
 @pytest.mark.parametrize("fixture", ["profile_n1", "profile_n2", "profile_n2_p5"])

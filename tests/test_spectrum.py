@@ -117,7 +117,7 @@ def test_degenerate_spectrum_matches_dense(p, grid_args, count):
     """Uniform k = 3 has exactly degenerate pairs; both members are returned."""
     grid = make_grid(*grid_args)
     bundle = build_ansatz(
-        uniform_configuration(grid.epsilon, 3), solve_ground_state(2, p, tol=1e-12), grid
+        uniform_configuration(grid.epsilon, 3), solve_ground_state(2, p), grid
     )
     result = lowest_eigenpairs(bundle, count=count)
     dense = scipy.linalg.eigh(
