@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 X2_CUTOFF = 30.0  # transverse truncation; integrands decay like e^{-(a+...)r}
 
@@ -51,6 +50,7 @@ class InteractionSpec:
 def _x1_integrand(spec: InteractionSpec):
     if spec.dimension == 1:
         return lambda x: spec.f(abs(x)) ** spec.a * spec.g(abs(x - spec.y0)) ** spec.b
+    from scipy.integrate import quad
 
     def integrand(x):
         inner, err = quad(
@@ -78,6 +78,7 @@ def interaction_quadrature(spec: InteractionSpec) -> float:
     RuntimeError
         If the estimated quadrature error exceeds 1% of the value.
     """
+    from scipy.integrate import quad
     lo, hi = spec.cell
     val, err = quad(
         _x1_integrand(spec),
@@ -106,6 +107,7 @@ def mass_constant(spec: InteractionSpec) -> float:
     once e^{−b|y₀|} |y₀|^{b(1−N)/2} has been scaled out; it converges
     because a > b ≥ the tail rate.
     """
+    from scipy.integrate import quad
     sign = 1.0 if spec.y0 > 0 else -1.0
     if spec.dimension == 1:
         val, _ = quad(

@@ -134,6 +134,12 @@ def _exponent(cfg) -> tuple[int, float]:
     return n, p
 
 
+def _strip_exponent(cfg) -> tuple[int, float]:
+    """(N, p) of a strip command; the strip operator is the planar one."""
+    _check(cfg.get("dim", 2) == 2, f"dim = 2 on the strip (got {cfg.get('dim')})")
+    return _exponent(cfg)
+
+
 def _grid(cfg, eps: float) -> dom.StripGrid:
     return dom.make_grid(eps, cfg.get("transverse", 12.0), cfg.get("h", 0.25))
 
@@ -156,7 +162,7 @@ def _bundle_inputs(cfg):
         config = ans.PeakConfiguration(eps, cfg["peaks"])
     else:
         config = ans.uniform_configuration(eps, cfg.get("k", 1))
-    n, p = _exponent(cfg)
+    n, p = _strip_exponent(cfg)
     return config, grid, n, p
 
 
@@ -281,7 +287,7 @@ def cmd_equilibrate(args):
     grids = {eps: _grid(cfg, eps)}  # equilibrate moves angles at fixed ε
     k = cfg.get("k", 2)
     _check(k >= 2, f"equilibrate requires k >= 2 (got k = {k})")
-    n, p = _exponent(cfg)
+    n, p = _strip_exponent(cfg)
     base = ans.uniform_configuration(eps, k)
     perturb = cfg.get("perturb", 0.05)
     angles = list(base.angles)
@@ -316,7 +322,7 @@ def cmd_dancer(args):
         dict(dim=int, p=float, eps=float, k=int, eta=float,
              h=float, transverse=float, tol=float),
     )
-    n, p = _exponent(cfg)
+    n, p = _strip_exponent(cfg)
     k = cfg.get("k", 1)
     eta = cfg.get("eta", 0.3)
     tol = cfg.get("tol", 1e-11)
@@ -430,6 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--eps", type=float, default=None)
             sp.add_argument("--h", type=float, default=None)
             sp.add_argument("--transverse", type=float, default=None)
+            sp.add_argument("--k", type=int, default=None)
 
     p_gs = sub.add_parser("groundstate", help="radial ground-state profile")
     common(p_gs, grid=False)
@@ -438,13 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("ansatz", help="multi-peak ansatz residual norms")
     common(p_an)
-    p_an.add_argument("--k", type=int, default=None)
     p_an.add_argument("--peaks", type=_parse_peaks, default=None)
     p_an.set_defaults(func=cmd_ansatz)
 
     p_sp = sub.add_parser("spectrum", help="weighted eigenpairs of the linearization")
     common(p_sp)
-    p_sp.add_argument("--k", type=int, default=None)
     p_sp.add_argument("--peaks", type=_parse_peaks, default=None)
     p_sp.add_argument("--count", type=int, default=None)
     p_sp.add_argument("--weighted-report", action="store_true")
@@ -452,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rd = sub.add_parser("reduce", help="Lyapunov-Schmidt correction")
     common(p_rd)
-    p_rd.add_argument("--k", type=int, default=None)
     p_rd.add_argument("--peaks", type=_parse_peaks, default=None)
     p_rd.add_argument("--tol", type=float, default=None)
     p_rd.add_argument("--weighted-report", action="store_true")
@@ -460,14 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eq = sub.add_parser("equilibrate", help="drive peak positions to d = 0")
     common(p_eq)
-    p_eq.add_argument("--k", type=int, default=None)
     p_eq.add_argument("--perturb", type=float, default=None)
     p_eq.add_argument("--tol", type=float, default=None)
     p_eq.set_defaults(func=cmd_equilibrate)
 
     p_dn = sub.add_parser("dancer", help="Newton solve and decay probes")
     common(p_dn)
-    p_dn.add_argument("--k", type=int, default=None)
     p_dn.add_argument("--eta", type=float, default=None)
     p_dn.add_argument("--tol", type=float, default=None)
     p_dn.add_argument("--eps-sweep", default=None, help="comma-separated epsilons")

@@ -24,7 +24,6 @@ from functools import cache, cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import newton_cotes
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
@@ -38,6 +37,9 @@ _GRID_STEP = 0.005  # spacing of the solved nodes
 # eighth-order central differences for U' and U'' on offsets -4..4
 _D1 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
 _D2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 315, -1 / 560])
+# 9-point closed Newton–Cotes weights (in units of the node spacing), the
+# rationals of scipy.integrate.newton_cotes(8, 1) over 28,350
+NEWTON_COTES_9 = np.array([7912, 47104, -7424, 83968, -36320, 83968, -7424, 47104, 7912]) / 28350
 _NEWTON_TOL = 1e-10  # sup of the last Newton step, relative to U(0)
 _POHOZAEV_TOL = 1e-6
 
@@ -123,20 +125,6 @@ class GroundStateProfile:
         }
         return json.dumps(payload)
 
-    @classmethod
-    def from_json(cls, text: str) -> "GroundStateProfile":
-        d = json.loads(text)
-        return cls(
-            dimension=d["dimension"],
-            exponent=d["exponent"],
-            radial_grid=np.asarray(d["radial_grid"]),
-            values=np.asarray(d["values"]),
-            derivatives=np.asarray(d["derivatives"]),
-            center_value=d["center_value"],
-            tail_L0=d["tail_L0"],
-            tail_match_radius=d["tail_match_radius"],
-        )
-
 
 def _stencil_matrix(stencil, n, ghost):
     """The 9-point stencil on nodes 0..n−1 with u_{−j} = u_j and the ghost
@@ -214,10 +202,9 @@ def solve_ground_state(dimension: int, p: float) -> GroundStateProfile:
         raise RuntimeError(f"ground state is not positive and decreasing (N = {N}, p = {p})")
     # composite 9-point Newton–Cotes weights, eighth order like the
     # differences: Simpson's own O(h⁴) error passes 1e-6 at N = 2, p = 9
-    nc, _ = newton_cotes(8, 1)
     quad = np.zeros(n)
-    quad[:-1] = np.tile(nc[:-1], (n - 1) // 8)
-    quad[8::8] += nc[-1]
+    quad[:-1] = np.tile(NEWTON_COTES_9[:-1], (n - 1) // 8)
+    quad[8::8] += NEWTON_COTES_9[-1]
     ratio = (quad @ (weight * du**2)) / (quad @ (weight * u ** (p + 1)))
     defect = abs(ratio / (N * (p - 1) / (2 * (p + 1))) - 1)
     if not defect <= _POHOZAEV_TOL:

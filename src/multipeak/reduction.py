@@ -6,9 +6,10 @@ The exact equation for u = ū + v is rewritten as
 
 with v constrained H¹-orthogonal to the near-kernel basis φ_i.  The right
 side is split into its component along the (−Δ+1)φ_i (coefficients d_i) and
-the orthogonal remainder; the constrained linear solves use a bordered
-symmetric system factored once per configuration (:func:`constrained_solve`,
-shared with the weighted estimates and the pinned Newton step).  Setting
+the orthogonal remainder; the constrained linear solves factor 𝕃 once per
+configuration and eliminate the constraints through a k×k Schur complement,
+with one refinement step (:func:`constrained_solve`, shared with the
+weighted estimates and the pinned Newton step).  Setting
 every d_i to zero is the reduced equation for the peak positions; Newton on
 those scalars drives the configuration to uniform spacing.  The chain ansatz
 → eigenpairs → near-kernel basis → correction is the one pipeline step
@@ -24,11 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .ansatz import AnsatzBundle, PeakConfiguration, build_ansatz, residual
-from .domain import GridField, StripGrid, h1_norm, inner_products
+from .domain import GridField, StripGrid, factorize, h1_norm, inner_products
 from .groundstate import GroundStateProfile
 from .spectrum import (
     NearKernelBasis,
@@ -108,21 +107,30 @@ def constraint_columns(basis: NearKernelBasis) -> np.ndarray:
 
 
 def constrained_solve(A, C: np.ndarray):
-    """Factor the bordered system [[A, C], [Cᵀ, 0]] once and return its solver.
+    """Factor A once and return the solver of the bordered system [[A, C], [Cᵀ, 0]].
 
     The solver maps (rhs, constraint_rhs=0) to (x, μ) with A x + C μ = rhs
-    and Cᵀx = constraint_rhs.
+    and Cᵀx = constraint_rhs: with Z = A⁻¹C and the k×k Schur complement
+    S = CᵀZ, μ = S⁻¹(CᵀA⁻¹rhs − constraint_rhs) and x = A⁻¹rhs − Zμ, then
+    one refinement step on the bordered residual.  At a Newton root A is
+    nearly singular (|S| ≈ 1e15 for k = 2, ε = 0.3 on 168×96); there the
+    elimination alone leaves a relative residual of 0.13, the refined 2e-12.
     """
-    n, k = C.shape
-    K = sp.bmat(
-        [[A, sp.csc_matrix(C)], [sp.csc_matrix(C.T), sp.csc_matrix((k, k))]],
-        format="csc",
-    )
-    lu = splu(K)
+    k = C.shape[1]
+    lu = factorize(A)
+    Z = lu.solve(C)
+    S = C.T @ Z
+
+    def eliminate(r, g):
+        y = lu.solve(r)
+        mu = np.linalg.solve(S, C.T @ y - g)
+        return y - Z @ mu, mu
 
     def solve(rhs: np.ndarray, constraint_rhs=0.0):
-        sol = lu.solve(np.concatenate([rhs, np.broadcast_to(constraint_rhs, k)]))
-        return sol[:n], sol[n:]
+        g = np.broadcast_to(constraint_rhs, k)
+        x, mu = eliminate(rhs, g)
+        dx, dmu = eliminate(rhs - A @ x - C @ mu, g - C.T @ x)
+        return x + dx, mu + dmu
 
     return solve
 

@@ -10,7 +10,7 @@ spectrum is real and bounded above by 1.  For a k-peak configuration the
 low spectrum consists of a bottom cluster near 1−p and a k-dimensional
 near-kernel cluster near 0 asymptotically spanned by the translation modes
 ∂v_i/∂x₁; both clusters are captured by one shift-invert Lanczos run with
-its shift below the bottom cluster.
+its shift below the bottom cluster, on one factorization of 𝕃 − σB.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .ansatz import AnsatzBundle
-from .domain import GridField, h1_norm, inner_products
+from .domain import GridField, factorize, h1_norm, inner_products
 
 GAP_THRESHOLD = 0.1
 
@@ -84,9 +84,12 @@ def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
     L = assemble_linearized(bundle)
     B = bundle.grid.helmholtz_matrix
     p = bundle.profile.exponent
+    sigma = -(p - 1) - 0.5
+    shifted = factorize(L - sigma * B)
+    OPinv = LinearOperator(L.shape, matvec=shifted.solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(L.shape[0])
     # ascending eigenvalues, B-orthonormal eigenvector columns
-    vals, vecs = eigsh(L, k=count, M=B, sigma=-(p - 1) - 0.5, which="LM", tol=1e-12, v0=v0)
+    vals, vecs = eigsh(L, k=count, M=B, sigma=sigma, which="LM", tol=1e-12, v0=v0, OPinv=OPinv)
 
     if np.any(vals >= 1.0):
         raise RuntimeError(f"eigenvalue >= 1 returned: {vals}")

@@ -58,7 +58,8 @@ def solve_orthogonal(
     bundle: AnsatzBundle,
     basis: NearKernelBasis,
 ) -> GridField:
-    """Solve 𝕃ξ = h⊥ with ⟨ξ, φ_i⟩_{H¹} = 0 by the bordered system.
+    """Solve 𝕃ξ = h⊥ with ⟨ξ, φ_i⟩_{H¹} = 0 by :func:`constrained_solve`
+    (one factorization of 𝕃, a Schur complement and one refinement step).
 
     h is projected onto the orthogonal complement first, so any near-kernel
     component of the input is discarded rather than amplified.

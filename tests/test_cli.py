@@ -160,6 +160,11 @@ DESK = ["ansatz", "--eps", "0.3", "--k", "2"]
         ["dancer", "--eps-sweep", "0.3,0.3,0.3", "--k", "1"],
         ["reduce", "--eps", "0.3", "--k", "2", "--tol", "nan"],
         ["spectrum", "--eps", "0.3", "--k", "0"],
+        ["spectrum", "--eps", "0.3", "--k", "2", "--dim", "3"],
+        DESK + ["--dim", "1"],
+        ["reduce", "--eps", "0.3", "--k", "2", "--dim", "3"],
+        ["equilibrate", "--eps", "0.3", "--k", "2", "--dim", "1"],
+        ["dancer", "--eps", "0.3", "--dim", "3"],
         ["spectrum", "--eps", "0.3", "--k", "3", "--count", "6"],
         DESK + ["--out", "/no/such/dir/a.json"],
         ["groundstate", "--profile-out", "/no/such/dir/p.json"],

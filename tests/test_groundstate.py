@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import newton_cotes, simpson
 
 from multipeak.groundstate import (
-    GroundStateProfile,
+    NEWTON_COTES_9,
     SupercriticalError,
     eval_radial,
     eval_radial_derivative,
@@ -93,10 +93,9 @@ def test_ode_residual_independent_check(fixture, request):
     assert np.max(res) < 1e-9
 
 
-def test_json_roundtrip(profile_n2):
-    clone = GroundStateProfile.from_json(profile_n2.to_json())
-    r = np.linspace(0.0, 20.0, 300)
-    assert np.array_equal(eval_radial(clone, r), eval_radial(profile_n2, r))
+def test_newton_cotes_weights_are_scipys():
+    """The fixed 9-point weights equal scipy's to the last bit."""
+    assert np.array_equal(NEWTON_COTES_9, newton_cotes(8, 1)[0])
 
 
 def test_profile_monotone_decreasing_positive(profile_n2):

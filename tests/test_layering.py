@@ -54,9 +54,10 @@ def callers(*names):
                         yield path.stem, getattr(top, "name", None)
 
 
-def test_one_bordered_factorization():
-    """splu and sp.bmat are called only inside reduction.constrained_solve."""
-    assert set(callers("splu", "bmat")) == {("reduction", "constrained_solve")}
+def test_one_factorization_primitive():
+    """splu is called only in domain.factorize; no bordered assembly and no CG remain."""
+    assert set(callers("splu")) == {("domain", "factorize")}
+    assert not set(callers("bmat", "cg"))
 
 
 def test_one_pipeline_step():

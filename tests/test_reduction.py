@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from multipeak.domain import GridField, inner_products
 from multipeak.reduction import (
@@ -76,6 +78,56 @@ def test_constrained_solve_inhomogeneous_constraint(bundle_k2, basis_k2):
     assert mu.shape == (2,)
     assert np.linalg.norm(A @ x + C @ mu - rhs) < 1e-12 * np.linalg.norm(rhs)
     assert C.T @ x == pytest.approx(target, abs=1e-12)  # ‖C‖‖x‖ ≈ 1e2 here
+
+
+def bordered_reference(A, C):
+    """The bordered matrix [[A, C], [Cᵀ, 0]] factored whole, as a reference."""
+    n, k = C.shape
+    K = sp.bmat(
+        [[A, sp.csc_matrix(C)], [sp.csc_matrix(C.T), sp.csc_matrix((k, k))]],
+        format="csc",
+    )
+    lu = splu(K)
+
+    def solve(rhs, constraint_rhs=0.0):
+        sol = lu.solve(np.concatenate([rhs, np.broadcast_to(constraint_rhs, k)]))
+        return sol[:n], sol[n:]
+
+    return solve
+
+
+@pytest.mark.parametrize("target", [0.0, np.array([0.3, -0.7])], ids=["zero", "nonzero"])
+def test_constrained_solve_matches_bordered_factorization(bundle_k2, basis_k2, target):
+    """The Schur-form solve agrees with factoring the bordered matrix whole."""
+    from multipeak.spectrum import assemble_linearized
+
+    A = assemble_linearized(bundle_k2)
+    C = constraint_columns(basis_k2)
+    rhs = np.random.default_rng(5).standard_normal(A.shape[0])
+    x, mu = constrained_solve(A, C)(rhs, target)
+    x_ref, mu_ref = bordered_reference(A, C)(rhs, target)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    assert np.linalg.norm(mu - mu_ref) <= 1e-10 * np.linalg.norm(mu_ref)
+
+
+def test_constrained_solve_at_nearly_singular_newton_jacobian(profile_n2):
+    """At a Newton root the Jacobian is nearly singular along the pinning
+    direction; the refinement step still brings the bordered residual to
+    roundoff (without it the residual is of order 0.1)."""
+    from multipeak.ansatz import build_ansatz, uniform_configuration
+    from multipeak.dancer import PIN, newton_solve
+    from multipeak.domain import make_grid
+
+    grid = make_grid(0.3, h=0.125)
+    bundle = build_ansatz(uniform_configuration(0.3, 2), profile_n2, grid)
+    u = newton_solve(bundle).field.data.ravel()
+    A = grid.helmholtz_matrix
+    J = A - sp.diags(3.0 * np.maximum(u, 0.0) ** 2)  # p = 3
+    C = grid.weight * (A @ bundle.translation_modes[PIN].data.ravel())[:, None]
+    rhs = np.random.default_rng(9).standard_normal(u.size)
+    x, mu = constrained_solve(J, C)(rhs, 0.25)
+    residual = np.concatenate([J @ x + C @ mu - rhs, C.T @ x - 0.25])
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_correction_state_invariants(state_k2, basis_k2):
