@@ -11,8 +11,10 @@ The residual of ū in the equation reduces to the algebraic identity
     M(ū) = Σ_{i,l} U_{i,l}^p - (Σ_{i,l} U_{i,l})^p,
 
 which is evaluated pointwise from the profile (no discretization error), so
-its exponentially small size in the peak separation is actually measurable;
-the discrete-operator evaluation is kept as a consistency cross-check.
+its exponentially small size in the peak separation is actually measurable.
+The discrete F(u) = (−Δ+1)u − u₊^p, `nonlinear_residual`, is the residual
+of the Newton solve in `dancer`; at ū it agrees with M(ū) to O(h²), which
+the tests use as a cross-check.
 """
 
 from __future__ import annotations
@@ -200,17 +202,13 @@ def residual(bundle: AnsatzBundle) -> GridField:
     return GridField(bundle.grid, bundle.power_sum.data - total)
 
 
-def residual_discrete(bundle: AnsatzBundle) -> GridField:
-    """Cross-check path: (−Δ+1)ū − ū₊^p via the discrete operator.
+def nonlinear_residual(u: GridField, p: float) -> GridField:
+    """F(u) = (−Δ+1)u − u₊^p with the discrete operator.
 
-    Carries the O(h²) truncation error of the stencil, so it only agrees
-    with :func:`residual` to discretization tolerance.
+    At ū it carries the O(h²) truncation error of the stencil, so it only
+    agrees with :func:`residual` to discretization tolerance.
     """
-    Au = apply_helmholtz(bundle.ubar)
-    p = bundle.profile.exponent
-    return GridField(
-        bundle.grid, Au.data - np.maximum(bundle.ubar.data, 0.0) ** p
-    )
+    return GridField(u.grid, apply_helmholtz(u).data - np.maximum(u.data, 0.0) ** p)
 
 
 def residual_l2(bundle: AnsatzBundle) -> float:

@@ -1,12 +1,18 @@
 """Command-line entry point.
 
-Every workflow is a subcommand; run parameters come from an optional INI
-config file overridden by flags.  Summaries are JSON with all floats
-rendered at 17 significant digits and a sha256 content hash of the
-resolved configuration and results, so identical inputs reproduce
-bit-identical output (no timestamps).  Exit codes: 0 success, 2 config
-error (raised while a command resolves and validates its inputs), 3
-numerical failure (raised after that), 4 assertion failure.
+Every workflow is a subcommand, and each oracle kind (`oracle taylor`,
+`oracle interactions`) is one with its own flags.  `PARAMS` declares each
+command's run parameters once; a parameter comes from its flag, else the
+optional INI config file ([common], then the command's section; both
+oracle kinds read [oracle]), else its default.  An INI key that no command
+takes there and inputs that contradict each other are config errors.
+Summaries are JSON with all floats rendered at 17 significant digits and a
+sha256 content hash of the config and results; the config lists every
+resolved parameter, derived ones included, so equal runs hash alike
+however they were spelled and reproduce bit-identical output (no
+timestamps).  Exit codes: 0 success, 2 config error (raised while a
+command resolves and validates its inputs), 3 numerical failure (raised
+after that), 4 assertion failure.
 """
 
 from __future__ import annotations
@@ -83,7 +89,28 @@ def _parse_peaks(text: str) -> tuple[float, ...]:
         raise ConfigError(f"unparsable peak list {text!r}") from exc
 
 
-def _load_config(path: str | None, section: str) -> dict:
+# The run parameters of each command, in the order its summary lists them:
+# flag and INI name -> (parser, default).  A default of None marks a
+# parameter that is required or that the command derives from the others.
+_EXPONENT = dict(dim=(int, 2), p=(float, 3.0))
+_STRIP = dict(_EXPONENT, eps=(float, None), k=(int, None))
+_GRID = dict(h=(float, 0.25), transverse=(float, 12.0))
+_BUNDLE = dict(_STRIP, peaks=(_parse_peaks, None), **_GRID)
+
+PARAMS = {
+    "groundstate": _EXPONENT,
+    "ansatz": _BUNDLE,
+    "spectrum": dict(_BUNDLE, count=(int, None)),
+    "reduce": dict(_BUNDLE, tol=(float, 1e-13)),
+    "equilibrate": dict(_STRIP, k=(int, 2), perturb=(float, 0.05), tol=(float, None), **_GRID),
+    "dancer": dict(_STRIP, k=(int, 1), eta=(float, 0.3), tol=(float, 1e-11), **_GRID),
+    "oracle-taylor": dict(p=(float, 3.0), n=(int, 100000), seed=(int, 7)),
+    "oracle-interactions": dict(a=(float, 2.0), b=(float, 1.0), y0=(float, 12.0), dim=(int, 1)),
+}
+
+
+def _load_config(path: str | None, command: str) -> dict:
+    """[common] then the command's section, each key checked against PARAMS."""
     if not path:
         return {}
     parser = configparser.ConfigParser()
@@ -94,30 +121,34 @@ def _load_config(path: str | None, section: str) -> dict:
     if not read:
         raise ConfigError(f"config file {path} not found")
     merged = {}
-    for sect in ("common", section):
+    for sect in ("common", command.partition("-")[0]):
         if parser.has_section(sect):
+            known = {name for cmd, params in PARAMS.items()
+                     if sect in ("common", cmd.partition("-")[0]) for name in params}
+            unknown = sorted(set(parser[sect]) - known)
+            if unknown:
+                raise ConfigError(f"unknown key {', '.join(unknown)} in [{sect}] of {path}")
             merged.update(parser[sect])
     return merged
 
 
-def _resolve(args: argparse.Namespace, section: str, casts: dict) -> dict:
-    """Merge config-file values and CLI flags (flags win) with type casts."""
-    base = _load_config(args.config, section)
-    out = {}
-    for key, cast in casts.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            out[key] = flag_val
-        elif key in base:
+def _resolve(args: argparse.Namespace, command: str) -> dict:
+    """Each parameter of the command from its flag, else the INI file, else its default."""
+    ini = _load_config(args.config, command)
+    cfg = {}
+    for name, (parse, default) in PARAMS[command].items():
+        value = getattr(args, name)
+        if value is None and name in ini:
             try:
-                out[key] = cast(base[key])
+                value = parse(ini[name])
             except ValueError as exc:
-                raise ConfigError(f"bad config value for {key}: {base[key]}") from exc
-    return out
+                raise ConfigError(f"bad config value for {name}: {ini[name]}") from exc
+        cfg[name] = default if value is None else value
+    return cfg
 
 
 def _require(cfg: dict, key: str):
-    if key not in cfg or cfg[key] is None:
+    if cfg[key] is None:
         raise ConfigError(f"missing required parameter: {key}")
     return cfg[key]
 
@@ -128,56 +159,40 @@ def _check(ok: bool, constraint: str) -> None:
         raise ConfigError(f"constraint violated: {constraint}")
 
 
-def _exponent(cfg) -> tuple[int, float]:
-    n, p = cfg.get("dim", 2), cfg.get("p", 3.0)
-    gs.validate_exponent(n, p)
-    return n, p
-
-
-def _strip_exponent(cfg) -> tuple[int, float]:
-    """(N, p) of a strip command; the strip operator is the planar one."""
-    _check(cfg.get("dim", 2) == 2, f"dim = 2 on the strip (got {cfg.get('dim')})")
-    return _exponent(cfg)
-
-
-def _grid(cfg, eps: float) -> dom.StripGrid:
-    return dom.make_grid(eps, cfg.get("transverse", 12.0), cfg.get("h", 0.25))
+def _strip_grids(cfg: dict, epsilons) -> dict[float, dom.StripGrid]:
+    """Check dim = 2 (the strip operator is planar) and p, then build the grid of each ε."""
+    _check(cfg["dim"] == 2, f"dim = 2 on the strip (got {cfg['dim']})")
+    gs.validate_exponent(2, cfg["p"])
+    return {e: dom.make_grid(e, cfg["transverse"], cfg["h"]) for e in epsilons}
 
 
 @functools.cache
-def _profile(n, p):
-    return gs.solve_ground_state(n, p)
-
-
-# parameters of the single-ε commands, in the order their summaries list them
-_BUNDLE_CASTS = dict(dim=int, p=float, eps=float, k=int, peaks=_parse_peaks,
-                     h=float, transverse=float)
+def _profile(p):
+    return gs.solve_ground_state(2, p)
 
 
 def _bundle_inputs(cfg):
-    """Resolve (configuration, grid, N, p) of a single-ε command."""
+    """(configuration, grid) of a single-ε command; k defaults to the peak count, or 1."""
     eps = _require(cfg, "eps")
-    grid = _grid(cfg, eps)
-    if cfg.get("peaks"):
-        config = ans.PeakConfiguration(eps, cfg["peaks"])
-    else:
-        config = ans.uniform_configuration(eps, cfg.get("k", 1))
-    n, p = _strip_exponent(cfg)
-    return config, grid, n, p
+    grid = _strip_grids(cfg, [eps])[eps]
+    peaks = cfg["peaks"]
+    if cfg["k"] is None:
+        cfg["k"] = len(peaks) if peaks else 1
+    if peaks:
+        _check(cfg["k"] == len(peaks), f"k = {cfg['k']} is the number of peaks {peaks}")
+        return ans.PeakConfiguration(eps, peaks), grid
+    return ans.uniform_configuration(eps, cfg["k"]), grid
 
 
 # ---------------------------------------------------------------- commands
 #
-# Each command resolves and validates its inputs, then returns its summary
-# name, the resolved config and the closure computing the results, so main
+# Each command takes the resolved parameters, validates them, writes back
+# the ones it derives and returns the closure computing the results, so main
 # maps a failure to an exit code by the phase it comes from.
 
 
-def cmd_groundstate(args):
-    cfg = _resolve(args, "groundstate", dict(dim=int, p=float))
-    cfg.setdefault("dim", 2)
-    cfg.setdefault("p", 3.0)
-    _exponent(cfg)
+def cmd_groundstate(args, cfg):
+    gs.validate_exponent(cfg["dim"], cfg["p"])
 
     def compute():
         profile = gs.solve_ground_state(cfg["dim"], cfg["p"])
@@ -190,15 +205,14 @@ def cmd_groundstate(args):
             "tail_match_radius": profile.tail_match_radius,
         }
 
-    return "groundstate", cfg, compute
+    return compute
 
 
-def cmd_ansatz(args):
-    cfg = _resolve(args, "ansatz", _BUNDLE_CASTS)
-    config, grid, n, p = _bundle_inputs(cfg)
+def cmd_ansatz(args, cfg):
+    config, grid = _bundle_inputs(cfg)
 
     def compute():
-        bundle = ans.build_ansatz(config, _profile(n, p), grid)
+        bundle = ans.build_ansatz(config, _profile(cfg["p"]), grid)
         res = ans.residual(bundle)
         rate = ans.residual_rate(bundle.config.sigma_min, bundle.profile.dimension)
         return {
@@ -210,18 +224,19 @@ def cmd_ansatz(args):
             "sup_over_rate": res.sup_norm() / rate,
         }
 
-    return "ansatz", cfg, compute
+    return compute
 
 
-def cmd_spectrum(args):
-    cfg = _resolve(args, "spectrum", dict(_BUNDLE_CASTS, count=int))
-    config, grid, n, p = _bundle_inputs(cfg)
-    count = cfg.get("count", 2 * config.k + 2)
-    _check(count >= 2 * config.k + 1, f"count >= 2k + 1 (got {count} for k = {config.k})")
+def cmd_spectrum(args, cfg):
+    config, grid = _bundle_inputs(cfg)
+    if cfg["count"] is None:
+        cfg["count"] = 2 * config.k + 2
+    _check(cfg["count"] >= 2 * config.k + 1,
+           f"count >= 2k + 1 (got {cfg['count']} for k = {config.k})")
 
     def compute():
-        bundle = ans.build_ansatz(config, _profile(n, p), grid)
-        result = spec.lowest_eigenpairs(bundle, count=count)
+        bundle = ans.build_ansatz(config, _profile(cfg["p"]), grid)
+        result = spec.lowest_eigenpairs(bundle, count=cfg["count"])
         basis = spec.near_kernel_basis(result, bundle)
         results = {
             "eigenvalues": result.eigenvalues,
@@ -232,29 +247,21 @@ def cmd_spectrum(args):
         }
         if args.weighted_report:
             results["weighted_eigenvector_norms"] = [
-                {
-                    "eta": eta,
-                    "norms": [
-                        wgt.weighted_sup(phi, bundle.config, eta)
-                        for phi in basis.fields
-                    ],
-                }
+                {"eta": eta, "norms": [wgt.weighted_sup(phi, config, eta) for phi in basis.fields]}
                 for eta in wgt.DEFAULT_ETAS
             ]
         return results
 
-    return "spectrum", cfg, compute
+    return compute
 
 
-def cmd_reduce(args):
-    cfg = _resolve(args, "reduce", dict(_BUNDLE_CASTS, tol=float))
-    config, grid, n, p = _bundle_inputs(cfg)
-    tol = cfg.get("tol", 1e-13)
-    _check(tol > 0, f"tol > 0 (got {tol})")
+def cmd_reduce(args, cfg):
+    config, grid = _bundle_inputs(cfg)
+    _check(cfg["tol"] > 0, f"tol > 0 (got {cfg['tol']})")
 
     def compute():
-        state = red.reduce(config, _profile(n, p), grid, tol=tol)
-        rate = ans.residual_rate(config.sigma_min, n)
+        state = red.reduce(config, _profile(cfg["p"]), grid, tol=cfg["tol"])
+        rate = ans.residual_rate(config.sigma_min, 2)
         results = {
             "sigma_min": config.sigma_min,
             "sup_norm": state.sup_norm,
@@ -265,80 +272,57 @@ def cmd_reduce(args):
         }
         if args.weighted_report:
             results["weighted_correction"] = [
-                {
-                    "eta": eta,
-                    "norm": wgt.weighted_sup(state.correction, config, eta),
-                }
+                {"eta": eta, "norm": wgt.weighted_sup(state.correction, config, eta)}
                 for eta in wgt.DEFAULT_ETAS
             ]
         return results
 
-    return "reduce", cfg, compute
+    return compute
 
 
-def cmd_equilibrate(args):
-    cfg = _resolve(
-        args,
-        "equilibrate",
-        dict(dim=int, p=float, eps=float, k=int, perturb=float, tol=float,
-             h=float, transverse=float),
-    )
-    eps = _require(cfg, "eps")
-    grids = {eps: _grid(cfg, eps)}  # equilibrate moves angles at fixed ε
-    k = cfg.get("k", 2)
+def cmd_equilibrate(args, cfg):
+    eps, k = _require(cfg, "eps"), cfg["k"]
+    grids = _strip_grids(cfg, [eps])  # equilibrate moves angles at fixed ε
     _check(k >= 2, f"equilibrate requires k >= 2 (got k = {k})")
-    n, p = _strip_exponent(cfg)
-    base = ans.uniform_configuration(eps, k)
-    perturb = cfg.get("perturb", 0.05)
-    angles = list(base.angles)
-    angles[1] += perturb * 2 * np.pi / k
+    angles = list(ans.uniform_configuration(eps, k).angles)
+    angles[1] += cfg["perturb"] * 2 * np.pi / k
     initial = ans.PeakConfiguration(eps, tuple(angles))
-    rate = ans.residual_rate(initial.sigma_min, n)
-    tol = cfg.get("tol", 1e-2 * rate)
-    _check(tol > 0, f"tol > 0 (got {tol})")
+    if cfg["tol"] is None:
+        cfg["tol"] = 1e-2 * ans.residual_rate(initial.sigma_min, 2)
+    _check(cfg["tol"] > 0, f"tol > 0 (got {cfg['tol']})")
 
     def compute():
-        result = red.equilibrate(initial, _profile(n, p), grids.__getitem__, tol=tol)
+        result = red.equilibrate(initial, _profile(cfg["p"]), grids.__getitem__, tol=cfg["tol"])
         gaps = np.asarray(result.config.gaps)
         return {
             "initial_angles": list(initial.angles),
             "final_angles": list(result.config.angles),
             "final_gaps": gaps,
             "uniform_gap": 2 * np.pi / (k * eps),
-            "gap_relative_spread": float(
-                (gaps.max() - gaps.min()) / (2 * np.pi / (k * eps))
-            ),
+            "gap_relative_spread": float((gaps.max() - gaps.min()) / (2 * np.pi / (k * eps))),
             "newton_steps": result.newton_steps,
             "d_history": [list(d) for d in result.d_history],
         }
 
-    return "equilibrate", cfg, compute
+    return compute
 
 
-def cmd_dancer(args):
-    cfg = _resolve(
-        args,
-        "dancer",
-        dict(dim=int, p=float, eps=float, k=int, eta=float,
-             h=float, transverse=float, tol=float),
-    )
-    n, p = _strip_exponent(cfg)
-    k = cfg.get("k", 1)
-    eta = cfg.get("eta", 0.3)
-    tol = cfg.get("tol", 1e-11)
+def cmd_dancer(args, cfg):
+    k, eta, tol = cfg["k"], cfg["eta"], cfg["tol"]
     _check(0 < eta < 1, f"0 < eta < 1 (got {eta})")
     _check(tol > 0, f"tol > 0 (got {tol})")
     if args.eps_sweep:
+        _check(cfg["eps"] is None, f"eps or eps-sweep, not both (got eps = {cfg['eps']})")
         epsilons = [float(t) for t in args.eps_sweep.split(",")]
         _check(len(set(epsilons)) == len(epsilons),
                f"distinct eps in sweep (got {args.eps_sweep})")
     else:
         epsilons = [_require(cfg, "eps")]
-    grids = {e: _grid(cfg, e) for e in epsilons}
+    grids = _strip_grids(cfg, epsilons)
     configs = [ans.uniform_configuration(e, k) for e in epsilons]
 
     def compute():
-        profile = _profile(n, p)
+        profile = _profile(cfg["p"])
         rows = []
         for e, config in zip(epsilons, configs):
             bundle = ans.build_ansatz(config, profile, grids[e])
@@ -349,18 +333,16 @@ def cmd_dancer(args):
                     f"evenness defect {evenness:.3e} above threshold at eps={e}"
                 )
             full, half = dnc.minimal_period_gaps(sol)
-            rows.append(
-                {
-                    "eps": e,
-                    "iterations": sol.iterations,
-                    "residual_history": sol.newton_history,
-                    "multiplier": sol.multiplier,
-                    "min_value": float(sol.field.data.min()),
-                    "evenness_defect": evenness,
-                    "period_defect": full,
-                    "half_period_defect": half,
-                }
-            )
+            rows.append({
+                "eps": e,
+                "iterations": sol.iterations,
+                "residual_history": sol.newton_history,
+                "multiplier": sol.multiplier,
+                "min_value": float(sol.field.data.min()),
+                "evenness_defect": evenness,
+                "period_defect": full,
+                "half_period_defect": half,
+            })
         results: dict = {"runs": rows}
         if len(epsilons) >= 3:
             report = dnc.psi_decay_fit(profile, epsilons, k, eta, grids.__getitem__)
@@ -372,42 +354,28 @@ def cmd_dancer(args):
             }
         return results
 
-    return "dancer", cfg, compute
+    return compute
 
 
-def cmd_oracle(args):
-    if args.oracle_kind == "taylor":
-        cfg = _resolve(args, "oracle", dict(p=float, n=int, seed=int))
-        cfg.setdefault("p", 3.0)
-        cfg.setdefault("n", 100000)
-        cfg.setdefault("seed", 7)
-        asym.validate_taylor_exponent(cfg["p"])
-        _check(cfg["n"] >= 1, f"n >= 1 (got {cfg['n']})")
-        _check(cfg["seed"] >= 0, f"seed >= 0 (got {cfg['seed']})")
+def cmd_oracle_taylor(args, cfg):
+    asym.validate_taylor_exponent(cfg["p"])
+    _check(cfg["n"] >= 1, f"n >= 1 (got {cfg['n']})")
+    _check(cfg["seed"] >= 0, f"seed >= 0 (got {cfg['seed']})")
 
-        def compute():
-            report = asym.taylor_remainder_check(cfg["n"], cfg["p"], cfg["seed"])
-            return {
-                "max_ratio": report.max_ratio,
-                "argmax": list(report.argmax),
-                "samples": report.samples,
-            }
+    def compute():
+        report = asym.taylor_remainder_check(cfg["n"], cfg["p"], cfg["seed"])
+        return {
+            "max_ratio": report.max_ratio,
+            "argmax": list(report.argmax),
+            "samples": report.samples,
+        }
 
-        return "oracle-taylor", cfg, compute
+    return compute
 
-    cfg = _resolve(args, "oracle", dict(a=float, b=float, y0=float, dim=int))
-    cfg.setdefault("a", 2.0)
-    cfg.setdefault("b", 1.0)
-    cfg.setdefault("y0", 12.0)
-    cfg.setdefault("dim", 1)
-    spec_ = asym.InteractionSpec(
-        f=lambda r: np.exp(-r),
-        g=lambda r: np.exp(-r),
-        a=cfg["a"],
-        b=cfg["b"],
-        y0=cfg["y0"],
-        dimension=cfg["dim"],
-    )
+
+def cmd_oracle_interactions(args, cfg):
+    spec_ = asym.InteractionSpec(f=lambda r: np.exp(-r), g=lambda r: np.exp(-r), a=cfg["a"],
+                                 b=cfg["b"], y0=cfg["y0"], dimension=cfg["dim"])
 
     def compute():
         value = asym.interaction_quadrature(spec_)
@@ -417,7 +385,19 @@ def cmd_oracle(args):
             "mass_constant": asym.mass_constant(spec_),
         }
 
-    return "oracle-interactions", cfg, compute
+    return compute
+
+
+_COMMANDS = {
+    "groundstate": (cmd_groundstate, "radial ground-state profile"),
+    "ansatz": (cmd_ansatz, "multi-peak ansatz residual norms"),
+    "spectrum": (cmd_spectrum, "weighted eigenpairs of the linearization"),
+    "reduce": (cmd_reduce, "Lyapunov-Schmidt correction"),
+    "equilibrate": (cmd_equilibrate, "drive peak positions to d = 0"),
+    "dancer": (cmd_dancer, "Newton solve and decay probes"),
+    "oracle-taylor": (cmd_oracle_taylor, "Taylor-remainder property check"),
+    "oracle-interactions": (cmd_oracle_interactions, "two-peak interaction quadrature"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,65 +407,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="INI config file", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, grid=True):
+    kinds = None
+    leaves = {}
+    for command, (func, text) in _COMMANDS.items():
+        group, _, kind = command.partition("-")
+        if kind and kinds is None:
+            kinds = sub.add_parser(group, help="stand-alone asymptotic oracles").add_subparsers(
+                dest="kind", required=True)
+        sp = leaves[command] = (kinds if kind else sub).add_parser(kind or group, help=text)
+        sp.set_defaults(func=func, command=command)
         sp.add_argument("--out", default=None, help="summary JSON path (default stdout)")
-        sp.add_argument("--dim", type=int, default=None)
-        sp.add_argument("--p", type=float, default=None)
-        if grid:
-            sp.add_argument("--eps", type=float, default=None)
-            sp.add_argument("--h", type=float, default=None)
-            sp.add_argument("--transverse", type=float, default=None)
-            sp.add_argument("--k", type=int, default=None)
-
-    p_gs = sub.add_parser("groundstate", help="radial ground-state profile")
-    common(p_gs, grid=False)
-    p_gs.add_argument("--profile-out", default=None)
-    p_gs.set_defaults(func=cmd_groundstate)
-
-    p_an = sub.add_parser("ansatz", help="multi-peak ansatz residual norms")
-    common(p_an)
-    p_an.add_argument("--peaks", type=_parse_peaks, default=None)
-    p_an.set_defaults(func=cmd_ansatz)
-
-    p_sp = sub.add_parser("spectrum", help="weighted eigenpairs of the linearization")
-    common(p_sp)
-    p_sp.add_argument("--peaks", type=_parse_peaks, default=None)
-    p_sp.add_argument("--count", type=int, default=None)
-    p_sp.add_argument("--weighted-report", action="store_true")
-    p_sp.set_defaults(func=cmd_spectrum)
-
-    p_rd = sub.add_parser("reduce", help="Lyapunov-Schmidt correction")
-    common(p_rd)
-    p_rd.add_argument("--peaks", type=_parse_peaks, default=None)
-    p_rd.add_argument("--tol", type=float, default=None)
-    p_rd.add_argument("--weighted-report", action="store_true")
-    p_rd.set_defaults(func=cmd_reduce)
-
-    p_eq = sub.add_parser("equilibrate", help="drive peak positions to d = 0")
-    common(p_eq)
-    p_eq.add_argument("--perturb", type=float, default=None)
-    p_eq.add_argument("--tol", type=float, default=None)
-    p_eq.set_defaults(func=cmd_equilibrate)
-
-    p_dn = sub.add_parser("dancer", help="Newton solve and decay probes")
-    common(p_dn)
-    p_dn.add_argument("--eta", type=float, default=None)
-    p_dn.add_argument("--tol", type=float, default=None)
-    p_dn.add_argument("--eps-sweep", default=None, help="comma-separated epsilons")
-    p_dn.set_defaults(func=cmd_dancer)
-
-    p_or = sub.add_parser("oracle", help="stand-alone asymptotic oracles")
-    p_or.add_argument("oracle_kind", choices=("taylor", "interactions"))
-    p_or.add_argument("--out", default=None)
-    p_or.add_argument("--p", type=float, default=None)
-    p_or.add_argument("--n", type=int, default=None)
-    p_or.add_argument("--seed", type=int, default=None)
-    p_or.add_argument("--a", type=float, default=None)
-    p_or.add_argument("--b", type=float, default=None)
-    p_or.add_argument("--y0", type=float, default=None)
-    p_or.add_argument("--dim", type=int, default=None)
-    p_or.set_defaults(func=cmd_oracle)
+        for name, (parse, _) in PARAMS[command].items():
+            sp.add_argument(f"--{name}", type=parse, default=None)
+    leaves["groundstate"].add_argument("--profile-out", default=None)
+    for command in ("spectrum", "reduce"):
+        leaves[command].add_argument("--weighted-report", action="store_true")
+    leaves["dancer"].add_argument("--eps-sweep", default=None, help="comma-separated epsilons")
     return parser
 
 
@@ -495,20 +432,22 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = build_parser().parse_known_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
+        _check(not unknown, f"only the flags of {args.command} (got {' '.join(unknown)})")
         for path in (args.out, getattr(args, "profile_out", None)):
             _check(not path or os.path.isdir(os.path.dirname(path) or "."),
                    f"the directory of {path} exists")
-        command, cfg, compute = args.func(args)
+        cfg = _resolve(args, args.command)
+        compute = args.func(args, cfg)
     except ValueError as exc:  # ConfigError and the validators of the layers
         return _fail(EXIT_CONFIG, "config", exc)
+    config = {name: value for name, value in cfg.items() if value is not None}
     try:
-        emit_summary(command, cfg, compute(), args.out)
+        emit_summary(args.command, config, compute(), args.out)
     except AssertionFailure as exc:
         return _fail(EXIT_ASSERTION, "assertion", exc)
     except Exception as exc:  # after validation every failure is numerical

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .ansatz import AnsatzBundle, image_sums, uniform_configuration
+from .ansatz import AnsatzBundle, image_sums, nonlinear_residual, uniform_configuration
 from .domain import GridField, align_shift, reflect_x1, shift_x1
 from .groundstate import GroundStateProfile
 from .reduction import constrained_solve, reduce
@@ -56,13 +56,6 @@ class DancerSolution:
     @property
     def iterations(self) -> int:
         return len(self.newton_history) - 1
-
-
-def nonlinear_residual(u: GridField, p: float) -> GridField:
-    """F(u) = (−Δ+1)u − u₊^p on the grid."""
-    A = u.grid.helmholtz_matrix
-    up = np.maximum(u.data, 0.0) ** p
-    return GridField(u.grid, (A @ u.data.ravel()).reshape(u.grid.shape) - up)
 
 
 def newton_solve(

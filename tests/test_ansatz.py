@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from multipeak.ansatz import (
     PeakConfiguration,
     build_ansatz,
+    nonlinear_residual,
     residual,
-    residual_discrete,
     residual_l2,
     residual_rate,
     uniform_configuration,
@@ -82,7 +82,7 @@ def test_residual_dual_route_converges(profile_n2):
     grid = make_grid(0.6, h=0.25)
     for _ in range(2):
         bundle = build_ansatz(config, profile_n2, grid)
-        gap = residual_discrete(bundle) - residual(bundle)
+        gap = nonlinear_residual(bundle.ubar, profile_n2.exponent) - residual(bundle)
         diffs.append(gap.sup_norm())
         grid = grid.refined()
     assert 3.0 < diffs[0] / diffs[1] < 5.0

@@ -13,7 +13,9 @@ import pytest
 
 import multipeak
 from multipeak import asymptotics
-from multipeak.cli import EXIT_CONFIG, EXIT_NUMERICAL, _render, main
+from multipeak.cli import (
+    EXIT_CONFIG, EXIT_NUMERICAL, PARAMS, _render, _resolve, build_parser, main,
+)
 
 
 def run(tmp_path, name, args):
@@ -101,6 +103,61 @@ def test_config_file_with_flag_override(tmp_path):
     assert json.loads(f3.read_text())["config"]["k"] == 1
 
 
+def test_equal_resolved_runs_hash_alike(tmp_path):
+    """Typed defaults and an INI file give the summary of the bare flags."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[common]\np = 3\nh = 0.25\n[ansatz]\neps = 0.3\nk = 2\n")
+    spellings = [
+        ["ansatz", "--eps", "0.3", "--k", "2"],
+        ["ansatz", "--eps", "0.3", "--k", "2", "--dim", "2", "--p", "3", "--h", "0.25",
+         "--transverse", "12"],
+        ["--config", str(cfg), "ansatz"],
+    ]
+    outs = []
+    for i, args in enumerate(spellings):
+        code, f = run(tmp_path, f"h{i}.json", args)
+        assert code == 0
+        outs.append(f.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize(
+    "line, unset",
+    [
+        ("groundstate", ""),
+        ("ansatz --eps 0.3 --peaks=-3.14,0", ""),
+        ("spectrum --eps 0.3 --k 2", "peaks"),
+        ("reduce --eps 0.3", "peaks"),
+        ("equilibrate --eps 0.3", ""),
+        ("dancer --eps-sweep 0.35,0.3,0.25", "eps"),
+        ("oracle taylor", ""),
+        ("oracle interactions", ""),
+    ],
+)
+def test_config_lists_every_resolved_parameter(line, unset):
+    """Derived parameters (k, count, tol) are written back; only absent inputs stay unset."""
+    args = build_parser().parse_args(line.split())
+    cfg = _resolve(args, args.command)
+    args.func(args, cfg)  # validates and derives; computes nothing
+    assert list(cfg) == list(PARAMS[args.command])
+    assert {name for name, value in cfg.items() if value is None} == set(unset.split())
+
+
+def test_peaks_set_k(tmp_path):
+    code, f = run(tmp_path, "p.json", ["ansatz", "--eps", "0.3", "--peaks=-3.14,0"])
+    assert code == 0
+    assert json.loads(f.read_text())["config"]["k"] == 2
+
+
+@pytest.mark.parametrize("section", ["common", "ansatz"])
+def test_unknown_ini_key_is_a_config_error(tmp_path, capsys, section):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\nhh = 0.1\n")
+    assert main(["--config", str(cfg), "ansatz", "--eps", "0.3", "--k", "2"]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "config" and "hh" in err["detail"]
+
+
 def test_missing_config_file():
     assert main(["--config", "/nonexistent.ini", "ansatz"]) == EXIT_CONFIG
 
@@ -173,6 +230,10 @@ DESK = ["ansatz", "--eps", "0.3", "--k", "2"]
         ["oracle", "taylor", "--p", "100"],
         ["oracle", "taylor", "--p", "150"],
         ["oracle", "interactions", "--y0", "nan"],
+        ["oracle", "taylor", "--y0", "5"],
+        ["oracle", "interactions", "--seed", "3"],
+        ["ansatz", "--eps", "0.3", "--k", "3", "--peaks=-3.14,0"],
+        ["dancer", "--eps", "0.3", "--eps-sweep", "0.35,0.3,0.25"],
     ],
     ids=" ".join,
 )

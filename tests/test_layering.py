@@ -1,5 +1,7 @@
-"""Import layering of the package, checked on its source without importing it."""
+"""Import layering of the package, checked on its source without importing it,
+and the command line's single declaration of its run parameters."""
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -70,3 +72,32 @@ def test_one_pipeline_step():
         ("reduction", "reduce"),
         ("cli", "cmd_spectrum"),
     }
+
+
+# flags that are not run parameters: outputs and report switches, and the ε list
+NON_PARAMETER_FLAGS = {"out", "profile_out", "weighted_report", "eps_sweep"}
+
+
+def leaf_parsers(parser):
+    """(summary name, parser) of every subcommand that runs."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield parser.get_default("command"), parser
+    for action in subs:
+        for child in action.choices.values():
+            yield from leaf_parsers(child)
+
+
+def test_each_run_parameter_declared_once():
+    """Every flag of a command is a PARAMS entry or a documented non-parameter flag.
+
+    A flag added outside the table would bypass the INI file and the summary config.
+    """
+    from multipeak.cli import PARAMS, build_parser
+
+    leaves = dict(leaf_parsers(build_parser()))
+    assert set(leaves) == set(PARAMS)
+    for command, parser in leaves.items():
+        dests = {a.dest for a in parser._actions if a.option_strings} - {"help"}
+        assert set(PARAMS[command]) <= dests, command
+        assert dests - set(PARAMS[command]) <= NON_PARAMETER_FLAGS, command
