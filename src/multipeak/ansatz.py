@@ -126,8 +126,8 @@ class AnsatzBundle:
 def image_sums(profile: GroundStateProfile, grid: StripGrid, centres):
     """(Σ_c U_c, Σ_c ∂U_c/∂x₁, Σ_c U_c^p) with U_c = U(x₁ − c, x₂).
 
-    The one sum over ground-state translates: the caller chooses the image
-    centres, and with them the lattice and its cutoff.
+    The one sum over ground-state translates; `build_ansatz` passes the
+    lattice images of one peak within `PeakConfiguration.lattice_cutoff`.
     """
     X1, X2 = grid.meshes()
     p = profile.exponent

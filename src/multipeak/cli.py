@@ -4,8 +4,9 @@ Every workflow is a subcommand, and each oracle kind (`oracle taylor`,
 `oracle interactions`) is one with its own flags.  `PARAMS` declares each
 command's run parameters once; a parameter comes from its flag, else the
 optional INI config file ([common], then the command's section; both
-oracle kinds read [oracle]), else its default.  An INI key that no command
-takes there and inputs that contradict each other are config errors.
+oracle kinds read [oracle]), else its default.  A usage error (a malformed
+flag value, a missing subcommand), an INI key that no command takes there
+and inputs that contradict each other are config errors.
 Summaries are JSON with all floats rendered at 17 significant digits and a
 sha256 content hash of the config and results; the config lists every
 resolved parameter, derived ones included, so equal runs hash alike
@@ -49,6 +50,13 @@ class AssertionFailure(RuntimeError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (bad flag value, missing subcommand) is a config error."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _render(obj) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
     if isinstance(obj, dict):
@@ -82,20 +90,20 @@ def emit_summary(command: str, config: dict, results: dict, out: str | None) -> 
     return text
 
 
-def _parse_peaks(text: str) -> tuple[float, ...]:
+def _float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(t) for t in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"unparsable peak list {text!r}") from exc
+        raise ConfigError(f"unparsable list {text!r}") from exc
 
 
 # The run parameters of each command, in the order its summary lists them:
-# flag and INI name -> (parser, default).  A default of None marks a
-# parameter that is required or that the command derives from the others.
+# INI name (the flag with "_" for "-") -> (parser, default).  A default of
+# None marks a parameter that is required or that the command derives.
 _EXPONENT = dict(dim=(int, 2), p=(float, 3.0))
 _STRIP = dict(_EXPONENT, eps=(float, None), k=(int, None))
 _GRID = dict(h=(float, 0.25), transverse=(float, 12.0))
-_BUNDLE = dict(_STRIP, peaks=(_parse_peaks, None), **_GRID)
+_BUNDLE = dict(_STRIP, peaks=(_float_list, None), **_GRID)
 
 PARAMS = {
     "groundstate": _EXPONENT,
@@ -103,7 +111,8 @@ PARAMS = {
     "spectrum": dict(_BUNDLE, count=(int, None)),
     "reduce": dict(_BUNDLE, tol=(float, 1e-13)),
     "equilibrate": dict(_STRIP, k=(int, 2), perturb=(float, 0.05), tol=(float, None), **_GRID),
-    "dancer": dict(_STRIP, k=(int, 1), eta=(float, 0.3), tol=(float, 1e-11), **_GRID),
+    "dancer": dict(_STRIP, eps_sweep=(_float_list, None), k=(int, 1), eta=(float, 0.3),
+                   tol=(float, 1e-11), **_GRID),
     "oracle-taylor": dict(p=(float, 3.0), n=(int, 100000), seed=(int, 7)),
     "oracle-interactions": dict(a=(float, 2.0), b=(float, 1.0), y0=(float, 12.0), dim=(int, 1)),
 }
@@ -311,11 +320,11 @@ def cmd_dancer(args, cfg):
     k, eta, tol = cfg["k"], cfg["eta"], cfg["tol"]
     _check(0 < eta < 1, f"0 < eta < 1 (got {eta})")
     _check(tol > 0, f"tol > 0 (got {tol})")
-    if args.eps_sweep:
+    if cfg["eps_sweep"] is not None:
         _check(cfg["eps"] is None, f"eps or eps-sweep, not both (got eps = {cfg['eps']})")
-        epsilons = [float(t) for t in args.eps_sweep.split(",")]
+        epsilons = list(cfg["eps_sweep"])
         _check(len(set(epsilons)) == len(epsilons),
-               f"distinct eps in sweep (got {args.eps_sweep})")
+               f"distinct eps in sweep (got {cfg['eps_sweep']})")
     else:
         epsilons = [_require(cfg, "eps")]
     grids = _strip_grids(cfg, epsilons)
@@ -401,7 +410,7 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multipeak",
         description="Multi-peak periodic solutions of -Du + u - u^p = 0 on a strip",
     )
@@ -418,11 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func, command=command)
         sp.add_argument("--out", default=None, help="summary JSON path (default stdout)")
         for name, (parse, _) in PARAMS[command].items():
-            sp.add_argument(f"--{name}", type=parse, default=None)
+            sp.add_argument(f"--{name.replace('_', '-')}", type=parse, default=None)
     leaves["groundstate"].add_argument("--profile-out", default=None)
     for command in ("spectrum", "reduce"):
         leaves[command].add_argument("--weighted-report", action="store_true")
-    leaves["dancer"].add_argument("--eps-sweep", default=None, help="comma-separated epsilons")
     return parser
 
 
@@ -433,16 +441,14 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
 
 def main(argv=None) -> int:
     try:
-        args, unknown = build_parser().parse_known_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
-    try:
-        _check(not unknown, f"only the flags of {args.command} (got {' '.join(unknown)})")
+        args = build_parser().parse_args(argv)
         for path in (args.out, getattr(args, "profile_out", None)):
             _check(not path or os.path.isdir(os.path.dirname(path) or "."),
                    f"the directory of {path} exists")
         cfg = _resolve(args, args.command)
         compute = args.func(args, cfg)
+    except SystemExit:  # --help, printed by argparse
+        return 0
     except ValueError as exc:  # ConfigError and the validators of the layers
         return _fail(EXIT_CONFIG, "config", exc)
     config = {name: value for name, value in cfg.items() if value is not None}

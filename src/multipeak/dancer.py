@@ -12,11 +12,11 @@ converged field.
 
 The deviation ψ of the solution from the periodized sum of ground-state
 translates is exponentially small in the separation — far below the mesh
-truncation error of the discrete solution.  It is therefore measured
+truncation error of the discrete solution.  It is therefore measured only
 through the Lyapunov–Schmidt correction of the equidistributed
-configuration (whose error is relative, not absolute), while the discrete
-Newton solution is used for the structural probes: two-start uniqueness,
-evenness, positivity, and minimal period.
+configuration (whose error is relative, not absolute; `psi_decay_fit`),
+never against the Newton solution, which serves the structural probes:
+two-start uniqueness, evenness, positivity, and minimal period.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .ansatz import AnsatzBundle, image_sums, nonlinear_residual, uniform_configuration
+from .ansatz import AnsatzBundle, nonlinear_residual, uniform_configuration
 from .domain import GridField, align_shift, reflect_x1, shift_x1
 from .groundstate import GroundStateProfile
 from .reduction import constrained_solve, reduce
@@ -49,7 +49,6 @@ class DancerSolution:
     epsilon: float
     k: int
     pin_location: float
-    psi: GridField
     newton_history: list[float]  # ‖F(u) + μc‖ per iterate
     multiplier: float  # μ of the pinning constraint
 
@@ -110,20 +109,11 @@ def newton_solve(
         u = u + step
         mu += float(dmu[0])
 
-    k = bundle.config.k
-    pin_loc = bundle.config.positions[PIN]
-    # ψ against the sub-period lattice through the pin, reaching a period
-    # plus 30 decay lengths past the cell on either side
-    sub = 2 * np.pi / (k * bundle.config.epsilon)
-    L = int(np.ceil((grid.period + 30.0) / sub)) + 1
-    images, _, _ = image_sums(bundle.profile, grid, pin_loc + sub * np.arange(-L, L + 1))
-    psi = field - GridField(grid, images)
     return DancerSolution(
         field=field,
         epsilon=bundle.config.epsilon,
-        k=k,
-        pin_location=pin_loc,
-        psi=psi,
+        k=bundle.config.k,
+        pin_location=bundle.config.positions[PIN],
         newton_history=history,
         multiplier=mu,
     )

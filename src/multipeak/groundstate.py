@@ -18,13 +18,12 @@ so U and U' are continuous there.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 
@@ -81,12 +80,21 @@ def far_field(dimension: int, r, derivative: bool = False):
     return np.power(r, alpha) * np.exp(-r) * s
 
 
+def _hermite(f, df, h):
+    """Per cell [r_i, r_i + h], the (c0..c3) of Σ c_k (r − r_i)^k matching f and df at its ends."""
+    slope = np.diff(f) / h
+    d0, d1 = df[:-1], df[1:]
+    return np.stack([f[:-1], d0, (3 * slope - 2 * d0 - d1) / h, (d0 + d1 - 2 * slope) / h**2], 1)
+
+
 @dataclass(frozen=True)
 class GroundStateProfile:
     """Computed radial profile with far-field continuation.
 
     ``values``/``derivatives`` hold U and U' on ``radial_grid``, the solved
-    nodes of [0, tail_match_radius]; past it U = tail_L0 · T.
+    nodes of [0, tail_match_radius]; past it U = tail_L0 · T.  Between nodes
+    U is the cubic matching U and U' at both ends of its cell, and U' the
+    cubic matching U' and U'' there, with U'' taken from the equation.
     """
 
     dimension: int
@@ -99,21 +107,17 @@ class GroundStateProfile:
     tail_match_radius: float
 
     @cached_property
-    def _value_spline(self) -> CubicSpline:
-        return CubicSpline(self.radial_grid, self.values)
-
-    @cached_property
-    def _value_pieces(self) -> tuple[list, list]:
-        """The value spline's breakpoints and coefficients as floats."""
-        spline = self._value_spline
-        return spline.x.tolist(), spline.c.T.tolist()
-
-    @cached_property
-    def _derivative_spline(self) -> CubicSpline:
-        return CubicSpline(self.radial_grid, self.derivatives)
+    def _cells(self) -> tuple:
+        """(h, cell coefficients, the same as float lists) for U, then for U'."""
+        r, u, du = self.radial_grid, self.values, self.derivatives
+        N, h = self.dimension, float(r[1] - r[0])
+        # U'' = U − U^p − (N−1)U'/r, and (U − U^p)/N at the center
+        d2u = u - u**self.exponent - (N - 1) * np.divide(du, r, out=0 * r, where=r > 0)
+        d2u[0] /= N
+        return tuple((h, c, c.tolist()) for c in (_hermite(u, du, h), _hermite(du, d2u, h)))
 
     def to_json(self) -> str:
-        payload = {
+        return json.dumps({
             "dimension": self.dimension,
             "exponent": self.exponent,
             "center_value": self.center_value,
@@ -122,8 +126,7 @@ class GroundStateProfile:
             "radial_grid": self.radial_grid.tolist(),
             "values": self.values.tolist(),
             "derivatives": self.derivatives.tolist(),
-        }
-        return json.dumps(payload)
+        })
 
 
 def _stencil_matrix(stencil, n, ghost):
@@ -229,46 +232,44 @@ def solve_ground_state(dimension: int, p: float) -> GroundStateProfile:
 _POINT_LIMIT = 700.0
 
 
-def _radial_point(profile: GroundStateProfile, x: float):
-    """U at one finite |x| < _POINT_LIMIT, bit for bit as the vector path.
+def _radial(profile: GroundStateProfile, r, derivative: bool):
+    """U(r) or U'(r): the cell's cubic up to the matching radius, L0·T past it.
 
-    The interval search and the power sum follow scipy's PPoly evaluation.
+    The cell is i = ⌊r/h⌋, clamped to the cells.  A single point (each
+    quadrature integrand call) takes the same operations on Python floats,
+    skipping the array machinery, so it gives the vector path's value bit for bit.
     """
-    if x <= profile.tail_match_radius:
-        knots, coeffs = profile._value_pieces
-        i = min(max(bisect_right(knots, x) - 1, 0), len(knots) - 2)
-        c0, c1, c2, c3 = coeffs[i]
-        s = x - knots[i]
-        return c3 + c2 * s + c1 * (s * s) + c0 * ((s * s) * s)
-    return profile.tail_L0 * far_field(profile.dimension, x)
+    r = np.asarray(r, dtype=float)
+    h, coeffs, rows = profile._cells[derivative]
+    if r.size == 1 and abs(x := r.item()) < _POINT_LIMIT:
+        if x <= profile.tail_match_radius:
+            i = min(max(math.floor(x / h), 0), len(rows) - 1)
+            c0, c1, c2, c3 = rows[i]
+            s = x - i * h
+            value = c0 + s * (c1 + s * (c2 + s * c3))
+        else:
+            value = profile.tail_L0 * far_field(profile.dimension, x, derivative)
+        return np.asarray(value).reshape(r.shape)
+    out = np.empty_like(r)
+    inner = r <= profile.tail_match_radius
+    x = r[inner]
+    i = np.clip(np.floor(x / h), 0, len(rows) - 1).astype(int)
+    s = x - i * h
+    c0, c1, c2, c3 = coeffs[i].T
+    out[inner] = c0 + s * (c1 + s * (c2 + s * c3))
+    with np.errstate(under="ignore"):
+        out[~inner] = profile.tail_L0 * far_field(profile.dimension, r[~inner], derivative)
+    return out
 
 
 def eval_radial(profile: GroundStateProfile, r):
-    """U(r), vectorized; far-field branch beyond the matching radius.
-
-    A single point skips the array machinery: quadrature integrands call
-    this one point at a time, where that overhead dominates.
-    """
-    r = np.asarray(r, dtype=float)
-    if r.size == 1 and abs(x := r.item()) < _POINT_LIMIT:
-        return np.asarray(_radial_point(profile, x)).reshape(r.shape)
-    out = np.empty_like(r)
-    inner = r <= profile.tail_match_radius
-    out[inner] = profile._value_spline(r[inner])
-    with np.errstate(under="ignore"):
-        out[~inner] = profile.tail_L0 * far_field(profile.dimension, r[~inner])
-    return out
+    """U(r), vectorized; far-field branch beyond the matching radius."""
+    return _radial(profile, r, False)
 
 
 def eval_radial_derivative(profile: GroundStateProfile, r):
     """U'(r), vectorized; far-field branch beyond the matching radius."""
-    r = np.asarray(r, dtype=float)
-    out = np.empty_like(r)
-    inner = r <= profile.tail_match_radius
-    out[inner] = profile._derivative_spline(r[inner])
-    with np.errstate(under="ignore"):
-        out[~inner] = profile.tail_L0 * far_field(profile.dimension, r[~inner], derivative=True)
-    return out
+    return _radial(profile, r, True)
 
 
 def ode_residual(profile: GroundStateProfile, r_max: float | None = None):
@@ -277,8 +278,7 @@ def ode_residual(profile: GroundStateProfile, r_max: float | None = None):
     U'' is formed by sixth-order central differences of the stored U'
     values, independent of the solver's eighth-order operator.
     """
-    if r_max is None:
-        r_max = profile.tail_match_radius
+    r_max = profile.tail_match_radius if r_max is None else r_max
     r = profile.radial_grid
     u = profile.values
     du = profile.derivatives

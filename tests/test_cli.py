@@ -130,6 +130,7 @@ def test_equal_resolved_runs_hash_alike(tmp_path):
         ("reduce --eps 0.3", "peaks"),
         ("equilibrate --eps 0.3", ""),
         ("dancer --eps-sweep 0.35,0.3,0.25", "eps"),
+        ("dancer --eps 0.3", "eps_sweep"),
         ("oracle taylor", ""),
         ("oracle interactions", ""),
     ],
@@ -141,6 +142,21 @@ def test_config_lists_every_resolved_parameter(line, unset):
     args.func(args, cfg)  # validates and derives; computes nothing
     assert list(cfg) == list(PARAMS[args.command])
     assert {name for name, value in cfg.items() if value is None} == set(unset.split())
+
+
+def test_eps_sweep_from_ini(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[dancer]\neps_sweep = 0.35,0.3,0.25\nk = 1\n")
+    args = build_parser().parse_args(["--config", str(cfg), "dancer"])
+    resolved = _resolve(args, "dancer")
+    args.func(args, resolved)
+    assert resolved["eps_sweep"] == (0.35, 0.3, 0.25) and resolved["eps"] is None
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["oracle", "taylor", "--help"]) == 0
+    assert "--seed" in capsys.readouterr().out
 
 
 def test_peaks_set_k(tmp_path):
@@ -234,6 +250,9 @@ DESK = ["ansatz", "--eps", "0.3", "--k", "2"]
         ["oracle", "interactions", "--seed", "3"],
         ["ansatz", "--eps", "0.3", "--k", "3", "--peaks=-3.14,0"],
         ["dancer", "--eps", "0.3", "--eps-sweep", "0.35,0.3,0.25"],
+        DESK[:-1] + ["x"],
+        pytest.param([], id="(no subcommand)"),
+        ["oracle"],
     ],
     ids=" ".join,
 )

@@ -107,10 +107,6 @@ def test_minimal_period(solution_k1):
     assert half > 0.5
 
 
-def test_psi_small_compared_to_peak(solution_k1):
-    assert solution_k1.psi.sup_norm() < 5e-2 * solution_k1.field.sup_norm()
-
-
 def test_periodized_sum_periodic(profile_n2, bundle_k1):
     grid = bundle_k1.grid
     v, _, _ = image_sums(profile_n2, grid, grid.period * np.arange(-4, 5))

@@ -42,6 +42,14 @@ def test_n1_matches_closed_form(p):
     assert np.max(np.abs(eval_radial(profile, r) - exact)) < 1e-10
 
 
+def test_n1_p3_between_nodes(profile_n1):
+    """Between the solved nodes U and U' follow √2 sech(x) and −√2 sech(x) tanh(x)."""
+    r = np.linspace(0.0, 12.0, 100_001)
+    exact = np.sqrt(2.0) / np.cosh(r)
+    assert np.max(np.abs(eval_radial(profile_n1, r) - exact)) < 3e-11
+    assert np.max(np.abs(eval_radial_derivative(profile_n1, r) + exact * np.tanh(r))) < 1e-10
+
+
 def test_n1_p3_tail_constants(profile_n1):
     """√2 sech(x) → 2√2 e^{−x}, and U' → −U in the tail."""
     assert profile_n1.tail_L0 == pytest.approx(2 * np.sqrt(2.0), rel=1e-3)
@@ -106,7 +114,7 @@ def test_profile_monotone_decreasing_positive(profile_n2):
 
 
 def test_tail_branch_continuous(profile_n2):
-    """Spline and far-field branches agree at the matching radius."""
+    """Cell-cubic and far-field branches agree at the matching radius."""
     rm = profile_n2.tail_match_radius
     below, above = eval_radial(profile_n2, np.array([rm, np.nextafter(rm, np.inf)]))
     assert abs(above - below) < 1e-8 * abs(below)
@@ -123,7 +131,7 @@ def profile_n2_p5():
 
 @pytest.mark.parametrize("fixture", ["profile_n1", "profile_n2", "profile_n2_p5"])
 def test_single_point_matches_vector_path(fixture, request):
-    """One point at a time gives the vector path's value bit for bit."""
+    """One point at a time gives the vector path's U and U' bit for bit."""
     profile = request.getfixturevalue(fixture)
     knots = profile.radial_grid
     rm = profile.tail_match_radius
@@ -134,8 +142,9 @@ def test_single_point_matches_vector_path(fixture, request):
         [0.0, 25.0, 30.0, 800.0, -3.0, np.inf, -np.inf, np.nan],
         np.random.default_rng(0).uniform(0.0, 40.0, 10_000),
     ])
-    one_by_one = np.array([eval_radial(profile, np.asarray([x]))[0] for x in r])
-    assert np.array_equal(one_by_one, eval_radial(profile, r), equal_nan=True)
+    for evaluate in (eval_radial, eval_radial_derivative):
+        one_by_one = np.array([evaluate(profile, np.asarray([x]))[0] for x in r])
+        assert np.array_equal(one_by_one, evaluate(profile, r), equal_nan=True)
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])

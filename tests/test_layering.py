@@ -1,8 +1,12 @@
 """Import layering of the package, checked on its source without importing it,
-and the command line's single declaration of its run parameters."""
+the scipy modules the command line loads, and the command line's single
+declaration of its run parameters."""
 
 import argparse
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,6 +66,17 @@ def test_one_factorization_primitive():
     assert not set(callers("bmat", "cg"))
 
 
+def test_cli_import_loads_no_interpolation():
+    """The profile interpolates itself, so the front end loads no scipy.interpolate."""
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, multipeak.cli; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert "multipeak.groundstate" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.interpolate")]
+
+
 def test_one_pipeline_step():
     """The eigenpairs → basis → correction chain is written out only in reduction.reduce.
 
@@ -74,8 +89,8 @@ def test_one_pipeline_step():
     }
 
 
-# flags that are not run parameters: outputs and report switches, and the ε list
-NON_PARAMETER_FLAGS = {"out", "profile_out", "weighted_report", "eps_sweep"}
+# flags that are not run parameters: outputs and report switches
+NON_PARAMETER_FLAGS = {"out", "profile_out", "weighted_report"}
 
 
 def leaf_parsers(parser):
