@@ -9,8 +9,10 @@ a symmetric-definite pencil (B = −Δ+1 is positive definite), so the
 spectrum is real and bounded above by 1.  For a k-peak configuration the
 low spectrum consists of a bottom cluster near 1−p and a k-dimensional
 near-kernel cluster near 0 asymptotically spanned by the translation modes
-∂v_i/∂x₁; both clusters are captured by one shift-invert Lanczos run with
-its shift below the bottom cluster, on one factorization of 𝕃 − σB.
+∂v_i/∂x₁.  With 𝕃 = B − P, P = diag(p ū₊^{p−1}) ≥ 0, the pencil is
+Pξ = (1−λ)Bξ, so the lowest λ are the largest μ = 1−λ of (P, B): both
+clusters come from one regular-mode Lanczos run on B⁻¹P, with B⁻¹ the grid's
+fast exact inverse.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .ansatz import AnsatzBundle
-from .domain import GridField, factorize, h1_norm, inner_products
+from .domain import GridField, h1_norm, inner_products
 
 GAP_THRESHOLD = 0.1
 
@@ -57,19 +59,25 @@ class SpectralResult:
         return self.translation_products / tnorms
 
 
+def linearized_potential(bundle: AnsatzBundle) -> np.ndarray:
+    """p ū₊^{p−1} on flattened fields: 𝕃 = −Δ + 1 − diag of it."""
+    p = bundle.profile.exponent
+    return p * np.maximum(bundle.ubar.data.ravel(), 0.0) ** (p - 1)
+
+
 def assemble_linearized(bundle: AnsatzBundle) -> sp.csr_matrix:
     """Sparse matrix of 𝕃 = −Δ + 1 − p ū^{p−1} on flattened fields."""
-    p = bundle.profile.exponent
-    pot = p * np.maximum(bundle.ubar.data, 0.0) ** (p - 1)
-    return (bundle.grid.helmholtz_matrix - sp.diags(pot.ravel())).tocsr()
+    return (bundle.grid.helmholtz_matrix - sp.diags(linearized_potential(bundle))).tocsr()
 
 
 def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
-    """Smallest `count` weighted eigenvalues by one shift-invert Lanczos run.
+    """Smallest `count` weighted eigenvalues by one regular-mode Lanczos run.
 
-    The shift 1−p−½ lies below the bottom cluster near 1−p, so the `count`
-    eigenvalues nearest it are the smallest ones while the spectrum lies
-    above 1−p−½.  The start vector is seeded, so reruns are bit-identical,
+    The run asks for the largest μ of Pξ = μBξ, P = diag(p ū₊^{p−1}), and
+    returns λ = 1 − μ ascending.  The lowest λ are the top end of the
+    (P, B) spectrum, where Lanczos converges first; unlike a run about a
+    shift, none of them can lie out of its reach.  B⁻¹ is the grid's fast exact inverse, so nothing is
+    factored.  The start vector is seeded, so reruns are bit-identical,
     and generic, so every symmetry class (each member of a degenerate pair)
     is in its Krylov space.  The lowest 2k eigenvalues are the bottom and
     near-kernel clusters, so `count` ≥ 2k+1 also sees the gap above them.
@@ -83,13 +91,14 @@ def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
         raise ValueError("count must be at least 2k + 1 to see the spectral gap")
     L = assemble_linearized(bundle)
     B = bundle.grid.helmholtz_matrix
-    p = bundle.profile.exponent
-    sigma = -(p - 1) - 0.5
-    shifted = factorize(L - sigma * B)
-    OPinv = LinearOperator(L.shape, matvec=shifted.solve, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(L.shape[0])
-    # ascending eigenvalues, B-orthonormal eigenvector columns
-    vals, vecs = eigsh(L, k=count, M=B, sigma=sigma, which="LM", tol=1e-12, v0=v0, OPinv=OPinv)
+    Binv = LinearOperator(B.shape, matvec=bundle.grid.helmholtz_inverse, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(B.shape[0])
+    # ascending μ with B-orthonormal eigenvector columns, reversed to ascending λ
+    mu, vecs = eigsh(
+        sp.diags(linearized_potential(bundle)), k=count, M=B, Minv=Binv,
+        which="LA", tol=1e-12, v0=v0,
+    )
+    vals, vecs = 1.0 - mu[::-1], vecs[:, ::-1]
 
     if np.any(vals >= 1.0):
         raise RuntimeError(f"eigenvalue >= 1 returned: {vals}")

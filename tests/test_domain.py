@@ -10,6 +10,7 @@ from multipeak.domain import (
     StripGrid,
     align_shift,
     apply_helmholtz,
+    factorize,
     h1_norm,
     inner_products,
     l2_norm,
@@ -90,6 +91,23 @@ def test_zero_rhs_and_bad_tol():
     assert solve_helmholtz(zero).sup_norm() == 0.0
     with pytest.raises(ValueError):
         solve_helmholtz(zero, tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [StripGrid(0.5, 10.0, 4, 2), StripGrid(0.7, 5.0, 9, 7), GRID, StripGrid(0.5, 10.0, 47, 33)],
+    ids=lambda g: "x".join(map(str, g.shape)),
+)
+def test_helmholtz_inverse_matches_lu(grid):
+    """The FFT/eigenbasis inverse is exact for odd and even n₁, on vectors and blocks."""
+    B = grid.helmholtz_matrix
+    b = np.random.default_rng(3).standard_normal((grid.size, 2))
+    x = grid.helmholtz_inverse(b)
+    lu = factorize(B).solve(b)
+    for j in range(2):
+        assert np.linalg.norm(B @ x[:, j] - b[:, j]) <= 1e-13 * np.linalg.norm(b[:, j])
+        assert np.max(np.abs(x[:, j] - lu[:, j])) <= 1e-13 * np.max(np.abs(lu[:, j]))
+        assert np.max(np.abs(grid.helmholtz_inverse(b[:, j]) - x[:, j])) <= 1e-15 * np.max(np.abs(x))
 
 
 def test_mismatched_grids_rejected():

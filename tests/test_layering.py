@@ -61,8 +61,10 @@ def callers(*names):
 
 
 def test_one_factorization_primitive():
-    """splu is called only in domain.factorize; no bordered assembly and no CG remain."""
+    """splu is called only in domain.factorize, and that only by the constrained
+    solve (B = −Δ+1 has its fast inverse); no bordered assembly and no CG remain."""
     assert set(callers("splu")) == {("domain", "factorize")}
+    assert set(callers("factorize")) == {("reduction", "constrained_solve")}
     assert not set(callers("bmat", "cg"))
 
 

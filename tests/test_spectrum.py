@@ -129,8 +129,25 @@ def test_degenerate_spectrum_matches_dense(p, grid_args, count):
     assert result.eigenvalues == pytest.approx(dense, abs=1e-10)
 
 
+@pytest.mark.parametrize("k, eps, count", [(3, 1.0, 7), (4, 0.75, 9)])
+def test_lowest_eigenvalues_not_skipped(profile_n2, k, eps, count):
+    """Merged peaks put λ = −7.922 (and for k = 4 the pair at −5.442) below
+    1−p−½; a run shifted there returned the eigenvalues nearest the shift."""
+    grid = make_grid(eps, 6.0, 0.5)
+    bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, grid)
+    result = lowest_eigenpairs(bundle, count=count)
+    dense = scipy.linalg.eigh(
+        assemble_linearized(bundle).toarray(),
+        grid.helmholtz_matrix.toarray(),
+        eigvals_only=True,
+        subset_by_index=[0, count - 1],
+    )
+    assert dense[0] == pytest.approx(-7.922, abs=1e-3)
+    assert result.eigenvalues == pytest.approx(dense, abs=1e-10)
+
+
 def test_one_lanczos_run(bundle_k2, monkeypatch):
-    """One shift-invert run, started from a seeded non-constant vector."""
+    """One run without a shift, on the fast B⁻¹, from a seeded non-constant vector."""
     calls = []
     eigsh = spectrum.eigsh
 
@@ -142,3 +159,4 @@ def test_one_lanczos_run(bundle_k2, monkeypatch):
     lowest_eigenpairs(bundle_k2, count=6)
     assert len(calls) == 1
     assert np.ptp(calls[0]["v0"]) > 0
+    assert "sigma" not in calls[0] and calls[0]["Minv"] is not None
