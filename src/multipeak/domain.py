@@ -163,11 +163,12 @@ class StripGrid:
 # h = 1 the near kernel is lost.
 MAX_MESH_WIDTH = 0.5
 
-# Largest admissible unknown count.  It bounds a command's memory: the
-# fill of the sparse LU factorizations grows faster than the unknown count
-# (the mesh-limit benchmark, whose finest grid is 592×195 = 115k, peaks
-# near 260 MiB; one `reduce` at 1184×391 = 462,944 peaks near 780 MiB), and
-# 500k still admits that next level of the ladder.
+# Largest admissible unknown count.  It bounds a command's memory and time.
+# Up to the correction nothing is factored, so memory grows linearly with
+# the unknowns (the mesh-limit benchmark, whose finest grid is 592×195 =
+# 115k, peaks near 135 MiB; one `reduce` at 1184×391 = 462,944 near
+# 300 MiB); the pinned Newton step of `dancer` still factors its Jacobian,
+# whose LU fill grows faster.  500k still admits that next level of the ladder.
 MAX_UNKNOWNS = 500_000
 
 

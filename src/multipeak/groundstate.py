@@ -1,9 +1,9 @@
 """Radial ground state of -ΔU + U - U^p = 0 in R^N.
 
 The profile is one discrete boundary value problem on the nodes
-r_j = 0.005 j of [0, r_m], r_m = 12: eighth-order central differences, an
-even reflection at r = 0 and, past r_m, ghost nodes that follow the
-far-field shape
+r_j = 0.005 j of [0, r_m], r_m = 12 (0.0025 j when the core is too narrow
+for that spacing): eighth-order central differences, an even reflection at
+r = 0 and, past r_m, ghost nodes that follow the far-field shape
 
     T(r) = r^((1-N)/2) e^{-r} Σ_{k≤3} a_k(ν) r^{-k},   ν = (N-2)/2,
 
@@ -32,7 +32,7 @@ class SupercriticalError(ValueError):
 
 
 _R_MATCH = 12.0  # end of the solved nodes, where the far field takes over
-_GRID_STEP = 0.005  # spacing of the solved nodes
+_GRID_STEP = 0.005  # spacing of the solved nodes, halved once if the core needs it
 # eighth-order central differences for U' and U'' on offsets -4..4
 _D1 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
 _D2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 315, -1 / 560])
@@ -152,10 +152,12 @@ def _band(matrix):
 def solve_ground_state(dimension: int, p: float) -> GroundStateProfile:
     """Compute the positive radial decaying solution of U'' + (N-1)/r U' = U - U^p.
 
-    The discrete problem lives on the nodes 0.005 j of [0, 12].  Raises
-    RuntimeError when Newton does not converge, when U is not positive and
-    strictly decreasing, or when ∫|∇U|²/∫U^{p+1} on the nodes misses the
-    Pohozaev value N(p−1)/(2(p+1)) by more than 1e-6 relative.
+    The discrete problem lives on the nodes 0.005 j of [0, 12], or, when
+    ∫|∇U|²/∫U^{p+1} on them misses the Pohozaev value N(p−1)/(2(p+1)) by
+    more than 1e-6 relative (a core too narrow for the spacing, as for
+    N = 2, p ≥ 11), on the nodes 0.0025 j.  Raises RuntimeError when Newton
+    does not converge, when U is not positive and strictly decreasing, or
+    when the Pohozaev check fails at the finer spacing too.
 
     Parameters
     ----------
@@ -165,7 +167,18 @@ def solve_ground_state(dimension: int, p: float) -> GroundStateProfile:
         Nonlinearity exponent, 2 <= p, subcritical for N >= 3.
     """
     validate_exponent(dimension, p)
-    N, h = dimension, _GRID_STEP
+    for h in (_GRID_STEP, _GRID_STEP / 2):
+        profile, defect = _solve_on_nodes(dimension, p, h)
+        if defect <= _POHOZAEV_TOL:
+            return profile
+    raise RuntimeError(
+        f"Pohozaev identity violated by {defect:.2e} (N = {dimension}, p = {p}): "
+        "the core is not resolved on the grid"
+    )
+
+
+def _solve_on_nodes(N: int, p: float, h: float) -> tuple[GroundStateProfile, float]:
+    """The profile on the nodes h·j of [0, 12] and its relative Pohozaev defect."""
     r = np.arange(0.0, _R_MATCH + 0.5 * h, h)
     n = r.size
     ghost = far_field(N, r[-1] + h * np.arange(1, 5)) / far_field(N, r[-1])
@@ -210,11 +223,6 @@ def solve_ground_state(dimension: int, p: float) -> GroundStateProfile:
     quad[8::8] += NEWTON_COTES_9[-1]
     ratio = (quad @ (weight * du**2)) / (quad @ (weight * u ** (p + 1)))
     defect = abs(ratio / (N * (p - 1) / (2 * (p + 1))) - 1)
-    if not defect <= _POHOZAEV_TOL:
-        raise RuntimeError(
-            f"Pohozaev identity violated by {defect:.2e} (N = {N}, p = {p}): "
-            "the core is not resolved on the grid"
-        )
     return GroundStateProfile(
         dimension=N,
         exponent=p,
@@ -224,7 +232,7 @@ def solve_ground_state(dimension: int, p: float) -> GroundStateProfile:
         center_value=float(u[0]),
         tail_L0=float(u[-1] / far_field(N, r[-1])),
         tail_match_radius=float(r[-1]),
-    )
+    ), defect
 
 
 # e^{-r} stays normal below it; larger |r|, ±inf and NaN take the vector

@@ -6,14 +6,14 @@ The exact equation for u = ū + v is rewritten as
 
 with v constrained H¹-orthogonal to the near-kernel basis φ_i.  The right
 side is split into its component along the (−Δ+1)φ_i (coefficients d_i) and
-the orthogonal remainder; the constrained linear solves factor 𝕃 once per
-configuration and eliminate the constraints through a k×k Schur complement,
-with one refinement step (:func:`constrained_solve`, shared with the
-weighted estimates and the pinned Newton step).  Setting
-every d_i to zero is the reduced equation for the peak positions; Newton on
-those scalars drives the configuration to uniform spacing.  The chain ansatz
-→ eigenpairs → near-kernel basis → correction is the one pipeline step
-:func:`reduce`.
+the orthogonal remainder.  On that complement 𝕃 is invertible uniformly in
+ε, and B⁻¹𝕃 (B = −Δ+1) is the identity minus a compact operator, so the
+constrained linear solves are preconditioned MINRES runs with the grid's
+fast B⁻¹ (:class:`ComplementSolver`, shared with the weighted estimates);
+nothing is factored.  Setting every d_i to zero is the reduced equation for
+the peak positions; Newton on those scalars drives the configuration to
+uniform spacing.  The chain ansatz → eigenpairs → near-kernel basis →
+correction is the one pipeline step :func:`reduce`.
 
 Both M(ū) and R(v) are evaluated algebraically from the profile — never
 through the discrete Laplacian — so the exponentially small scales they
@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, minres
 
 from .ansatz import AnsatzBundle, PeakConfiguration, build_ansatz, residual
 from .domain import GridField, StripGrid, factorize, h1_norm, inner_products
@@ -82,32 +83,100 @@ class ReductionState:
     solve_residual: float
 
 
-def split_projection(
-    h: GridField, basis: NearKernelBasis
-) -> tuple[GridField, np.ndarray]:
+# MINRES stop: scipy's ‖r‖ ≤ rtol·‖A‖‖x‖, residual in the preconditioner's norm
+RTOL = 1e-14
+MINRES_MAXITER = 200
+
+
+class ComplementSolver:
+    """𝕃x + Cμ = rhs with Cᵀx = 0, C = BΦ, by MINRES on the near-kernel's complement.
+
+    Φ holds the basis fields φ_i as columns and G = ΦᵀC their H¹ Gram
+    matrix (up to the quadrature weight).  Π = I − ΦG⁻¹Cᵀ is the
+    B-orthogonal projector onto {x : Cᵀx = 0}; MINRES solves
+    Πᵀ𝕃Πx = Πᵀrhs preconditioned by ΠB⁻¹Πᵀ, with B⁻¹ the grid's fast exact
+    inverse, and μ = G⁻¹Φᵀ(rhs − 𝕃x).  The preconditioned operator is B⁻¹𝕃
+    on the complement, whose spectrum (the k bottom eigenvalues near 1−p,
+    then the gap up to 1) is bounded away from 0 independently of the grid;
+    it is indefinite, hence MINRES and not CG.  ``iterations`` lists the
+    MINRES iteration count of each solve.
+    """
+
+    def __init__(self, L, basis: NearKernelBasis):
+        self.L = L
+        self.grid = basis.fields[0].grid
+        B = self.grid.helmholtz_matrix
+        # (n, k) with contiguous columns, so the dot products below are the
+        # quadrature products' own
+        self.Phi = np.array([phi.data.ravel() for phi in basis.fields]).T
+        self.C = np.array([B @ phi for phi in self.Phi.T]).T
+        # G[i, j] = (Bφ_i)·φ_j; symmetrizing leaves the diagonal bit for bit
+        G = np.array([[c @ phi for phi in self.Phi.T] for c in self.C.T])
+        self.G = 0.5 * (G + G.T)
+        self._Ginv = np.linalg.inv(self.G)
+        self.iterations: list[int] = []
+
+    def _project(self, x):
+        """Πx: the B-orthogonal projection onto {x : Cᵀx = 0}."""
+        return x - self.Phi @ (self._Ginv @ (self.C.T @ x))
+
+    def _project_t(self, y):
+        """Πᵀy: the component of y that pairs to zero with every φ_i."""
+        return y - self.C @ (self._Ginv @ (self.Phi.T @ y))
+
+    def solve(self, rhs: np.ndarray, rtol: float = RTOL):
+        """(x, μ) with 𝕃x + Cμ = rhs and Cᵀx = 0.
+
+        Raises
+        ------
+        RuntimeError
+            If MINRES reaches MINRES_MAXITER iterations.
+        """
+        # operators made per solve: held by the solver, their closures would
+        # make a reference cycle that keeps 𝕃 and Φ alive until a full collection
+        A = LinearOperator(
+            self.L.shape, dtype=float,
+            matvec=lambda x: self._project_t(self.L @ self._project(x)),
+        )
+        M = LinearOperator(
+            self.L.shape, dtype=float,
+            matvec=lambda y: self._project(self.grid.helmholtz_inverse(self._project_t(y))),
+        )
+        steps = []
+        x, info = minres(
+            A, self._project_t(rhs), rtol=rtol, M=M,
+            maxiter=MINRES_MAXITER, callback=lambda _: steps.append(1),
+        )
+        self.iterations.append(len(steps))
+        if info:
+            raise RuntimeError(f"MINRES did not converge in {MINRES_MAXITER} iterations")
+        x = self._project(x)
+        return x, self._Ginv @ (self.Phi.T @ (rhs - self.L @ x))
+
+
+def split_projection(h: GridField, solver: ComplementSolver) -> tuple[GridField, np.ndarray]:
     """Split h = h⊥ + Σ d_i (−Δ+1)φ_i against an H¹-orthogonal basis.
 
     d_i = ⟨h, φ_i⟩_{L²} / ‖φ_i‖²_{H¹}, so that the remainder pairs to zero
-    with every φ_i in the (H⁻¹, H¹) duality.
+    with every φ_i in the (H⁻¹, H¹) duality.  The columns (−Δ+1)φ_i and the
+    norms are the solver's C and diagonal of G, computed once per configuration.
     """
-    B = h.grid.helmholtz_matrix
-    d = np.empty(len(basis.fields))
-    rem = h.data.copy()
-    for i, phi in enumerate(basis.fields):
-        l2, h1 = inner_products(h, phi)
-        d[i] = l2 / inner_products(phi, phi)[1]
-        rem -= d[i] * (B @ phi.data.ravel()).reshape(h.grid.shape)
-    return GridField(h.grid, rem), d
-
-
-def constraint_columns(basis: NearKernelBasis) -> np.ndarray:
-    """C with columns (−Δ+1)φ_i, so that Cᵀv = 0 means ⟨v, φ_i⟩_{H¹} = 0 for all i."""
-    B = basis.fields[0].grid.helmholtz_matrix
-    return np.stack([B @ phi.data.ravel() for phi in basis.fields], axis=1)
+    wgt = h.grid.weight
+    flat = h.data.ravel()
+    d = np.empty(solver.G.shape[0])
+    rem = flat.copy()
+    for i, phi in enumerate(solver.Phi.T):
+        d[i] = wgt * float(flat @ phi) / (wgt * solver.G[i, i])
+        rem -= d[i] * solver.C[:, i]
+    return GridField(h.grid, rem.reshape(h.grid.shape)), d
 
 
 def constrained_solve(A, C: np.ndarray):
     """Factor A once and return the solver of the bordered system [[A, C], [Cᵀ, 0]].
+
+    This is the pinned Newton step's solve: its one pin leaves the k−1
+    small relative-motion eigenvalues of the Jacobian in the system, which
+    a Krylov run on the complement does not resolve to roundoff.
 
     The solver maps (rhs, constraint_rhs=0) to (x, μ) with A x + C μ = rhs
     and Cᵀx = constraint_rhs: with Z = A⁻¹C and the k×k Schur complement
@@ -142,26 +211,31 @@ def solve_correction(
 
     Iterates v ↦ 𝕃⁻¹[(−M(ū) + R(v))⊥] until the sup-norm increment drops
     below tol (absolute), for at most 30 iterations; three consecutive
-    growing increments abort with :class:`ContractionError`.
+    growing increments abort with :class:`ContractionError`.  Each step
+    solves for the increment, 𝕃(v_{n+1} − v_n) = h(v_n)⊥ − 𝕃v_n, by one
+    :class:`ComplementSolver` run whose tolerance is relative to the first
+    step's right side: the later, smaller right sides take fewer MINRES
+    iterations, and the Krylov error of v is about that of the last solve.
     """
     grid = bundle.grid
     p = bundle.profile.exponent
     L = assemble_linearized(bundle)
-    C = constraint_columns(basis)
-    solve = constrained_solve(L, C)
+    solver = ComplementSolver(L, basis)
     minus_M = -residual(bundle).data
 
-    v = np.zeros(grid.shape)
-    mu = np.zeros(bundle.config.k)
+    v = np.zeros(grid.size)
     increments, it = [], 0
     for it in range(1, 31):
-        h = GridField(grid, minus_M + power_remainder(bundle.ubar.data, v, p))
-        h_perp, d = split_projection(h, basis)
-        v_flat, mu = solve(h_perp.data.ravel())
-        v_new = v_flat.reshape(grid.shape)
-        inc = float(np.max(np.abs(v_new - v)))
+        h = GridField(grid, minus_M + power_remainder(bundle.ubar.data, v.reshape(grid.shape), p))
+        h_perp, d = split_projection(h, solver)
+        rhs = h_perp.data.ravel() - L @ v
+        size = np.linalg.norm(rhs)
+        if it == 1:
+            first = size
+        step, mu = solver.solve(rhs, rtol=RTOL * first / size)
+        v = v + step
+        inc = float(np.max(np.abs(step)))
         increments.append(inc)
-        v = v_new
         if inc < tol:
             break
         if len(increments) >= 4 and all(
@@ -171,10 +245,10 @@ def solve_correction(
                 f"fixed point diverging (increments {increments[-4:]}): "
                 f"separation sigma_min = {bundle.config.sigma_min:.3f} too small"
             )
-    field = GridField(grid, v)
-    h = GridField(grid, minus_M + power_remainder(bundle.ubar.data, v, p))
-    h_perp, d = split_projection(h, basis)
-    res = float(np.linalg.norm(L @ v.ravel() + C @ mu - h_perp.data.ravel()))
+    field = GridField(grid, v.reshape(grid.shape))
+    h = GridField(grid, minus_M + power_remainder(bundle.ubar.data, field.data, p))
+    h_perp, d = split_projection(h, solver)
+    res = float(np.linalg.norm(L @ v + solver.C @ mu - h_perp.data.ravel()))
     return ReductionState(
         bundle=bundle,
         basis=basis,

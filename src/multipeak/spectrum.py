@@ -79,8 +79,10 @@ def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
     shift, none of them can lie out of its reach.  B⁻¹ is the grid's fast exact inverse, so nothing is
     factored.  The start vector is seeded, so reruns are bit-identical,
     and generic, so every symmetry class (each member of a degenerate pair)
-    is in its Krylov space.  The lowest 2k eigenvalues are the bottom and
-    near-kernel clusters, so `count` ≥ 2k+1 also sees the gap above them.
+    is in its Krylov space; each eigenvector is signed to pair positively
+    with it, so the signs do not depend on the solver's arithmetic.  The
+    lowest 2k eigenvalues are the bottom and near-kernel clusters, so
+    `count` ≥ 2k+1 also sees the gap above them.
 
     Raises
     ------
@@ -99,6 +101,8 @@ def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
         which="LA", tol=1e-12, v0=v0,
     )
     vals, vecs = 1.0 - mu[::-1], vecs[:, ::-1]
+    # Lanczos leaves each sign arbitrary; fix it by the generic start vector
+    vecs = vecs * np.where(v0 @ vecs < 0, -1.0, 1.0)
 
     if np.any(vals >= 1.0):
         raise RuntimeError(f"eigenvalue >= 1 returned: {vals}")

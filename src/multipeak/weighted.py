@@ -16,7 +16,7 @@ import numpy as np
 
 from .ansatz import AnsatzBundle, PeakConfiguration, peak_distance_field
 from .domain import GridField, gradient_magnitude, inner_products
-from .reduction import constrained_solve, constraint_columns, split_projection
+from .reduction import ComplementSolver, split_projection
 from .spectrum import NearKernelBasis, assemble_linearized
 
 DEFAULT_ETAS = (0.3, 0.5, 0.7)
@@ -58,8 +58,8 @@ def solve_orthogonal(
     bundle: AnsatzBundle,
     basis: NearKernelBasis,
 ) -> GridField:
-    """Solve 𝕃ξ = h⊥ with ⟨ξ, φ_i⟩_{H¹} = 0 by :func:`constrained_solve`
-    (one factorization of 𝕃, a Schur complement and one refinement step).
+    """Solve 𝕃ξ = h⊥ with ⟨ξ, φ_i⟩_{H¹} = 0 by one :class:`ComplementSolver`
+    run (MINRES on the near-kernel's complement, preconditioned by the fast B⁻¹).
 
     h is projected onto the orthogonal complement first, so any near-kernel
     component of the input is discarded rather than amplified.
@@ -67,18 +67,18 @@ def solve_orthogonal(
     Raises
     ------
     RuntimeError
-        If the relative solve residual exceeds 1e-10 or the orthogonality
-        defect exceeds 1e-8.
+        If the relative residual of 𝕃ξ + Cμ = h⊥ exceeds 1e-10 or the
+        orthogonality defect exceeds 1e-8.
     """
-    h_perp, _ = split_projection(h, basis)
     L = assemble_linearized(bundle)
-    C = constraint_columns(basis)
-    xi_vec, mu = constrained_solve(L, C)(h_perp.data.ravel())
+    solver = ComplementSolver(L, basis)
+    h_perp, _ = split_projection(h, solver)
+    xi_vec, mu = solver.solve(h_perp.data.ravel())
     xi = GridField(h.grid, xi_vec.reshape(h.grid.shape))
     rhs_norm = np.linalg.norm(h_perp.data)
-    res = np.linalg.norm(L @ xi_vec + C @ mu - h_perp.data.ravel())
+    res = np.linalg.norm(L @ xi_vec + solver.C @ mu - h_perp.data.ravel())
     if rhs_norm > 0 and res > 1e-10 * rhs_norm:
-        raise RuntimeError(f"bordered solve residual {res:.3e} too large")
+        raise RuntimeError(f"constrained MINRES solve residual {res:.3e} too large")
     xi_h1 = max(inner_products(xi, xi)[1], 1e-300)
     for phi in basis.fields:
         defect = abs(inner_products(xi, phi)[1]) / (

@@ -61,9 +61,11 @@ def test_fresh_processes_and_blas_threads_agree(tmp_path, args):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("args", [["--dim", "3", "--p", "3"], ["--p", "7"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "args", [["--dim", "3", "--p", "3"], ["--p", "7"], ["--p", "12"]], ids=" ".join
+)
 def test_groundstate_admissible_inputs_run(tmp_path, args):
-    """N = 3, p = 3 and N = 2, p = 7 are admissible, so they exit 0."""
+    """N = 3, p = 3 and N = 2, p = 7 and 12 are admissible, so they exit 0."""
     code, f = run(tmp_path, "g.json", ["groundstate", *args])
     assert code == 0
     assert json.loads(f.read_text())["results"]["center_value"] > 1

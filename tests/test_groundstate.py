@@ -87,6 +87,15 @@ def test_pohozaev_and_energy_identities(dimension, p):
     assert pohozaev == pytest.approx(1.0, abs=1e-7)
 
 
+@pytest.mark.parametrize("p, step", [(3, 0.005), (10, 0.005), (11, 0.0025), (12, 0.0025)])
+def test_spacing_halved_only_for_narrow_core(p, step):
+    """N = 2 up to p = 10 passes the Pohozaev check on the 0.005 nodes and is
+    solved there alone, as before; p = 11 and 12 need the 0.0025 nodes."""
+    profile = solve_ground_state(2, p)
+    r = profile.radial_grid
+    assert r[1] == step and r[-1] == 12.0 and r.size == round(12 / step) + 1
+
+
 def test_unresolved_core_raises():
     """Near the critical exponent the core is too narrow for the grid."""
     with pytest.raises(RuntimeError, match="Pohozaev"):

@@ -62,9 +62,13 @@ def callers(*names):
 
 def test_one_factorization_primitive():
     """splu is called only in domain.factorize, and that only by the constrained
-    solve (B = −Δ+1 has its fast inverse); no bordered assembly and no CG remain."""
+    solve of the pinned Newton step (B = −Δ+1 has its fast inverse, and 𝕃 on the
+    near-kernel's complement is solved by MINRES in the one place); no bordered
+    assembly and no CG remain."""
     assert set(callers("splu")) == {("domain", "factorize")}
     assert set(callers("factorize")) == {("reduction", "constrained_solve")}
+    assert set(callers("constrained_solve")) == {("dancer", "newton_solve")}
+    assert set(callers("minres")) == {("reduction", "ComplementSolver")}
     assert not set(callers("bmat", "cg"))
 
 

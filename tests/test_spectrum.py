@@ -160,3 +160,22 @@ def test_one_lanczos_run(bundle_k2, monkeypatch):
     assert len(calls) == 1
     assert np.ptp(calls[0]["v0"]) > 0
     assert "sigma" not in calls[0] and calls[0]["Minv"] is not None
+
+
+def test_eigenvector_sign_follows_start_vector(bundle_k2, monkeypatch):
+    """Each eigenvector pairs positively with the seeded start vector, whatever
+    sign the eigensolver returns it with."""
+    starts = []
+    eigsh = spectrum.eigsh
+
+    def flipped(*args, **kwargs):
+        starts.append(kwargs["v0"])
+        vals, vecs = eigsh(*args, **kwargs)
+        return vals, -vecs
+
+    plain = lowest_eigenpairs(bundle_k2, count=6)
+    monkeypatch.setattr(spectrum, "eigsh", flipped)
+    result = lowest_eigenpairs(bundle_k2, count=6)
+    for f, g in zip(result.eigenvectors, plain.eigenvectors):
+        assert f.data.ravel() @ starts[0] > 0
+        assert np.array_equal(f.data, g.data)
