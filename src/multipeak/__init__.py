@@ -11,7 +11,7 @@ ansatz
 spectrum
     Weighted eigenproblem of the linearization and the near-kernel basis.
 reduction
-    Lyapunov–Schmidt correction, projection coefficients, equilibration.
+    Lyapunov–Schmidt correction on the translation modes, equilibration.
 dancer
     Newton continuation to the periodic solution and its structural probes.
 asymptotics

@@ -116,6 +116,11 @@ class GroundStateProfile:
         d2u[0] /= N
         return tuple((h, c, c.tolist()) for c in (_hermite(u, du, h), _hermite(du, d2u, h)))
 
+    @property
+    def core_length(self) -> float:
+        """ℓ = (p U(0)^{p−1})^{−1/2}, the width of the linearized potential's core."""
+        return (self.exponent * self.center_value ** (self.exponent - 1)) ** -0.5
+
     def to_json(self) -> str:
         return json.dumps({
             "dimension": self.dimension,

@@ -4,16 +4,17 @@ The exact equation for u = ū + v is rewritten as
 
     𝕃v = −M(ū) + R(v),   R(v) = (ū+v)₊^p − ū^p − p ū^{p−1} v,
 
-with v constrained H¹-orthogonal to the near-kernel basis φ_i.  The right
-side is split into its component along the (−Δ+1)φ_i (coefficients d_i) and
-the orthogonal remainder.  On that complement 𝕃 is invertible uniformly in
-ε, and B⁻¹𝕃 (B = −Δ+1) is the identity minus a compact operator, so the
-constrained linear solves are preconditioned MINRES runs with the grid's
-fast B⁻¹ (:class:`ComplementSolver`, shared with the weighted estimates);
-nothing is factored.  Setting every d_i to zero is the reduced equation for
-the peak positions; Newton on those scalars drives the configuration to
-uniform spacing.  The chain ansatz → eigenpairs → near-kernel basis →
-correction is the one pipeline step :func:`reduce`.
+with v constrained H¹-orthogonal to the paper's frame φ_i = α_i ∂U_i/∂x₁
+(:func:`translation_frame`).  The right side is split into its component
+along the (−Δ+1)φ_i (coefficients d_i, by the frame's Gram matrix) and the
+remainder.  On that complement 𝕃 is invertible uniformly in ε, and B⁻¹𝕃
+(B = −Δ+1) is the identity minus a compact operator, so the constrained
+linear solves are preconditioned MINRES runs with the grid's fast B⁻¹
+(:class:`ComplementSolver`, shared with the weighted estimates); nothing is
+factored and no eigenproblem is solved.  Setting every d_i to zero is the
+reduced equation for the peak positions; Newton on those scalars drives the
+configuration to uniform spacing.  The chain ansatz → frame → correction is
+the one pipeline step :func:`reduce`.
 
 Both M(ū) and R(v) are evaluated algebraically from the profile — never
 through the discrete Laplacian — so the exponentially small scales they
@@ -30,12 +31,7 @@ from scipy.sparse.linalg import LinearOperator, minres
 from .ansatz import AnsatzBundle, PeakConfiguration, build_ansatz, residual
 from .domain import GridField, StripGrid, factorize, h1_norm, inner_products
 from .groundstate import GroundStateProfile
-from .spectrum import (
-    NearKernelBasis,
-    assemble_linearized,
-    lowest_eigenpairs,
-    near_kernel_basis,
-)
+from .spectrum import NearKernelBasis, assemble_linearized
 
 
 class ContractionError(RuntimeError):
@@ -92,7 +88,8 @@ class ComplementSolver:
     """𝕃x + Cμ = rhs with Cᵀx = 0, C = BΦ, by MINRES on the near-kernel's complement.
 
     Φ holds the basis fields φ_i as columns and G = ΦᵀC their H¹ Gram
-    matrix (up to the quadrature weight).  Π = I − ΦG⁻¹Cᵀ is the
+    matrix (up to the quadrature weight), with its inverse ``Ginv``; the
+    frame need not be orthogonal.  Π = I − ΦG⁻¹Cᵀ is the
     B-orthogonal projector onto {x : Cᵀx = 0}; MINRES solves
     Πᵀ𝕃Πx = Πᵀrhs preconditioned by ΠB⁻¹Πᵀ, with B⁻¹ the grid's fast exact
     inverse, and μ = G⁻¹Φᵀ(rhs − 𝕃x).  The preconditioned operator is B⁻¹𝕃
@@ -106,23 +103,20 @@ class ComplementSolver:
         self.L = L
         self.grid = basis.fields[0].grid
         B = self.grid.helmholtz_matrix
-        # (n, k) with contiguous columns, so the dot products below are the
-        # quadrature products' own
         self.Phi = np.array([phi.data.ravel() for phi in basis.fields]).T
-        self.C = np.array([B @ phi for phi in self.Phi.T]).T
-        # G[i, j] = (Bφ_i)·φ_j; symmetrizing leaves the diagonal bit for bit
-        G = np.array([[c @ phi for phi in self.Phi.T] for c in self.C.T])
+        self.C = B @ self.Phi
+        G = self.Phi.T @ self.C  # φ_i·(Bφ_j), symmetric up to roundoff
         self.G = 0.5 * (G + G.T)
-        self._Ginv = np.linalg.inv(self.G)
+        self.Ginv = np.linalg.inv(self.G)
         self.iterations: list[int] = []
 
     def _project(self, x):
         """Πx: the B-orthogonal projection onto {x : Cᵀx = 0}."""
-        return x - self.Phi @ (self._Ginv @ (self.C.T @ x))
+        return x - self.Phi @ (self.Ginv @ (self.C.T @ x))
 
     def _project_t(self, y):
         """Πᵀy: the component of y that pairs to zero with every φ_i."""
-        return y - self.C @ (self._Ginv @ (self.Phi.T @ y))
+        return y - self.C @ (self.Ginv @ (self.Phi.T @ y))
 
     def solve(self, rhs: np.ndarray, rtol: float = RTOL):
         """(x, μ) with 𝕃x + Cμ = rhs and Cᵀx = 0.
@@ -151,23 +145,21 @@ class ComplementSolver:
         if info:
             raise RuntimeError(f"MINRES did not converge in {MINRES_MAXITER} iterations")
         x = self._project(x)
-        return x, self._Ginv @ (self.Phi.T @ (rhs - self.L @ x))
+        return x, self.Ginv @ (self.Phi.T @ (rhs - self.L @ x))
 
 
 def split_projection(h: GridField, solver: ComplementSolver) -> tuple[GridField, np.ndarray]:
-    """Split h = h⊥ + Σ d_i (−Δ+1)φ_i against an H¹-orthogonal basis.
+    """Split h = h⊥ + Σ d_i (−Δ+1)φ_i against any frame φ_i.
 
-    d_i = ⟨h, φ_i⟩_{L²} / ‖φ_i‖²_{H¹}, so that the remainder pairs to zero
-    with every φ_i in the (H⁻¹, H¹) duality.  The columns (−Δ+1)φ_i and the
-    norms are the solver's C and diagonal of G, computed once per configuration.
+    d = G⁻¹(⟨h, φ_j⟩_{L²})_j with G the frame's H¹ Gram matrix, so that the
+    remainder pairs to zero with every φ_j in the (H⁻¹, H¹) duality; the
+    frame need not be orthogonal (the translation modes overlap).  The
+    columns (−Δ+1)φ_i and G⁻¹ are the solver's, computed once per
+    configuration.
     """
-    wgt = h.grid.weight
     flat = h.data.ravel()
-    d = np.empty(solver.G.shape[0])
-    rem = flat.copy()
-    for i, phi in enumerate(solver.Phi.T):
-        d[i] = wgt * float(flat @ phi) / (wgt * solver.G[i, i])
-        rem -= d[i] * solver.C[:, i]
+    d = solver.Ginv @ (solver.Phi.T @ flat)
+    rem = flat - solver.C @ d
     return GridField(h.grid, rem.reshape(h.grid.shape)), d
 
 
@@ -229,7 +221,7 @@ def solve_correction(
         h = GridField(grid, minus_M + power_remainder(bundle.ubar.data, v.reshape(grid.shape), p))
         h_perp, d = split_projection(h, solver)
         rhs = h_perp.data.ravel() - L @ v
-        size = np.linalg.norm(rhs)
+        size = np.linalg.norm(solver._project_t(rhs))  # the right side MINRES sees
         if it == 1:
             first = size
         step, mu = solver.solve(rhs, rtol=RTOL * first / size)
@@ -261,16 +253,45 @@ def solve_correction(
     )
 
 
+def translation_frame(bundle: AnsatzBundle) -> NearKernelBasis:
+    """The paper's frame φ_i = α_i ∂U_i/∂x₁, α_i = 1/‖∂U_i/∂x₁‖_∞, alignment residuals 0."""
+    alphas = np.array([1.0 / z.sup_norm() for z in bundle.translation_modes])
+    return NearKernelBasis(
+        fields=[a * z for a, z in zip(alphas, bundle.translation_modes)],
+        alphas=alphas,
+        alignment_residuals=np.zeros(alphas.size),
+    )
+
+
+# Coarsest mesh width, in core lengths ℓ = (p U(0)^{p−1})^{−1/2}, that
+# resolves the translation modes: one peak at ε = 0.6 keeps its translation
+# eigenvalue within 0.05 of 0 at h/ℓ ≤ 2.5 for p = 3 to 13, and loses it at
+# h/ℓ ≥ 3 (+0.07 at p = 13; +0.44 at p = 7, h/ℓ = 4.5).
+RESOLUTION = 2.5
+
+
 def reduce(
     config: PeakConfiguration,
     profile: GroundStateProfile,
     grid: StripGrid,
     tol: float = 1e-13,
 ) -> ReductionState:
-    """The one pipeline step: ansatz, 2k+1 eigenpairs, near-kernel basis, correction."""
+    """The one pipeline step: ansatz, translation frame, correction (no eigensolve).
+
+    Raises
+    ------
+    RuntimeError
+        If max(h₁, h₂) > RESOLUTION · ℓ: the grid does not resolve the core.
+    """
+    ell, h = profile.core_length, max(grid.h1, grid.h2)
+    if h > RESOLUTION * ell:
+        raise RuntimeError(
+            f"mesh width {h:.4g} does not resolve the p = {profile.exponent:g} core: "
+            f"the core length is l = (p U(0)^(p-1))^(-1/2) = {ell:.4g}, "
+            f"so h must be at most {RESOLUTION} l = {RESOLUTION * ell:.4g}"
+        )
     bundle = build_ansatz(config, profile, grid)
-    result = lowest_eigenpairs(bundle, count=2 * config.k + 1)
-    return solve_correction(bundle, near_kernel_basis(result, bundle), tol=tol)
+    return solve_correction(bundle, translation_frame(bundle), tol=tol)
 
 
 def interaction_d(bundle: AnsatzBundle, basis: NearKernelBasis, i: int) -> float:
@@ -279,9 +300,9 @@ def interaction_d(bundle: AnsatzBundle, basis: NearKernelBasis, i: int) -> float
     d_i = p α_i / ‖φ_i‖²_{H¹} · ∫_{Ω_i} U_i^{p−1} (ū − U_i) ∂U_i/∂x₁ dx,
 
     where U_i = Σ_l U_{i,l} is peak i with all its lattice images (the
-    ansatz's own peak field), so ū − U_i holds only the other peaks.  The
-    α_i factor carries the normalization of φ_i relative to the translation
-    mode.
+    ansatz's own peak field), so ū − U_i holds only the other peaks.  On
+    the translation frame φ_i = α_i ∂U_i/∂x₁ with α_i = 1/‖∂U_i/∂x₁‖_∞
+    exactly; on a rotated eigenbasis α_i is its projection coefficient.
     """
     if bundle.config.k < 2:
         raise ValueError("interaction coefficients require k >= 2")
@@ -305,7 +326,7 @@ def d_mesh_limit(
     """Mesh-limit (d_proj, d_int) by Richardson extrapolation over halvings.
 
     The projection coefficients and the interaction integrals each carry an
-    O(h²) eigenbasis error that is flat in the separation and can mask the
+    O(h²) discretization error that is flat in the separation and can mask the
     exponentially small consistency gap between the two routes.  Evaluating
     both on three successively halved grids and eliminating the h² and h⁴
     terms recovers the continuum values (up to O(h₂²/n₂), since h₂ is only

@@ -133,7 +133,7 @@ def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
 
 @dataclass
 class NearKernelBasis:
-    """Per-peak rotated near-kernel basis φ_i ~ α_i ∂v_i/∂x₁."""
+    """Per-peak frame φ_i ≈ α_i ∂v_i/∂x₁: the translation modes, or rotated eigenvectors."""
 
     fields: list[GridField]
     alphas: np.ndarray
@@ -141,7 +141,7 @@ class NearKernelBasis:
 
 
 def near_kernel_basis(result: SpectralResult, bundle: AnsatzBundle) -> NearKernelBasis:
-    """Rotate the near-kernel eigenvectors into per-peak alignment.
+    """Rotate the near-kernel eigenvectors into per-peak alignment (the `spectrum` diagnostic).
 
     The orthogonal Procrustes rotation of the H¹ overlap matrix with the
     translation modes maximizes Σ_i ⟨φ_i, ∂v_i/∂x₁⟩; pairwise

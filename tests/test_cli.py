@@ -13,6 +13,7 @@ import pytest
 
 import multipeak
 from multipeak import asymptotics
+from multipeak.ansatz import residual_rate
 from multipeak.cli import (
     EXIT_CONFIG, EXIT_NUMERICAL, PARAMS, _render, _resolve, build_parser, main,
 )
@@ -191,6 +192,34 @@ def test_missing_required_parameter():
 def test_numerical_failure_exit_code():
     # peaks too close for a clean near kernel: numerical failure, not config
     assert main(["spectrum", "--eps", "1.2", "--k", "2"]) == EXIT_NUMERICAL
+
+
+def test_reduce_where_the_eigen_count_failed(tmp_path):
+    """At ε = 0.7 only one eigenvalue is within 0.1 of 0, but the translation
+    frame needs no count: the uniform pair's d_i cancel by symmetry."""
+    code, f = run(tmp_path, "r.json", ["reduce", "--eps", "0.7", "--k", "2"])
+    assert code == 0
+    results = json.loads(f.read_text())["results"]
+    rate = residual_rate(results["sigma_min"], 2)
+    assert max(abs(d) for d in results["d_coeffs"]) <= 1e-9 * rate
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["--eps", "0.9"], "fixed point diverging"),
+        (["--eps", "0.3", "--p", "7"], "core length is l = (p U(0)^(p-1))^(-1/2) = 0.05607, "
+                                          "so h must be at most 2.5 l = 0.1402"),
+    ],
+    ids=["contraction", "unresolved-core"],
+)
+def test_reduce_numerical_failures(args, reason, capsys):
+    """Too close a pair does not contract, and at p = 7 the desk grid does not
+    resolve the core (h = 0.25 > 2.5ℓ): both exit 3 and say why."""
+    assert main(["reduce", "--k", "2", *args]) == EXIT_NUMERICAL
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error["error"] == "numerical"
+    assert reason in error["detail"]
 
 
 def test_oracle_taylor_deterministic(tmp_path):

@@ -84,15 +84,15 @@ def test_cli_import_loads_no_interpolation():
 
 
 def test_one_pipeline_step():
-    """The eigenpairs → basis → correction chain is written out only in reduction.reduce.
-
-    The spectrum command alone asks for eigenpairs without a correction.
-    """
+    """The ansatz → frame → correction chain is written out only in reduction.reduce,
+    which solves no eigenproblem: the rotated near-kernel eigenvectors are a
+    diagnostic of the spectrum command alone, and the reduction layer imports
+    no eigensolver."""
     assert set(callers("solve_correction")) == {("reduction", "reduce")}
-    assert set(callers("lowest_eigenpairs")) == {
-        ("reduction", "reduce"),
-        ("cli", "cmd_spectrum"),
-    }
+    assert set(callers("lowest_eigenpairs", "near_kernel_basis")) == {("cli", "cmd_spectrum")}
+    imported = {a.name for node in ast.walk(ast.parse((SRC / "reduction.py").read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert not imported & {"lowest_eigenpairs", "near_kernel_basis", "eigsh", "eigs", "eigh"}
 
 
 # flags that are not run parameters: outputs and report switches

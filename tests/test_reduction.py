@@ -7,16 +7,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from multipeak import reduction
-from multipeak.ansatz import PeakConfiguration, build_ansatz, residual, uniform_configuration
+from multipeak import reduction, spectrum
+from multipeak.ansatz import (
+    PeakConfiguration,
+    build_ansatz,
+    residual,
+    residual_rate,
+    uniform_configuration,
+)
 from multipeak.domain import GridField, inner_products, make_grid
 from multipeak.reduction import (
     ComplementSolver,
     constrained_solve,
+    equilibrate,
     interaction_d,
     power_remainder,
     reduce,
     split_projection,
+    translation_frame,
 )
 from multipeak.spectrum import assemble_linearized, lowest_eigenpairs, near_kernel_basis
 
@@ -68,14 +76,30 @@ def test_split_projection_annihilates_basis(bundle_k2, basis_k2):
         assert abs(l2) < 1e-10 * max(abs(inner_products(h, phi)[0]), 1.0)
 
 
-def test_split_projection_keeps_inner_product_arithmetic(bundle_k2, basis_k2):
-    """d_i is ⟨h, φ_i⟩_{L²} / ‖φ_i‖²_{H¹} of the quadrature products bit for bit,
-    although the solver computes (−Δ+1)φ_i and ‖φ_i‖²_{H¹} once."""
-    solver = ComplementSolver(assemble_linearized(bundle_k2), basis_k2)
+def test_split_projection_keeps_inner_product_arithmetic(bundle_k2):
+    """d solves the quadrature H¹ Gram system G d = (⟨h, φ_j⟩_{L²})_j to 1e-13,
+    although the solver computes (−Δ+1)φ_i and G⁻¹ once."""
+    frame = translation_frame(bundle_k2)
+    solver = ComplementSolver(assemble_linearized(bundle_k2), frame)
     h = GridField(bundle_k2.grid, np.random.default_rng(4).standard_normal(bundle_k2.grid.shape))
     _, d = split_projection(h, solver)
-    expected = [inner_products(h, phi)[0] / inner_products(phi, phi)[1] for phi in basis_k2.fields]
-    assert np.array_equal(d, expected)
+    fields = frame.fields
+    gram = np.array([[inner_products(a, b)[1] for b in fields] for a in fields])
+    expected = np.linalg.solve(gram, [inner_products(h, phi)[0] for phi in fields])
+    assert np.linalg.norm(d - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_split_projection_on_overlapping_frame(profile_n2):
+    """The translation modes overlap (G's off-diagonal is 1e-3 of its diagonal at
+    ε = 0.4), yet h⊥ pairs to zero with every φ_j: a split by G's diagonal alone
+    leaves a relative component of 1e-5 here."""
+    bundle = build_ansatz(uniform_configuration(0.4, 2), profile_n2, make_grid(0.4))
+    frame = translation_frame(bundle)
+    h = GridField(bundle.grid, np.random.default_rng(8).standard_normal(bundle.grid.shape))
+    h_perp, _ = split_projection(h, ComplementSolver(assemble_linearized(bundle), frame))
+    for phi in frame.fields:
+        pairing = abs(inner_products(h_perp, phi)[0])
+        assert pairing <= 1e-12 * np.sqrt(inner_products(h, h)[0] * inner_products(phi, phi)[0])
 
 
 def test_constrained_solve_inhomogeneous_constraint(bundle_k2, basis_k2):
@@ -119,17 +143,26 @@ def test_constrained_solve_matches_bordered_factorization(bundle_k2, basis_k2, t
     assert np.linalg.norm(mu - mu_ref) <= 1e-10 * np.linalg.norm(mu_ref)
 
 
-def complement_solver(bundle):
-    """The solver on 𝕃 and the near-kernel basis of a bundle."""
+def eigen_frame(bundle):
+    """The rotated near-kernel eigenvectors, the `spectrum` command's basis."""
     spectral = lowest_eigenpairs(bundle, count=2 * bundle.config.k + 1)
-    return ComplementSolver(assemble_linearized(bundle), near_kernel_basis(spectral, bundle))
+    return near_kernel_basis(spectral, bundle)
 
 
-@pytest.mark.parametrize("eps, k", [(0.3, 2), (0.2, 3)])
-def test_complement_solver_matches_bordered_factorization(profile_n2, eps, k):
+# each case on the pipeline's translation frame, and on the eigen frame
+# (unprefixed ids are the translation frame's); at ε = 0.7 the eigen frame
+# has no clean near-kernel
+@pytest.mark.parametrize("eps, k, frame", [
+    pytest.param(0.3, 2, translation_frame, id="0.3-2"),
+    pytest.param(0.2, 3, translation_frame, id="0.2-3"),
+    pytest.param(0.7, 2, translation_frame, id="0.7-2"),
+    pytest.param(0.3, 2, eigen_frame, id="eigen-0.3-2"),
+    pytest.param(0.2, 3, eigen_frame, id="eigen-0.2-3"),
+])
+def test_complement_solver_matches_bordered_factorization(profile_n2, eps, k, frame):
     """MINRES on the complement gives the bordered system's (x, μ) to 1e-10."""
-    config = uniform_configuration(eps, k)
-    solver = complement_solver(build_ansatz(config, profile_n2, make_grid(eps)))
+    bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, make_grid(eps))
+    solver = ComplementSolver(assemble_linearized(bundle), frame(bundle))
     rhs = np.random.default_rng(5).standard_normal(solver.L.shape[0])
     x, mu = solver.solve(rhs)
     x_ref, mu_ref = bordered_reference(solver.L, solver.C)(rhs)
@@ -149,13 +182,18 @@ def sigma8_bundle(profile, refinements):
     return build_ansatz(config, profile, grid)
 
 
-@pytest.mark.parametrize("refinements, shape", [(0, (148, 48)), (1, (296, 97))])
-def test_complement_solver_iterations_do_not_grow_with_grid(profile_n2, refinements, shape):
+@pytest.mark.parametrize("refinements, shape, frame", [
+    pytest.param(0, (148, 48), translation_frame, id="0-shape0"),
+    pytest.param(1, (296, 97), translation_frame, id="1-shape1"),
+    pytest.param(0, (148, 48), eigen_frame, id="eigen-0-shape0"),
+    pytest.param(1, (296, 97), eigen_frame, id="eigen-1-shape1"),
+])
+def test_complement_solver_iterations_do_not_grow_with_grid(profile_n2, refinements, shape, frame):
     """The preconditioned operator is B⁻¹𝕃 on the complement, whose spectrum
     does not depend on the grid, so a cold solve takes at most 30 iterations."""
     bundle = sigma8_bundle(profile_n2, refinements)
     assert bundle.grid.shape == shape
-    solver = complement_solver(bundle)
+    solver = ComplementSolver(assemble_linearized(bundle), frame(bundle))
     h_perp, _ = split_projection(GridField(bundle.grid, -residual(bundle).data), solver)
     solver.solve(h_perp.data.ravel())
     assert 0 < solver.iterations[0] <= 30
@@ -227,7 +265,31 @@ def test_uniform_pair_coefficients_cancel(state_k2):
 
 
 def test_reduce_four_peaks(profile_n2):
-    """k = 4 needs 2k+1 eigenpairs: the bottom cluster alone fills k of them."""
+    """Four equidistributed peaks feel no net pull: d_i ≈ 0."""
     state = reduce(uniform_configuration(0.2, 4), profile_n2, make_grid(0.2))
     assert len(state.basis.fields) == 4
     assert np.max(np.abs(state.d_coeffs)) < 1e-9
+
+
+def test_translation_frame_is_the_scaled_translation_modes(bundle_k2):
+    frame = translation_frame(bundle_k2)
+    for phi, z, alpha in zip(frame.fields, bundle_k2.translation_modes, frame.alphas):
+        assert alpha == 1.0 / z.sup_norm()
+        assert np.array_equal(phi.data, alpha * z.data)
+        assert phi.sup_norm() == pytest.approx(1.0, rel=1e-15)
+    assert np.array_equal(frame.alignment_residuals, np.zeros(2))
+
+
+def test_reduce_and_equilibrate_reach_no_eigensolver(profile_n2, monkeypatch):
+    """The pipeline step and the equilibration run with the eigensolver disabled."""
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("eigsh called")
+
+    monkeypatch.setattr(spectrum, "eigsh", disabled)
+    uniform = uniform_configuration(0.3, 2)
+    assert np.max(np.abs(reduce(uniform, profile_n2, make_grid(0.3)).d_coeffs)) < 1e-9
+    perturbed = PeakConfiguration(0.3, (uniform.angles[0], uniform.angles[1] + 0.05 * np.pi))
+    tol = 1e-2 * residual_rate(uniform.sigma_min, 2)
+    assert equilibrate(perturbed, profile_n2, make_grid, tol=tol).newton_steps >= 1
+
