@@ -244,7 +244,9 @@ def cmd_spectrum(args, cfg):
            f"count >= 2k + 1 (got {cfg['count']} for k = {config.k})")
 
     def compute():
-        bundle = ans.build_ansatz(config, _profile(cfg["p"]), grid)
+        profile = _profile(cfg["p"])
+        red.check_resolution(profile, grid)
+        bundle = ans.build_ansatz(config, profile, grid)
         result = spec.lowest_eigenpairs(bundle, count=cfg["count"])
         basis = spec.near_kernel_basis(result, bundle)
         results = {

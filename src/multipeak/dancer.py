@@ -10,6 +10,12 @@ and μ vanishes on the lattice and under refinement.  Evenness is *not*
 imposed by the solver and is checked a posteriori by reflecting the
 converged field.
 
+Near a k-peak solution the Jacobian is degenerate only along the peaks'
+translations span{∂U_i/∂x₁}, and the one pin removes only one of them.
+Each Newton step deflates all k with the reduction's translation frame and
+solves the bordered system by one preconditioned MINRES run; nothing is
+factored.
+
 The deviation ψ of the solution from the periodized sum of ground-state
 translates is exponentially small in the separation — far below the mesh
 truncation error of the discrete solution.  It is therefore measured only
@@ -29,7 +35,7 @@ import scipy.sparse as sp
 from .ansatz import AnsatzBundle, nonlinear_residual, uniform_configuration
 from .domain import GridField, align_shift, reflect_x1, shift_x1
 from .groundstate import GroundStateProfile
-from .reduction import constrained_solve, reduce
+from .reduction import ComplementSolver, check_resolution, reduce, translation_frame
 from .weighted import weighted_sup
 
 
@@ -51,6 +57,7 @@ class DancerSolution:
     pin_location: float
     newton_history: list[float]  # ‖F(u) + μc‖ per iterate
     multiplier: float  # μ of the pinning constraint
+    minres_iterations: list[int]  # MINRES iterations of each Newton step
 
     @property
     def iterations(self) -> int:
@@ -69,8 +76,11 @@ def newton_solve(
     ansatz ū (starts from different fields target the same root).  The
     multiplier μ is the force that holds the solution at that translate
     against the grid lattice; it vanishes on the lattice and under
-    refinement.  Each step solves the bordered system once and updates u
-    and μ together.
+    refinement.  Each step deflates the bundle's k translation modes
+    (:func:`~multipeak.reduction.translation_frame`), solves the bordered
+    system in that frame's coordinates by one preconditioned MINRES run
+    (:meth:`~multipeak.reduction.ComplementSolver.pinned_solve`) and
+    updates u and μ together.
 
     Parameters
     ----------
@@ -84,15 +94,20 @@ def newton_solve(
     NewtonError
         If ‖F(u) + μc‖ is not below tol after MAX_ITER steps, or is not
         finite.
+    RuntimeError
+        If the grid does not resolve the core, or a MINRES run does not
+        converge.
     """
     grid = bundle.grid
+    check_resolution(bundle.profile, grid)
+    frame = translation_frame(bundle)
     p = bundle.profile.exponent
     A = grid.helmholtz_matrix
     c = grid.weight * (A @ bundle.translation_modes[PIN].data.ravel())
     u0 = bundle.ubar.data.ravel()
     u = (bundle.ubar if initial is None else initial).data.ravel()
     mu = 0.0
-    history = []
+    history, counts = [], []
     while True:
         field = GridField(grid, u.reshape(grid.shape))
         G = nonlinear_residual(field, p).data.ravel() + mu * c
@@ -105,9 +120,11 @@ def newton_solve(
                 f"{len(history) - 1} of {MAX_ITER} iterations"
             )
         J = A - sp.diags(p * np.maximum(u, 0.0) ** (p - 1) * (u > 0))
-        step, dmu = constrained_solve(J, c[:, None])(-G, -float(c @ (u - u0)))
+        solver = ComplementSolver(J, frame)
+        step, dmu = solver.pinned_solve(c, -G, -float(c @ (u - u0)))
+        counts += solver.iterations
         u = u + step
-        mu += float(dmu[0])
+        mu += dmu
 
     return DancerSolution(
         field=field,
@@ -116,6 +133,7 @@ def newton_solve(
         pin_location=bundle.config.positions[PIN],
         newton_history=history,
         multiplier=mu,
+        minres_iterations=counts,
     )
 
 

@@ -20,7 +20,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 
 @dataclass(frozen=True)
@@ -164,11 +163,10 @@ class StripGrid:
 MAX_MESH_WIDTH = 0.5
 
 # Largest admissible unknown count.  It bounds a command's memory and time.
-# Up to the correction nothing is factored, so memory grows linearly with
-# the unknowns (the mesh-limit benchmark, whose finest grid is 592×195 =
-# 115k, peaks near 135 MiB; one `reduce` at 1184×391 = 462,944 near
-# 300 MiB); the pinned Newton step of `dancer` still factors its Jacobian,
-# whose LU fill grows faster.  500k still admits that next level of the ladder.
+# Nothing is factored, so memory grows linearly with the unknowns (the
+# mesh-limit benchmark, whose finest grid is 592×195 = 115k, peaks near
+# 135 MiB; one `reduce` at 1184×391 = 462,944 near 300 MiB).  500k still
+# admits that next level of the ladder.
 MAX_UNKNOWNS = 500_000
 
 
@@ -236,14 +234,6 @@ def apply_helmholtz(u: GridField) -> GridField:
     """(−Δ+1)u with the 5-point stencil (periodic x₁, mirror/Dirichlet x₂)."""
     A = u.grid.helmholtz_matrix
     return GridField(u.grid, (A @ u.data.ravel()).reshape(u.grid.shape))
-
-
-def factorize(M):
-    """Sparse LU of M ordered by minimum degree on Mᵀ+M: on the package's
-    stencil operators half the fill of the default COLAMD (7.4M against
-    15.5M nonzeros at 592×195).  Its ``solve`` takes a vector or a block.
-    B = −Δ+1 itself is never factored: it has :meth:`StripGrid.helmholtz_inverse`."""
-    return splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A")
 
 
 def solve_helmholtz(rhs: GridField, tol: float = 1e-10) -> GridField:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
 
 from .ansatz import AnsatzBundle, PeakConfiguration, build_ansatz, residual
-from .domain import GridField, StripGrid, factorize, h1_norm, inner_products
+from .domain import GridField, StripGrid, h1_norm, inner_products
 from .groundstate import GroundStateProfile
 from .spectrum import NearKernelBasis, assemble_linearized
 
@@ -95,8 +95,9 @@ class ComplementSolver:
     inverse, and μ = G⁻¹Φᵀ(rhs − 𝕃x).  The preconditioned operator is B⁻¹𝕃
     on the complement, whose spectrum (the k bottom eigenvalues near 1−p,
     then the gap up to 1) is bounded away from 0 independently of the grid;
-    it is indefinite, hence MINRES and not CG.  ``iterations`` lists the
-    MINRES iteration count of each solve.
+    it is indefinite, hence MINRES and not CG.  :meth:`pinned_solve` runs
+    the same projectors and preconditioner on an operator with a border.
+    ``iterations`` lists the MINRES iteration count of each solve.
     """
 
     def __init__(self, L, basis: NearKernelBasis):
@@ -118,34 +119,75 @@ class ComplementSolver:
         """Πᵀy: the component of y that pairs to zero with every φ_i."""
         return y - self.C @ (self.Ginv @ (self.Phi.T @ y))
 
-    def solve(self, rhs: np.ndarray, rtol: float = RTOL):
-        """(x, μ) with 𝕃x + Cμ = rhs and Cᵀx = 0.
+    def _minres(self, matvec, precond, rhs: np.ndarray, rtol: float) -> np.ndarray:
+        """The package's one MINRES run, on symmetric operators given as matvecs.
 
         Raises
         ------
         RuntimeError
             If MINRES reaches MINRES_MAXITER iterations.
         """
-        # operators made per solve: held by the solver, their closures would
+        # operators made per run: held by the solver, their closures would
         # make a reference cycle that keeps 𝕃 and Φ alive until a full collection
-        A = LinearOperator(
-            self.L.shape, dtype=float,
-            matvec=lambda x: self._project_t(self.L @ self._project(x)),
-        )
-        M = LinearOperator(
-            self.L.shape, dtype=float,
-            matvec=lambda y: self._project(self.grid.helmholtz_inverse(self._project_t(y))),
-        )
+        shape = (rhs.size, rhs.size)
         steps = []
         x, info = minres(
-            A, self._project_t(rhs), rtol=rtol, M=M,
+            LinearOperator(shape, matvec=matvec, dtype=float), rhs, rtol=rtol,
+            M=LinearOperator(shape, matvec=precond, dtype=float),
             maxiter=MINRES_MAXITER, callback=lambda _: steps.append(1),
         )
         self.iterations.append(len(steps))
         if info:
             raise RuntimeError(f"MINRES did not converge in {MINRES_MAXITER} iterations")
+        return x
+
+    def _precondition(self, y):
+        """ΠB⁻¹Πᵀy with the grid's fast exact B⁻¹."""
+        return self._project(self.grid.helmholtz_inverse(self._project_t(y)))
+
+    def solve(self, rhs: np.ndarray, rtol: float = RTOL):
+        """(x, μ) with 𝕃x + Cμ = rhs and Cᵀx = 0."""
+        x = self._minres(
+            lambda x: self._project_t(self.L @ self._project(x)),
+            self._precondition, self._project_t(rhs), rtol,
+        )
         x = self._project(x)
         return x, self.Ginv @ (self.Phi.T @ (rhs - self.L @ x))
+
+    def pinned_solve(self, c: np.ndarray, rhs: np.ndarray, g: float) -> tuple[np.ndarray, float]:
+        """(δ, μ) with 𝕃δ + cμ = rhs and cᵀδ = g, for a border c in the span of C.
+
+        The bordered system in frame coordinates δ = Πx + Φa: since Πᵀc = 0
+        it is the symmetric [[Πᵀ𝕃Π, Πᵀ𝕃Φ, 0], [Φᵀ𝕃Π, Φᵀ𝕃Φ, Φᵀc], [0, cᵀΦ, 0]]
+        in (x, a, μ), solved by one MINRES run preconditioned by the SPD
+        diag(ΠB⁻¹Πᵀ, |S|⁻¹), S = [[Φᵀ𝕃Φ, Φᵀc], [cᵀΦ, 0]].  The k small
+        eigenvalues of 𝕃 along the frame (one translation, k − 1 relative
+        motions, all near 0 at a Newton root) live in S, which |S|⁻¹
+        inverts exactly; on the complement B⁻¹𝕃 is bounded away from 0.
+        """
+        n, k = self.Phi.shape
+        phi_c = self.Phi.T @ c
+        S = np.zeros((k + 1, k + 1))
+        S[:k, :k] = self.Phi.T @ (self.L @ self.Phi)
+        S[:k, k] = S[k, :k] = phi_c
+        w, V = np.linalg.eigh(S)
+        S_abs_inv = (V / np.abs(w)) @ V.T
+
+        def field(z):
+            return self._project(z[:n]) + self.Phi @ z[n:-1]
+
+        def matvec(z):
+            Ld = self.L @ field(z)
+            return np.concatenate(
+                [self._project_t(Ld), self.Phi.T @ Ld + phi_c * z[-1], [phi_c @ z[n:-1]]]
+            )
+
+        z = self._minres(
+            matvec,
+            lambda y: np.concatenate([self._precondition(y[:n]), S_abs_inv @ y[n:]]),
+            np.concatenate([self._project_t(rhs), self.Phi.T @ rhs, [g]]), RTOL,
+        )
+        return field(z), float(z[-1])
 
 
 def split_projection(h: GridField, solver: ComplementSolver) -> tuple[GridField, np.ndarray]:
@@ -161,39 +203,6 @@ def split_projection(h: GridField, solver: ComplementSolver) -> tuple[GridField,
     d = solver.Ginv @ (solver.Phi.T @ flat)
     rem = flat - solver.C @ d
     return GridField(h.grid, rem.reshape(h.grid.shape)), d
-
-
-def constrained_solve(A, C: np.ndarray):
-    """Factor A once and return the solver of the bordered system [[A, C], [Cᵀ, 0]].
-
-    This is the pinned Newton step's solve: its one pin leaves the k−1
-    small relative-motion eigenvalues of the Jacobian in the system, which
-    a Krylov run on the complement does not resolve to roundoff.
-
-    The solver maps (rhs, constraint_rhs=0) to (x, μ) with A x + C μ = rhs
-    and Cᵀx = constraint_rhs: with Z = A⁻¹C and the k×k Schur complement
-    S = CᵀZ, μ = S⁻¹(CᵀA⁻¹rhs − constraint_rhs) and x = A⁻¹rhs − Zμ, then
-    one refinement step on the bordered residual.  At a Newton root A is
-    nearly singular (|S| ≈ 1e15 for k = 2, ε = 0.3 on 168×96); there the
-    elimination alone leaves a relative residual of 0.13, the refined 2e-12.
-    """
-    k = C.shape[1]
-    lu = factorize(A)
-    Z = lu.solve(C)
-    S = C.T @ Z
-
-    def eliminate(r, g):
-        y = lu.solve(r)
-        mu = np.linalg.solve(S, C.T @ y - g)
-        return y - Z @ mu, mu
-
-    def solve(rhs: np.ndarray, constraint_rhs=0.0):
-        g = np.broadcast_to(constraint_rhs, k)
-        x, mu = eliminate(rhs, g)
-        dx, dmu = eliminate(rhs - A @ x - C @ mu, g - C.T @ x)
-        return x + dx, mu + dmu
-
-    return solve
 
 
 def solve_correction(
@@ -270,6 +279,17 @@ def translation_frame(bundle: AnsatzBundle) -> NearKernelBasis:
 RESOLUTION = 2.5
 
 
+def check_resolution(profile: GroundStateProfile, grid: StripGrid) -> None:
+    """Raise RuntimeError if max(h₁, h₂) > RESOLUTION · ℓ, naming ℓ and the h it needs."""
+    ell, h = profile.core_length, max(grid.h1, grid.h2)
+    if h > RESOLUTION * ell:
+        raise RuntimeError(
+            f"mesh width {h:.4g} does not resolve the p = {profile.exponent:g} core: "
+            f"the core length is l = (p U(0)^(p-1))^(-1/2) = {ell:.4g}, "
+            f"so h must be at most {RESOLUTION} l = {RESOLUTION * ell:.4g}"
+        )
+
+
 def reduce(
     config: PeakConfiguration,
     profile: GroundStateProfile,
@@ -281,15 +301,9 @@ def reduce(
     Raises
     ------
     RuntimeError
-        If max(h₁, h₂) > RESOLUTION · ℓ: the grid does not resolve the core.
+        If the grid does not resolve the core (:func:`check_resolution`).
     """
-    ell, h = profile.core_length, max(grid.h1, grid.h2)
-    if h > RESOLUTION * ell:
-        raise RuntimeError(
-            f"mesh width {h:.4g} does not resolve the p = {profile.exponent:g} core: "
-            f"the core length is l = (p U(0)^(p-1))^(-1/2) = {ell:.4g}, "
-            f"so h must be at most {RESOLUTION} l = {RESOLUTION * ell:.4g}"
-        )
+    check_resolution(profile, grid)
     bundle = build_ansatz(config, profile, grid)
     return solve_correction(bundle, translation_frame(bundle), tol=tol)
 

@@ -222,6 +222,17 @@ def test_reduce_numerical_failures(args, reason, capsys):
     assert reason in error["detail"]
 
 
+@pytest.mark.parametrize("command", ["dancer", "spectrum"])
+def test_unresolved_core_exits_numerical(command, capsys):
+    """The resolution check guards every command that needs the translation
+    modes resolved: on the desk grid at p = 7 Newton would otherwise report a
+    solution and the spectrum a near-kernel count that do not name the cause."""
+    assert main([command, "--eps", "0.3", "--k", "2", "--p", "7"]) == EXIT_NUMERICAL
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error["error"] == "numerical"
+    assert "so h must be at most 2.5 l = 0.1402" in error["detail"]
+
+
 def test_oracle_taylor_deterministic(tmp_path):
     args = ["oracle", "taylor", "--n", "2000", "--seed", "9"]
     code1, f1 = run(tmp_path, "t1.json", args)

@@ -1,5 +1,7 @@
 """Newton continuation and the structural probes of the solution."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,8 @@ def pinning_direction(bundle):
 
 def test_newton_converges_fast(solution_k1, bundle_k1):
     assert solution_k1.iterations <= 8
+    assert len(solution_k1.minres_iterations) == solution_k1.iterations
+    assert all(0 < count <= 40 for count in solution_k1.minres_iterations)
     assert solution_k1.newton_history[-1] < 1e-11
     res = nonlinear_residual(solution_k1.field, 3.0).data.ravel()
     res += solution_k1.multiplier * pinning_direction(bundle_k1)
@@ -153,3 +157,28 @@ def test_two_start_agreement(bundle_k2):
         sols.append(newton_solve(bundle_k2, initial=start, tol=1e-11))
     diff = align_and_compare(sols[0].field, sols[1].field)
     assert diff < 1e-6
+
+
+@pytest.mark.parametrize("h, shape", [(0.25, (84, 48)), (0.0625, (336, 192))],
+                         ids=["84x48", "336x192"])
+def test_newton_minres_iterations_do_not_grow_with_grid(profile_n2, h, shape):
+    """Each pinned step is one MINRES run whose preconditioned operator does not
+    depend on the grid, so k = 2 takes at most 40 iterations per step."""
+    bundle = build_ansatz(uniform_configuration(0.3, 2), profile_n2, make_grid(0.3, h=h))
+    assert bundle.grid.shape == shape
+    sol = newton_solve(bundle)
+    assert len(sol.minres_iterations) == sol.iterations
+    assert max(sol.minres_iterations) <= 40
+
+
+def test_newton_leaves_no_reference_cycles(bundle_k2):
+    """A solve frees its operators by reference counting: nothing is left for
+    the cycle collector, which would otherwise hold every step's Jacobian and
+    frame until a full collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        newton_solve(bundle_k2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from multipeak.domain import (
     GridField,
     StripGrid,
     align_shift,
     apply_helmholtz,
-    factorize,
     h1_norm,
     inner_products,
     l2_norm,
@@ -103,7 +103,7 @@ def test_helmholtz_inverse_matches_lu(grid):
     B = grid.helmholtz_matrix
     b = np.random.default_rng(3).standard_normal((grid.size, 2))
     x = grid.helmholtz_inverse(b)
-    lu = factorize(B).solve(b)
+    lu = splu(B.tocsc()).solve(b)
     for j in range(2):
         assert np.linalg.norm(B @ x[:, j] - b[:, j]) <= 1e-13 * np.linalg.norm(b[:, j])
         assert np.max(np.abs(x[:, j] - lu[:, j])) <= 1e-13 * np.max(np.abs(lu[:, j]))

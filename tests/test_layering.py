@@ -61,14 +61,14 @@ def callers(*names):
 
 
 def test_one_factorization_primitive():
-    """splu is called only in domain.factorize, and that only by the constrained
-    solve of the pinned Newton step (B = −Δ+1 has its fast inverse, and 𝕃 on the
-    near-kernel's complement is solved by MINRES in the one place); no bordered
-    assembly and no CG remain."""
-    assert set(callers("splu")) == {("domain", "factorize")}
-    assert set(callers("factorize")) == {("reduction", "constrained_solve")}
-    assert set(callers("constrained_solve")) == {("dancer", "newton_solve")}
-    assert set(callers("minres")) == {("reduction", "ComplementSolver")}
+    """Nothing in the package is factored: B = −Δ+1 has its fast inverse, and 𝕃
+    on the near-kernel's complement (the correction) and the pinned Newton
+    Jacobian in frame coordinates are solved by MINRES, called in one place;
+    no bordered assembly and no CG remain."""
+    assert not list(callers("splu", "spsolve", "factorized", "factorize"))
+    assert not [path.stem for path in MODULES if "splu" in path.read_text()]
+    assert list(callers("minres")) == [("reduction", "ComplementSolver")]
+    assert set(callers("pinned_solve")) == {("dancer", "newton_solve")}
     assert not set(callers("bmat", "cg"))
 
 

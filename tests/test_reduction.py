@@ -18,7 +18,6 @@ from multipeak.ansatz import (
 from multipeak.domain import GridField, inner_products, make_grid
 from multipeak.reduction import (
     ComplementSolver,
-    constrained_solve,
     equilibrate,
     interaction_d,
     power_remainder,
@@ -102,17 +101,23 @@ def test_split_projection_on_overlapping_frame(profile_n2):
         assert pairing <= 1e-12 * np.sqrt(inner_products(h, h)[0] * inner_products(phi, phi)[0])
 
 
-def test_constrained_solve_inhomogeneous_constraint(bundle_k2, basis_k2):
-    """A x + C μ = rhs and Cᵀx = constraint_rhs hold to roundoff."""
-    A = assemble_linearized(bundle_k2)
-    C = ComplementSolver(A, basis_k2).C
-    rng = np.random.default_rng(3)
-    rhs = rng.standard_normal(A.shape[0])
-    target = np.array([0.3, -0.7])
-    x, mu = constrained_solve(A, C)(rhs, target)
-    assert mu.shape == (2,)
-    assert np.linalg.norm(A @ x + C @ mu - rhs) < 1e-12 * np.linalg.norm(rhs)
-    assert C.T @ x == pytest.approx(target, abs=1e-12)  # ‖C‖‖x‖ ≈ 1e2 here
+def pin_column(bundle):
+    """The pinned Newton step's border c = weight·(−Δ+1)∂v_PIN/∂x₁, in the span of C."""
+    from multipeak.dancer import PIN
+
+    grid = bundle.grid
+    return grid.weight * (grid.helmholtz_matrix @ bundle.translation_modes[PIN].data.ravel())
+
+
+def test_pinned_solve_inhomogeneous_constraint(bundle_k2):
+    """𝕃δ + cμ = rhs and cᵀδ = g hold to roundoff on the k = 2 frame."""
+    solver = ComplementSolver(assemble_linearized(bundle_k2), translation_frame(bundle_k2))
+    c = pin_column(bundle_k2)
+    rhs = np.random.default_rng(3).standard_normal(c.size)
+    x, mu = solver.pinned_solve(c, rhs, 0.3)
+    assert np.linalg.norm(solver.L @ x + c * mu - rhs) < 1e-12 * np.linalg.norm(rhs)
+    assert c @ x == pytest.approx(0.3, abs=1e-12)
+    assert len(solver.iterations) == 1
 
 
 def bordered_reference(A, C):
@@ -131,16 +136,16 @@ def bordered_reference(A, C):
     return solve
 
 
-@pytest.mark.parametrize("target", [0.0, np.array([0.3, -0.7])], ids=["zero", "nonzero"])
-def test_constrained_solve_matches_bordered_factorization(bundle_k2, basis_k2, target):
-    """The Schur-form solve agrees with factoring the bordered matrix whole."""
-    A = assemble_linearized(bundle_k2)
-    C = ComplementSolver(A, basis_k2).C
-    rhs = np.random.default_rng(5).standard_normal(A.shape[0])
-    x, mu = constrained_solve(A, C)(rhs, target)
-    x_ref, mu_ref = bordered_reference(A, C)(rhs, target)
+@pytest.mark.parametrize("target", [0.0, 0.3], ids=["zero", "nonzero"])
+def test_pinned_solve_matches_bordered_factorization(bundle_k2, target):
+    """MINRES in frame coordinates agrees with factoring [[𝕃, c], [cᵀ, 0]] whole."""
+    solver = ComplementSolver(assemble_linearized(bundle_k2), translation_frame(bundle_k2))
+    c = pin_column(bundle_k2)
+    rhs = np.random.default_rng(5).standard_normal(c.size)
+    x, mu = solver.pinned_solve(c, rhs, target)
+    x_ref, mu_ref = bordered_reference(solver.L, c[:, None])(rhs, target)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
-    assert np.linalg.norm(mu - mu_ref) <= 1e-10 * np.linalg.norm(mu_ref)
+    assert abs(mu - mu_ref[0]) <= 1e-10 * abs(mu_ref[0])
 
 
 def eigen_frame(bundle):
@@ -208,22 +213,22 @@ def test_complement_solver_raises_at_iteration_cap(bundle_k2, basis_k2, monkeypa
     assert solver.iterations == [3]
 
 
-def test_constrained_solve_at_nearly_singular_newton_jacobian(profile_n2):
-    """At a Newton root the Jacobian is nearly singular along the pinning
-    direction; the refinement step still brings the bordered residual to
-    roundoff (without it the residual is of order 0.1)."""
-    from multipeak.dancer import PIN, newton_solve
+def test_pinned_solve_at_nearly_singular_newton_jacobian(profile_n2):
+    """At a Newton root the Jacobian is nearly singular along all k translation
+    modes (one pin leaves the k − 1 relative motions); the frame block |S|⁻¹
+    inverts them exactly, so MINRES still matches the bordered factorization."""
+    from multipeak.dancer import newton_solve
 
     grid = make_grid(0.3, h=0.125)
     bundle = build_ansatz(uniform_configuration(0.3, 2), profile_n2, grid)
     u = newton_solve(bundle).field.data.ravel()
-    A = grid.helmholtz_matrix
-    J = A - sp.diags(3.0 * np.maximum(u, 0.0) ** 2)  # p = 3
-    C = grid.weight * (A @ bundle.translation_modes[PIN].data.ravel())[:, None]
+    J = grid.helmholtz_matrix - sp.diags(3.0 * np.maximum(u, 0.0) ** 2)  # p = 3
+    c = pin_column(bundle)
     rhs = np.random.default_rng(9).standard_normal(u.size)
-    x, mu = constrained_solve(J, C)(rhs, 0.25)
-    residual = np.concatenate([J @ x + C @ mu - rhs, C.T @ x - 0.25])
-    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+    x, mu = ComplementSolver(J, translation_frame(bundle)).pinned_solve(c, rhs, 0.25)
+    x_ref, mu_ref = bordered_reference(J, c[:, None])(rhs, 0.25)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    assert abs(mu - mu_ref[0]) <= 1e-10 * abs(mu_ref[0])
 
 
 def test_correction_state_invariants(state_k2, basis_k2):
