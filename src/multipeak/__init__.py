@@ -9,9 +9,9 @@ domain
 ansatz
     Multi-peak configurations, the periodized ansatz, and its residual.
 spectrum
-    Weighted eigenproblem of the linearization and the near-kernel basis.
+    The linearization F′(u), its weighted eigenproblem, and the near-kernel frame.
 reduction
-    Lyapunov–Schmidt correction on the translation modes, equilibration.
+    Lyapunov–Schmidt correction on the translation frame, equilibration.
 dancer
     Newton continuation to the periodic solution and its structural probes.
 asymptotics

@@ -30,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ansatz import AnsatzBundle, nonlinear_residual, uniform_configuration
 from .domain import GridField, align_shift, reflect_x1, shift_x1
 from .groundstate import GroundStateProfile
-from .reduction import ComplementSolver, check_resolution, reduce, translation_frame
+from .reduction import ComplementSolver, reduce, translation_frame
+from .spectrum import linearized
 from .weighted import weighted_sup
 
 
@@ -99,11 +99,9 @@ def newton_solve(
         converge.
     """
     grid = bundle.grid
-    check_resolution(bundle.profile, grid)
     frame = translation_frame(bundle)
     p = bundle.profile.exponent
-    A = grid.helmholtz_matrix
-    c = grid.weight * (A @ bundle.translation_modes[PIN].data.ravel())
+    c = grid.weight * (grid.helmholtz_matrix @ bundle.translation_modes[PIN].data.ravel())
     u0 = bundle.ubar.data.ravel()
     u = (bundle.ubar if initial is None else initial).data.ravel()
     mu = 0.0
@@ -119,8 +117,7 @@ def newton_solve(
                 f"no convergence: residual {history[-1]:.3e} after "
                 f"{len(history) - 1} of {MAX_ITER} iterations"
             )
-        J = A - sp.diags(p * np.maximum(u, 0.0) ** (p - 1) * (u > 0))
-        solver = ComplementSolver(J, frame)
+        solver = ComplementSolver(linearized(field, p), frame)
         step, dmu = solver.pinned_solve(c, -G, -float(c @ (u - u0)))
         counts += solver.iterations
         u = u + step

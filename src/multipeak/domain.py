@@ -32,10 +32,9 @@ class StripGrid:
     nodes_xp: int
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.transverse_extent <= 0:
-            raise ValueError("transverse_extent must be positive")
+        for name, value in (("epsilon", self.epsilon), ("transverse_extent", self.transverse_extent)):
+            if not 0 < value < np.inf:  # NaN fails it too
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.nodes_x1 < 4 or self.nodes_xp < 2:
             raise ValueError("grid too coarse")
 

@@ -1,8 +1,8 @@
 """Radial ground state of -ΔU + U - U^p = 0 in R^N.
 
 The profile is one discrete boundary value problem on the nodes
-r_j = 0.005 j of [0, r_m], r_m = 12 (0.0025 j when the core is too narrow
-for that spacing): eighth-order central differences, an even reflection at
+r_j = 0.005 j of [0, r_m], r_m = 12 (down to 0.000625 j while the core is too
+narrow for the spacing): eighth-order central differences, an even reflection at
 r = 0 and, past r_m, ghost nodes that follow the far-field shape
 
     T(r) = r^((1-N)/2) e^{-r} Σ_{k≤3} a_k(ν) r^{-k},   ν = (N-2)/2,
@@ -32,7 +32,7 @@ class SupercriticalError(ValueError):
 
 
 _R_MATCH = 12.0  # end of the solved nodes, where the far field takes over
-_GRID_STEP = 0.005  # spacing of the solved nodes, halved once if the core needs it
+_GRID_STEP = 0.005  # spacing of the solved nodes, halved up to three times if the core needs it
 # eighth-order central differences for U' and U'' on offsets -4..4
 _D1 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
 _D2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 315, -1 / 560])
@@ -157,12 +157,12 @@ def _band(matrix):
 def solve_ground_state(dimension: int, p: float) -> GroundStateProfile:
     """Compute the positive radial decaying solution of U'' + (N-1)/r U' = U - U^p.
 
-    The discrete problem lives on the nodes 0.005 j of [0, 12], or, when
-    ∫|∇U|²/∫U^{p+1} on them misses the Pohozaev value N(p−1)/(2(p+1)) by
-    more than 1e-6 relative (a core too narrow for the spacing, as for
-    N = 2, p ≥ 11), on the nodes 0.0025 j.  Raises RuntimeError when Newton
-    does not converge, when U is not positive and strictly decreasing, or
-    when the Pohozaev check fails at the finer spacing too.
+    The discrete problem lives on the nodes 0.005 j of [0, 12], halved (down
+    to 0.000625) while an iterate is not finite, Newton does not converge, U
+    is not positive and strictly decreasing, or ∫|∇U|²/∫U^{p+1} misses the
+    Pohozaev value N(p−1)/(2(p+1)) by more than 1e-6 relative: a core too
+    narrow for the spacing, as for N = 2, p ≥ 11.  Raises RuntimeError,
+    naming the spacing, when the finest one fails too.
 
     Parameters
     ----------
@@ -172,18 +172,19 @@ def solve_ground_state(dimension: int, p: float) -> GroundStateProfile:
         Nonlinearity exponent, 2 <= p, subcritical for N >= 3.
     """
     validate_exponent(dimension, p)
-    for h in (_GRID_STEP, _GRID_STEP / 2):
-        profile, defect = _solve_on_nodes(dimension, p, h)
-        if defect <= _POHOZAEV_TOL:
-            return profile
+    for h in (_GRID_STEP / 2**m for m in range(4)):
+        try:
+            return _solve_on_nodes(dimension, p, h)
+        except RuntimeError as exc:
+            failure = exc
     raise RuntimeError(
-        f"Pohozaev identity violated by {defect:.2e} (N = {dimension}, p = {p}): "
+        f"{failure} (N = {dimension}, p = {p}) at the finest node spacing {h:g}: "
         "the core is not resolved on the grid"
     )
 
 
-def _solve_on_nodes(N: int, p: float, h: float) -> tuple[GroundStateProfile, float]:
-    """The profile on the nodes h·j of [0, 12] and its relative Pohozaev defect."""
+def _solve_on_nodes(N: int, p: float, h: float) -> GroundStateProfile:
+    """The profile on the nodes h·j of [0, 12]; RuntimeError if it fails there."""
     r = np.arange(0.0, _R_MATCH + 0.5 * h, h)
     n = r.size
     ghost = far_field(N, r[-1] + h * np.arange(1, 5)) / far_field(N, r[-1])
@@ -198,16 +199,19 @@ def _solve_on_nodes(N: int, p: float, h: float) -> tuple[GroundStateProfile, flo
     # Petviashvili: u ← M^{p/(p−1)} L⁻¹u^p, L = 1 − Δ, M = ⟨u, Lu⟩/⟨u, u^p⟩
     weight = r ** (N - 1)
     u = 2.0 / np.cosh(r) ** (2 / (p - 1))
-    for _ in range(200):
-        up = np.maximum(u, 0.0) ** p
-        m = (weight @ (u * -(linear @ u))) / (weight @ (u * up))
-        new = m ** (p / (p - 1)) * solve_banded((4, 4), -band, up)
-        change = np.max(np.abs(new - u))
-        u = new
-        if not change > 1e-3 * u[0]:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging iterate fails below
+        for _ in range(200):
+            up = np.maximum(u, 0.0) ** p
+            m = (weight @ (u * -(linear @ u))) / (weight @ (u * up))
+            new = m ** (p / (p - 1)) * solve_banded((4, 4), -band, up, check_finite=False)
+            change = np.max(np.abs(new - u))
+            u = new
+            if not change > 1e-3 * u[0]:
+                break
 
     for _ in range(30):
+        if not np.all(np.isfinite(u)):
+            raise RuntimeError("ground-state iterate is not finite")
         up = np.maximum(u, 0.0)
         jac = band.copy()
         jac[4] += p * up ** (p - 1)
@@ -216,11 +220,11 @@ def _solve_on_nodes(N: int, p: float, h: float) -> tuple[GroundStateProfile, flo
         if np.max(np.abs(step)) <= _NEWTON_TOL * u[0]:
             break
     else:
-        raise RuntimeError(f"ground-state Newton did not converge (N = {N}, p = {p})")
+        raise RuntimeError("ground-state Newton did not converge")
 
     du = d1 @ u
     if not (np.all(u > 0) and np.all(np.diff(u) < 0)):
-        raise RuntimeError(f"ground state is not positive and decreasing (N = {N}, p = {p})")
+        raise RuntimeError("ground state is not positive and decreasing")
     # composite 9-point Newton–Cotes weights, eighth order like the
     # differences: Simpson's own O(h⁴) error passes 1e-6 at N = 2, p = 9
     quad = np.zeros(n)
@@ -228,6 +232,8 @@ def _solve_on_nodes(N: int, p: float, h: float) -> tuple[GroundStateProfile, flo
     quad[8::8] += NEWTON_COTES_9[-1]
     ratio = (quad @ (weight * du**2)) / (quad @ (weight * u ** (p + 1)))
     defect = abs(ratio / (N * (p - 1) / (2 * (p + 1))) - 1)
+    if defect > _POHOZAEV_TOL:
+        raise RuntimeError(f"Pohozaev identity violated by {defect:.2e}")
     return GroundStateProfile(
         dimension=N,
         exponent=p,
@@ -237,7 +243,7 @@ def _solve_on_nodes(N: int, p: float, h: float) -> tuple[GroundStateProfile, flo
         center_value=float(u[0]),
         tail_L0=float(u[-1] / far_field(N, r[-1])),
         tail_match_radius=float(r[-1]),
-    ), defect
+    )
 
 
 # e^{-r} stays normal below it; larger |r|, ±inf and NaN take the vector

@@ -31,7 +31,7 @@ from scipy.sparse.linalg import LinearOperator, minres
 from .ansatz import AnsatzBundle, PeakConfiguration, build_ansatz, residual
 from .domain import GridField, StripGrid, h1_norm, inner_products
 from .groundstate import GroundStateProfile
-from .spectrum import NearKernelBasis, assemble_linearized
+from .spectrum import NearKernelBasis, linearized
 
 
 class ContractionError(RuntimeError):
@@ -85,12 +85,10 @@ MINRES_MAXITER = 200
 
 
 class ComplementSolver:
-    """𝕃x + Cμ = rhs with Cᵀx = 0, C = BΦ, by MINRES on the near-kernel's complement.
+    """𝕃x + Cμ = rhs with Cᵀx = 0, C = BΦ, by MINRES on the frame's complement.
 
-    Φ holds the basis fields φ_i as columns and G = ΦᵀC their H¹ Gram
-    matrix (up to the quadrature weight), with its inverse ``Ginv``; the
-    frame need not be orthogonal.  Π = I − ΦG⁻¹Cᵀ is the
-    B-orthogonal projector onto {x : Cᵀx = 0}; MINRES solves
+    The frame (:class:`~multipeak.spectrum.NearKernelBasis`) holds Φ, C, the
+    Gram inverse G⁻¹ and the projectors Π and Πᵀ.  MINRES solves
     Πᵀ𝕃Πx = Πᵀrhs preconditioned by ΠB⁻¹Πᵀ, with B⁻¹ the grid's fast exact
     inverse, and μ = G⁻¹Φᵀ(rhs − 𝕃x).  The preconditioned operator is B⁻¹𝕃
     on the complement, whose spectrum (the k bottom eigenvalues near 1−p,
@@ -100,24 +98,10 @@ class ComplementSolver:
     ``iterations`` lists the MINRES iteration count of each solve.
     """
 
-    def __init__(self, L, basis: NearKernelBasis):
+    def __init__(self, L, frame: NearKernelBasis):
         self.L = L
-        self.grid = basis.fields[0].grid
-        B = self.grid.helmholtz_matrix
-        self.Phi = np.array([phi.data.ravel() for phi in basis.fields]).T
-        self.C = B @ self.Phi
-        G = self.Phi.T @ self.C  # φ_i·(Bφ_j), symmetric up to roundoff
-        self.G = 0.5 * (G + G.T)
-        self.Ginv = np.linalg.inv(self.G)
+        self.frame = frame
         self.iterations: list[int] = []
-
-    def _project(self, x):
-        """Πx: the B-orthogonal projection onto {x : Cᵀx = 0}."""
-        return x - self.Phi @ (self.Ginv @ (self.C.T @ x))
-
-    def _project_t(self, y):
-        """Πᵀy: the component of y that pairs to zero with every φ_i."""
-        return y - self.C @ (self.Ginv @ (self.Phi.T @ y))
 
     def _minres(self, matvec, precond, rhs: np.ndarray, rtol: float) -> np.ndarray:
         """The package's one MINRES run, on symmetric operators given as matvecs.
@@ -143,16 +127,18 @@ class ComplementSolver:
 
     def _precondition(self, y):
         """ΠB⁻¹Πᵀy with the grid's fast exact B⁻¹."""
-        return self._project(self.grid.helmholtz_inverse(self._project_t(y)))
+        f = self.frame
+        return f.project(f.grid.helmholtz_inverse(f.project_t(y)))
 
     def solve(self, rhs: np.ndarray, rtol: float = RTOL):
         """(x, μ) with 𝕃x + Cμ = rhs and Cᵀx = 0."""
+        f = self.frame
         x = self._minres(
-            lambda x: self._project_t(self.L @ self._project(x)),
-            self._precondition, self._project_t(rhs), rtol,
+            lambda x: f.project_t(self.L @ f.project(x)),
+            self._precondition, f.project_t(rhs), rtol,
         )
-        x = self._project(x)
-        return x, self.Ginv @ (self.Phi.T @ (rhs - self.L @ x))
+        x = f.project(x)
+        return x, f.split(rhs - self.L @ x)[1]
 
     def pinned_solve(self, c: np.ndarray, rhs: np.ndarray, g: float) -> tuple[np.ndarray, float]:
         """(δ, μ) with 𝕃δ + cμ = rhs and cᵀδ = g, for a border c in the span of C.
@@ -165,44 +151,30 @@ class ComplementSolver:
         motions, all near 0 at a Newton root) live in S, which |S|⁻¹
         inverts exactly; on the complement B⁻¹𝕃 is bounded away from 0.
         """
-        n, k = self.Phi.shape
-        phi_c = self.Phi.T @ c
+        f, Phi = self.frame, self.frame.Phi
+        n, k = Phi.shape
+        phi_c = Phi.T @ c
         S = np.zeros((k + 1, k + 1))
-        S[:k, :k] = self.Phi.T @ (self.L @ self.Phi)
+        S[:k, :k] = Phi.T @ (self.L @ Phi)
         S[:k, k] = S[k, :k] = phi_c
         w, V = np.linalg.eigh(S)
         S_abs_inv = (V / np.abs(w)) @ V.T
 
         def field(z):
-            return self._project(z[:n]) + self.Phi @ z[n:-1]
+            return f.project(z[:n]) + Phi @ z[n:-1]
 
         def matvec(z):
             Ld = self.L @ field(z)
             return np.concatenate(
-                [self._project_t(Ld), self.Phi.T @ Ld + phi_c * z[-1], [phi_c @ z[n:-1]]]
+                [f.project_t(Ld), Phi.T @ Ld + phi_c * z[-1], [phi_c @ z[n:-1]]]
             )
 
         z = self._minres(
             matvec,
             lambda y: np.concatenate([self._precondition(y[:n]), S_abs_inv @ y[n:]]),
-            np.concatenate([self._project_t(rhs), self.Phi.T @ rhs, [g]]), RTOL,
+            np.concatenate([f.project_t(rhs), Phi.T @ rhs, [g]]), RTOL,
         )
         return field(z), float(z[-1])
-
-
-def split_projection(h: GridField, solver: ComplementSolver) -> tuple[GridField, np.ndarray]:
-    """Split h = h⊥ + Σ d_i (−Δ+1)φ_i against any frame φ_i.
-
-    d = G⁻¹(⟨h, φ_j⟩_{L²})_j with G the frame's H¹ Gram matrix, so that the
-    remainder pairs to zero with every φ_j in the (H⁻¹, H¹) duality; the
-    frame need not be orthogonal (the translation modes overlap).  The
-    columns (−Δ+1)φ_i and G⁻¹ are the solver's, computed once per
-    configuration.
-    """
-    flat = h.data.ravel()
-    d = solver.Ginv @ (solver.Phi.T @ flat)
-    rem = flat - solver.C @ d
-    return GridField(h.grid, rem.reshape(h.grid.shape)), d
 
 
 def solve_correction(
@@ -220,17 +192,16 @@ def solve_correction(
     """
     grid = bundle.grid
     p = bundle.profile.exponent
-    L = assemble_linearized(bundle)
+    L = linearized(bundle.ubar, p)
     solver = ComplementSolver(L, basis)
     minus_M = -residual(bundle).data
 
     v = np.zeros(grid.size)
     increments, it = [], 0
     for it in range(1, 31):
-        h = GridField(grid, minus_M + power_remainder(bundle.ubar.data, v.reshape(grid.shape), p))
-        h_perp, d = split_projection(h, solver)
-        rhs = h_perp.data.ravel() - L @ v
-        size = np.linalg.norm(solver._project_t(rhs))  # the right side MINRES sees
+        h_perp, d = basis.split(minus_M + power_remainder(bundle.ubar.data, v.reshape(grid.shape), p))
+        rhs = h_perp - L @ v
+        size = np.linalg.norm(basis.project_t(rhs))  # the right side MINRES sees
         if it == 1:
             first = size
         step, mu = solver.solve(rhs, rtol=RTOL * first / size)
@@ -247,9 +218,8 @@ def solve_correction(
                 f"separation sigma_min = {bundle.config.sigma_min:.3f} too small"
             )
     field = GridField(grid, v.reshape(grid.shape))
-    h = GridField(grid, minus_M + power_remainder(bundle.ubar.data, field.data, p))
-    h_perp, d = split_projection(h, solver)
-    res = float(np.linalg.norm(L @ v + solver.C @ mu - h_perp.data.ravel()))
+    h_perp, d = basis.split(minus_M + power_remainder(bundle.ubar.data, field.data, p))
+    res = float(np.linalg.norm(L @ v + basis.C @ mu - h_perp))
     return ReductionState(
         bundle=bundle,
         basis=basis,
@@ -263,7 +233,11 @@ def solve_correction(
 
 
 def translation_frame(bundle: AnsatzBundle) -> NearKernelBasis:
-    """The paper's frame φ_i = α_i ∂U_i/∂x₁, α_i = 1/‖∂U_i/∂x₁‖_∞, alignment residuals 0."""
+    """The paper's frame φ_i = α_i ∂U_i/∂x₁, α_i = 1/‖∂U_i/∂x₁‖_∞, alignment residuals 0.
+
+    RuntimeError if the grid does not resolve these modes (:func:`check_resolution`).
+    """
+    check_resolution(bundle.profile, bundle.grid)
     alphas = np.array([1.0 / z.sup_norm() for z in bundle.translation_modes])
     return NearKernelBasis(
         fields=[a * z for a, z in zip(alphas, bundle.translation_modes)],
@@ -301,9 +275,8 @@ def reduce(
     Raises
     ------
     RuntimeError
-        If the grid does not resolve the core (:func:`check_resolution`).
+        If the grid does not resolve the core (:func:`translation_frame`).
     """
-    check_resolution(profile, grid)
     bundle = build_ansatz(config, profile, grid)
     return solve_correction(bundle, translation_frame(bundle), tol=tol)
 
@@ -388,11 +361,11 @@ def equilibrate(
     """
     if initial.k < 2:
         raise ValueError("equilibrate requires k >= 2")
+    grid = grid_factory(initial.epsilon)  # the angles move, ε does not
 
     def evaluate(angles_free):
-        angles = (initial.angles[0], *angles_free)
-        config = PeakConfiguration(initial.epsilon, angles)
-        return config, reduce(config, profile, grid_factory(config.epsilon)).d_coeffs
+        config = PeakConfiguration(initial.epsilon, (initial.angles[0], *angles_free))
+        return config, reduce(config, profile, grid).d_coeffs
 
     free = np.array(initial.angles[1:])
     config, d = evaluate(free)

@@ -12,7 +12,9 @@ near-kernel cluster near 0 asymptotically spanned by the translation modes
 ∂v_i/∂x₁.  With 𝕃 = B − P, P = diag(p ū₊^{p−1}) ≥ 0, the pencil is
 Pξ = (1−λ)Bξ, so the lowest λ are the largest μ = 1−λ of (P, B): both
 clusters come from one regular-mode Lanczos run on B⁻¹P, with B⁻¹ the grid's
-fast exact inverse.
+fast exact inverse.  The module also holds the one assembly of F′(u)
+(:func:`linearized`) and the frame every constrained solve is H¹-orthogonal
+to (:class:`NearKernelBasis`).
 """
 
 from __future__ import annotations
@@ -59,15 +61,14 @@ class SpectralResult:
         return self.translation_products / tnorms
 
 
-def linearized_potential(bundle: AnsatzBundle) -> np.ndarray:
-    """p ū₊^{p−1} on flattened fields: 𝕃 = −Δ + 1 − diag of it."""
-    p = bundle.profile.exponent
-    return p * np.maximum(bundle.ubar.data.ravel(), 0.0) ** (p - 1)
+def _potential(u: GridField, p: float) -> sp.dia_matrix:
+    """diag(p u₊^{p−1}) on flattened fields."""
+    return sp.diags(p * np.maximum(u.data.ravel(), 0.0) ** (p - 1))
 
 
-def assemble_linearized(bundle: AnsatzBundle) -> sp.csr_matrix:
-    """Sparse matrix of 𝕃 = −Δ + 1 − p ū^{p−1} on flattened fields."""
-    return (bundle.grid.helmholtz_matrix - sp.diags(linearized_potential(bundle))).tocsr()
+def linearized(u: GridField, p: float) -> sp.csr_matrix:
+    """F′(u) = −Δ + 1 − p u₊^{p−1} on flattened fields: 𝕃 at u = ū, Newton's Jacobian."""
+    return u.grid.helmholtz_matrix - _potential(u, p)
 
 
 def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
@@ -91,22 +92,19 @@ def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
     """
     if count < 2 * bundle.config.k + 1:
         raise ValueError("count must be at least 2k + 1 to see the spectral gap")
-    L = assemble_linearized(bundle)
+    P = _potential(bundle.ubar, bundle.profile.exponent)
     B = bundle.grid.helmholtz_matrix
     Binv = LinearOperator(B.shape, matvec=bundle.grid.helmholtz_inverse, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(B.shape[0])
     # ascending μ with B-orthonormal eigenvector columns, reversed to ascending λ
-    mu, vecs = eigsh(
-        sp.diags(linearized_potential(bundle)), k=count, M=B, Minv=Binv,
-        which="LA", tol=1e-12, v0=v0,
-    )
+    mu, vecs = eigsh(P, k=count, M=B, Minv=Binv, which="LA", tol=1e-12, v0=v0)
     vals, vecs = 1.0 - mu[::-1], vecs[:, ::-1]
     # Lanczos leaves each sign arbitrary; fix it by the generic start vector
     vecs = vecs * np.where(v0 @ vecs < 0, -1.0, 1.0)
 
     if np.any(vals >= 1.0):
         raise RuntimeError(f"eigenvalue >= 1 returned: {vals}")
-    residuals = np.linalg.norm(L @ vecs - (B @ vecs) * vals, axis=0)
+    residuals = np.linalg.norm((B @ vecs) * (1.0 - vals) - P @ vecs, axis=0)
     if np.any(residuals > 1e-8 * np.linalg.norm(B @ vecs[:, 0])):
         raise RuntimeError(f"eigen-residuals too large: {residuals}")
 
@@ -133,11 +131,36 @@ def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
 
 @dataclass
 class NearKernelBasis:
-    """Per-peak frame φ_i ≈ α_i ∂v_i/∂x₁: the translation modes, or rotated eigenvectors."""
+    """A frame φ_i ≈ α_i ∂v_i/∂x₁ (:func:`~multipeak.reduction.translation_frame`,
+    or rotated eigenvectors) with its algebra, built once: ``Phi`` (the fields
+    as columns), ``C`` = BΦ and the inverse ``Ginv`` of the H¹ Gram matrix
+    G = ΦᵀC, needed since the translation modes overlap."""
 
     fields: list[GridField]
     alphas: np.ndarray
     alignment_residuals: np.ndarray
+
+    def __post_init__(self):
+        self.grid = self.fields[0].grid
+        self.Phi = np.array([phi.data.ravel() for phi in self.fields]).T
+        self.C = self.grid.helmholtz_matrix @ self.Phi
+        G = self.Phi.T @ self.C  # φ_i·(Bφ_j), symmetric up to roundoff
+        self.Ginv = np.linalg.inv(0.5 * (G + G.T))
+
+    def split(self, h) -> tuple[np.ndarray, np.ndarray]:
+        """(h⊥, d) with h = h⊥ + Σ d_i (−Δ+1)φ_i on h flattened, d = G⁻¹(⟨h, φ_j⟩_{L²})_j:
+        h⊥ = Πᵀh pairs to zero with every φ_j in the (H⁻¹, H¹) duality."""
+        flat = np.ravel(h)
+        d = self.Ginv @ (self.Phi.T @ flat)
+        return flat - self.C @ d, d
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Πx: the B-orthogonal projection onto {x : Cᵀx = 0}."""
+        return x - self.Phi @ (self.Ginv @ (self.C.T @ x))
+
+    def project_t(self, y: np.ndarray) -> np.ndarray:
+        """Πᵀy: the component of y that pairs to zero with every φ_i."""
+        return self.split(y)[0]
 
 
 def near_kernel_basis(result: SpectralResult, bundle: AnsatzBundle) -> NearKernelBasis:
@@ -158,14 +181,9 @@ def near_kernel_basis(result: SpectralResult, bundle: AnsatzBundle) -> NearKerne
     vecs = [result.eigenvectors[m] for m in idx]
     W, _, Vt = np.linalg.svd(result.translation_products[idx])
     Q = W @ Vt
-    rotated = []
-    for i in range(k):
-        data = sum(Q[m, i] * vecs[m].data for m in range(k))
-        rotated.append(GridField(bundle.grid, data))
-
     fields, alphas, residuals = [], [], []
-    for i, phi in enumerate(rotated):
-        t = bundle.translation_modes[i]
+    for i, t in enumerate(bundle.translation_modes):
+        phi = GridField(bundle.grid, sum(Q[m, i] * vecs[m].data for m in range(k)))
         if inner_products(phi, t)[1] < 0:
             phi = -1.0 * phi
         phi = (1.0 / phi.sup_norm()) * phi

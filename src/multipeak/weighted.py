@@ -16,8 +16,8 @@ import numpy as np
 
 from .ansatz import AnsatzBundle, PeakConfiguration, peak_distance_field
 from .domain import GridField, gradient_magnitude, inner_products
-from .reduction import ComplementSolver, split_projection
-from .spectrum import NearKernelBasis, assemble_linearized
+from .reduction import ComplementSolver
+from .spectrum import NearKernelBasis, linearized
 
 DEFAULT_ETAS = (0.3, 0.5, 0.7)
 
@@ -70,13 +70,12 @@ def solve_orthogonal(
         If the relative residual of 𝕃ξ + Cμ = h⊥ exceeds 1e-10 or the
         orthogonality defect exceeds 1e-8.
     """
-    L = assemble_linearized(bundle)
-    solver = ComplementSolver(L, basis)
-    h_perp, _ = split_projection(h, solver)
-    xi_vec, mu = solver.solve(h_perp.data.ravel())
+    L = linearized(bundle.ubar, bundle.profile.exponent)
+    h_perp, _ = basis.split(h.data)
+    xi_vec, mu = ComplementSolver(L, basis).solve(h_perp)
     xi = GridField(h.grid, xi_vec.reshape(h.grid.shape))
-    rhs_norm = np.linalg.norm(h_perp.data)
-    res = np.linalg.norm(L @ xi_vec + solver.C @ mu - h_perp.data.ravel())
+    rhs_norm = np.linalg.norm(h_perp)
+    res = np.linalg.norm(L @ xi_vec + basis.C @ mu - h_perp)
     if rhs_norm > 0 and res > 1e-10 * rhs_norm:
         raise RuntimeError(f"constrained MINRES solve residual {res:.3e} too large")
     xi_h1 = max(inner_products(xi, xi)[1], 1e-300)

@@ -63,10 +63,11 @@ def test_fresh_processes_and_blas_threads_agree(tmp_path, args):
 
 
 @pytest.mark.parametrize(
-    "args", [["--dim", "3", "--p", "3"], ["--p", "7"], ["--p", "12"]], ids=" ".join
+    "args", [["--dim", "3", "--p", "3"], ["--p", "7"], ["--p", "12"], ["--p", "14"]],
+    ids=" ".join,
 )
 def test_groundstate_admissible_inputs_run(tmp_path, args):
-    """N = 3, p = 3 and N = 2, p = 7 and 12 are admissible, so they exit 0."""
+    """N = 3, p = 3 and N = 2, p = 7, 12 and 14 are admissible, so they exit 0."""
     code, f = run(tmp_path, "g.json", ["groundstate", *args])
     assert code == 0
     assert json.loads(f.read_text())["results"]["center_value"] > 1

@@ -171,6 +171,15 @@ def test_newton_minres_iterations_do_not_grow_with_grid(profile_n2, h, shape):
     assert max(sol.minres_iterations) <= 40
 
 
+def test_newton_builds_the_frame_once(bundle_k2, monkeypatch):
+    """The frame's Gram inverse is computed once per solve, not at every Newton step."""
+    inv, shapes = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
+    sol = newton_solve(bundle_k2)
+    assert sol.iterations >= 2
+    assert shapes == [(2, 2)]
+
+
 def test_newton_leaves_no_reference_cycles(bundle_k2):
     """A solve frees its operators by reference counting: nothing is left for
     the cycle collector, which would otherwise hold every step's Jacobian and

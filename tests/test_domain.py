@@ -51,6 +51,10 @@ def test_grid_validation():
         StripGrid(-0.5, 10.0, 48, 32)
     with pytest.raises(ValueError):
         StripGrid(0.5, 10.0, 2, 32)
+    for bad in (np.nan, np.inf):
+        for args in ((bad, 12.0), (0.3, bad)):
+            with pytest.raises(ValueError):
+                StripGrid(*args, 84, 48)
     for bad in (0.0, -0.25, np.nan, np.inf):
         for args in ((bad,), (0.3, bad), (0.3, 12.0, bad)):
             with pytest.raises(ValueError):

@@ -87,19 +87,35 @@ def test_pohozaev_and_energy_identities(dimension, p):
     assert pohozaev == pytest.approx(1.0, abs=1e-7)
 
 
-@pytest.mark.parametrize("p, step", [(3, 0.005), (10, 0.005), (11, 0.0025), (12, 0.0025)])
+@pytest.mark.parametrize(
+    "p, step", [(3, 0.005), (10, 0.005), (11, 0.0025), (12, 0.0025), (14, 0.00125)]
+)
 def test_spacing_halved_only_for_narrow_core(p, step):
     """N = 2 up to p = 10 passes the Pohozaev check on the 0.005 nodes and is
-    solved there alone, as before; p = 11 and 12 need the 0.0025 nodes."""
+    solved there alone; p = 11 and 12 need the 0.0025 nodes, and p = 14 the
+    0.00125 nodes."""
     profile = solve_ground_state(2, p)
     r = profile.radial_grid
     assert r[1] == step and r[-1] == 12.0 and r.size == round(12 / step) + 1
 
 
 def test_unresolved_core_raises():
-    """Near the critical exponent the core is too narrow for the grid."""
-    with pytest.raises(RuntimeError, match="Pohozaev"):
-        solve_ground_state(3, 4.9)
+    """At N = 2, p = 20 the core is too narrow even for the finest nodes."""
+    with pytest.raises(RuntimeError, match="Pohozaev.*finest node spacing 0.000625"):
+        solve_ground_state(2, 20)
+
+
+def test_near_critical_n3_solves_on_finest_nodes():
+    """N = 3, p = 4.9 misses the Pohozaev check down to 0.00125 and passes at 0.000625."""
+    assert solve_ground_state(3, 4.9).radial_grid[1] == 0.000625
+
+
+def test_non_finite_iterate_moves_to_next_spacing():
+    """At N = 3, p = 4.99 the Petviashvili iterate leaves the finite numbers on
+    the 0.005 nodes; that spacing fails like the others, and the last failure
+    is raised as the RuntimeError naming the finest spacing."""
+    with pytest.raises(RuntimeError, match="finest node spacing 0.000625"):
+        solve_ground_state(3, 4.99)
 
 
 @pytest.mark.parametrize("fixture", ["profile_n1", "profile_n2"])

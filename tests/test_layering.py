@@ -1,9 +1,11 @@
 """Import layering of the package, checked on its source without importing it,
-the scipy modules the command line loads, and the command line's single
-declaration of its run parameters."""
+the scipy modules the command line loads, the command line's single
+declaration of its run parameters, and what the benchmark in ``perfbench``
+expects of the package (read from its files, which are left as they are)."""
 
 import argparse
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "multipeak"
+PERFBENCH = SRC.parents[1] / "perfbench"
 MODULES = sorted(SRC.glob("*.py"))
 
 # the numerical layers: none of them may depend on the front end or on Newton
@@ -72,6 +75,30 @@ def test_one_factorization_primitive():
     assert not set(callers("bmat", "cg"))
 
 
+def test_one_frame():
+    """The frame's algebra (Φ, C = BΦ, G⁻¹, the projectors and the split) is
+    spectrum.NearKernelBasis, built once per frame: the solver stores only 𝕃,
+    its frame and its iteration counts.  F′(u) is assembled by
+    spectrum.linearized alone, for the correction, the weighted solve and the
+    Newton step; outside the grid's and the radial operators, the only
+    diagonal matrix is its potential, shared with the eigensolve's pencil.
+    The resolution check guards the translation frame, and the spectrum
+    command, whose eigen frame needs the modes resolved too."""
+    text = "".join(path.read_text() for path in MODULES)
+    assert "split_projection" not in text and "assemble_linearized" not in text
+    tree = ast.parse((SRC / "reduction.py").read_text())
+    solver = next(n for n in tree.body if getattr(n, "name", None) == "ComplementSolver")
+    stored = {node.attr for node in ast.walk(solver) if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"}
+    assert stored == {"L", "frame", "iterations"}
+    outside = {(m, f) for m, f in callers("diags") if m not in ("domain", "groundstate")}
+    assert outside == {("spectrum", "_potential")}
+    assert set(callers("_potential")) == {("spectrum", "linearized"), ("spectrum", "lowest_eigenpairs")}
+    assert {m for m, _ in callers("linearized")} == {"reduction", "weighted", "dancer"}
+    assert set(callers("check_resolution")) == {
+        ("reduction", "translation_frame"), ("cli", "cmd_spectrum")}
+
+
 def test_cli_import_loads_no_interpolation():
     """The profile interpolates itself, so the front end loads no scipy.interpolate."""
     loaded = subprocess.run(
@@ -122,3 +149,56 @@ def test_each_run_parameter_declared_once():
         dests = {a.dest for a in parser._actions if a.option_strings} - {"help"}
         assert set(PARAMS[command]) <= dests, command
         assert dests - set(PARAMS[command]) <= NON_PARAMETER_FLAGS, command
+
+
+def perfbench_literal(filename, name):
+    """The literal value of the top-level assignment to `name` in a perfbench file."""
+    for node in ast.parse((PERFBENCH / filename).read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} not assigned in perfbench/{filename}")
+
+
+def test_benchmark_layers_resolve():
+    """Each (module, function) the benchmark's tracer wraps is a callable of the package."""
+    for module, func in perfbench_literal("tracing.py", "LAYERS"):
+        assert callable(getattr(importlib.import_module(f"multipeak.{module}"), func, None)), (
+            module, func)
+
+
+def reached_modules(tree, name):
+    """Modules that the top-level definition `name` of workloads.py looks up by
+    ``_mod("...")``, itself or through the top-level definitions it names."""
+    top = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    todo, seen, found = [name], set(), set()
+    while todo:
+        current = todo.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        for node in ast.walk(top[current]):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_mod"
+                    and isinstance(node.args[0], ast.Constant)):
+                found.add(node.args[0].value)
+            elif isinstance(node, ast.Name) and node.id in top:
+                todo.append(node.id)
+    return found
+
+
+@pytest.mark.parametrize("workload", sorted(perfbench_literal("run.py", "SETUP_MODULES")))
+def test_benchmark_setup_loads_what_its_workload_reaches(workload):
+    """An in-process workload imports its SETUP_MODULES, then reads modules from
+    sys.modules (a KeyError if one is missing): in a fresh interpreter those
+    imports must load every module its class (snake_case name in CamelCase) reaches."""
+    setup = list(perfbench_literal("run.py", "SETUP_MODULES")[workload])
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    wanted = reached_modules(tree, "".join(part.title() for part in workload.split("_")))
+    assert wanted
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         f"import importlib, sys\nfor m in {setup!r}: importlib.import_module(m)\nprint(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    missing = {f"multipeak.{m}" for m in wanted} - set(loaded)
+    assert not missing, f"{workload} imports {setup}, which do not load {sorted(missing)}"

@@ -22,10 +22,9 @@ from multipeak.reduction import (
     interaction_d,
     power_remainder,
     reduce,
-    split_projection,
     translation_frame,
 )
-from multipeak.spectrum import assemble_linearized, lowest_eigenpairs, near_kernel_basis
+from multipeak.spectrum import linearized, lowest_eigenpairs, near_kernel_basis
 
 finite = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
 
@@ -65,10 +64,21 @@ def test_power_remainder_cancellation_free():
     assert got == pytest.approx(exact, rel=1e-12)
 
 
+def L_of(bundle):
+    """𝕃 = F′(ū) of the bundle."""
+    return linearized(bundle.ubar, bundle.profile.exponent)
+
+
+def split_field(frame, h):
+    """frame.split on a GridField: (h⊥ as a GridField, d)."""
+    h_perp, d = frame.split(h.data)
+    return GridField(h.grid, h_perp.reshape(h.grid.shape)), d
+
+
 def test_split_projection_annihilates_basis(bundle_k2, basis_k2):
     rng = np.random.default_rng(11)
     h = GridField(bundle_k2.grid, rng.standard_normal(bundle_k2.grid.shape))
-    h_perp, d = split_projection(h, ComplementSolver(assemble_linearized(bundle_k2), basis_k2))
+    h_perp, d = split_field(basis_k2, h)
     assert d.shape == (2,)
     for phi in basis_k2.fields:
         l2 = inner_products(h_perp, phi)[0]
@@ -77,11 +87,10 @@ def test_split_projection_annihilates_basis(bundle_k2, basis_k2):
 
 def test_split_projection_keeps_inner_product_arithmetic(bundle_k2):
     """d solves the quadrature H¹ Gram system G d = (⟨h, φ_j⟩_{L²})_j to 1e-13,
-    although the solver computes (−Δ+1)φ_i and G⁻¹ once."""
+    although the frame computes (−Δ+1)φ_i and G⁻¹ once."""
     frame = translation_frame(bundle_k2)
-    solver = ComplementSolver(assemble_linearized(bundle_k2), frame)
     h = GridField(bundle_k2.grid, np.random.default_rng(4).standard_normal(bundle_k2.grid.shape))
-    _, d = split_projection(h, solver)
+    _, d = frame.split(h.data)
     fields = frame.fields
     gram = np.array([[inner_products(a, b)[1] for b in fields] for a in fields])
     expected = np.linalg.solve(gram, [inner_products(h, phi)[0] for phi in fields])
@@ -95,7 +104,7 @@ def test_split_projection_on_overlapping_frame(profile_n2):
     bundle = build_ansatz(uniform_configuration(0.4, 2), profile_n2, make_grid(0.4))
     frame = translation_frame(bundle)
     h = GridField(bundle.grid, np.random.default_rng(8).standard_normal(bundle.grid.shape))
-    h_perp, _ = split_projection(h, ComplementSolver(assemble_linearized(bundle), frame))
+    h_perp, _ = split_field(frame, h)
     for phi in frame.fields:
         pairing = abs(inner_products(h_perp, phi)[0])
         assert pairing <= 1e-12 * np.sqrt(inner_products(h, h)[0] * inner_products(phi, phi)[0])
@@ -111,7 +120,7 @@ def pin_column(bundle):
 
 def test_pinned_solve_inhomogeneous_constraint(bundle_k2):
     """𝕃δ + cμ = rhs and cᵀδ = g hold to roundoff on the k = 2 frame."""
-    solver = ComplementSolver(assemble_linearized(bundle_k2), translation_frame(bundle_k2))
+    solver = ComplementSolver(L_of(bundle_k2), translation_frame(bundle_k2))
     c = pin_column(bundle_k2)
     rhs = np.random.default_rng(3).standard_normal(c.size)
     x, mu = solver.pinned_solve(c, rhs, 0.3)
@@ -139,7 +148,7 @@ def bordered_reference(A, C):
 @pytest.mark.parametrize("target", [0.0, 0.3], ids=["zero", "nonzero"])
 def test_pinned_solve_matches_bordered_factorization(bundle_k2, target):
     """MINRES in frame coordinates agrees with factoring [[𝕃, c], [cᵀ, 0]] whole."""
-    solver = ComplementSolver(assemble_linearized(bundle_k2), translation_frame(bundle_k2))
+    solver = ComplementSolver(L_of(bundle_k2), translation_frame(bundle_k2))
     c = pin_column(bundle_k2)
     rhs = np.random.default_rng(5).standard_normal(c.size)
     x, mu = solver.pinned_solve(c, rhs, target)
@@ -167,10 +176,10 @@ def eigen_frame(bundle):
 def test_complement_solver_matches_bordered_factorization(profile_n2, eps, k, frame):
     """MINRES on the complement gives the bordered system's (x, μ) to 1e-10."""
     bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, make_grid(eps))
-    solver = ComplementSolver(assemble_linearized(bundle), frame(bundle))
+    solver = ComplementSolver(L_of(bundle), frame(bundle))
     rhs = np.random.default_rng(5).standard_normal(solver.L.shape[0])
     x, mu = solver.solve(rhs)
-    x_ref, mu_ref = bordered_reference(solver.L, solver.C)(rhs)
+    x_ref, mu_ref = bordered_reference(solver.L, solver.frame.C)(rhs)
     assert mu.shape == (k,)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
     assert np.linalg.norm(mu - mu_ref) <= 1e-10 * np.linalg.norm(mu_ref)
@@ -198,15 +207,15 @@ def test_complement_solver_iterations_do_not_grow_with_grid(profile_n2, refineme
     does not depend on the grid, so a cold solve takes at most 30 iterations."""
     bundle = sigma8_bundle(profile_n2, refinements)
     assert bundle.grid.shape == shape
-    solver = ComplementSolver(assemble_linearized(bundle), frame(bundle))
-    h_perp, _ = split_projection(GridField(bundle.grid, -residual(bundle).data), solver)
-    solver.solve(h_perp.data.ravel())
+    solver = ComplementSolver(L_of(bundle), frame(bundle))
+    h_perp, _ = solver.frame.split(-residual(bundle).data)
+    solver.solve(h_perp)
     assert 0 < solver.iterations[0] <= 30
 
 
 def test_complement_solver_raises_at_iteration_cap(bundle_k2, basis_k2, monkeypatch):
     monkeypatch.setattr(reduction, "MINRES_MAXITER", 3)
-    solver = ComplementSolver(assemble_linearized(bundle_k2), basis_k2)
+    solver = ComplementSolver(L_of(bundle_k2), basis_k2)
     rhs = np.random.default_rng(2).standard_normal(bundle_k2.grid.size)
     with pytest.raises(RuntimeError, match="MINRES"):
         solver.solve(rhs)
@@ -222,7 +231,7 @@ def test_pinned_solve_at_nearly_singular_newton_jacobian(profile_n2):
     grid = make_grid(0.3, h=0.125)
     bundle = build_ansatz(uniform_configuration(0.3, 2), profile_n2, grid)
     u = newton_solve(bundle).field.data.ravel()
-    J = grid.helmholtz_matrix - sp.diags(3.0 * np.maximum(u, 0.0) ** 2)  # p = 3
+    J = linearized(GridField(grid, u.reshape(grid.shape)), 3.0)
     c = pin_column(bundle)
     rhs = np.random.default_rng(9).standard_normal(u.size)
     x, mu = ComplementSolver(J, translation_frame(bundle)).pinned_solve(c, rhs, 0.25)
@@ -298,3 +307,21 @@ def test_reduce_and_equilibrate_reach_no_eigensolver(profile_n2, monkeypatch):
     tol = 1e-2 * residual_rate(uniform.sigma_min, 2)
     assert equilibrate(perturbed, profile_n2, make_grid, tol=tol).newton_steps >= 1
 
+
+def test_equilibrate_builds_its_grid_once(profile_n2):
+    """ε is fixed while the angles move, so the grid factory is called once; the
+    final angles are those of `equilibrate --eps 0.3 --k 2 --perturb 0.05`."""
+    calls = []
+
+    def factory(eps):
+        calls.append(eps)
+        return make_grid(eps)
+
+    uniform = uniform_configuration(0.3, 2)
+    initial = PeakConfiguration(0.3, (uniform.angles[0], uniform.angles[1] + 0.05 * np.pi))
+    result = equilibrate(initial, profile_n2, factory, tol=1e-2 * residual_rate(initial.sigma_min, 2))
+    assert calls == [0.3]
+    assert result.newton_steps == 2
+    assert result.config.angles == pytest.approx(
+        [-3.141592653589793, 0.00022574091104568192], rel=0, abs=1e-12
+    )

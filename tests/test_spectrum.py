@@ -10,7 +10,7 @@ from multipeak.domain import GridField, inner_products, make_grid
 from multipeak.groundstate import solve_ground_state
 from multipeak.spectrum import (
     NearKernelError,
-    assemble_linearized,
+    linearized,
     lowest_eigenpairs,
     near_kernel_basis,
     principal_angles,
@@ -27,7 +27,7 @@ def test_ground_state_exact_eigenvector_identity(bundle_k1):
     ubar = bundle_k1.ubar
     Lu = GridField(
         ubar.grid,
-        (assemble_linearized(bundle_k1) @ ubar.data.ravel()).reshape(ubar.grid.shape),
+        (linearized(ubar, bundle_k1.profile.exponent) @ ubar.data.ravel()).reshape(ubar.grid.shape),
     )
     num = inner_products(Lu, ubar)[0]
     den = inner_products(ubar, ubar)[1]
@@ -121,7 +121,7 @@ def test_degenerate_spectrum_matches_dense(p, grid_args, count):
     )
     result = lowest_eigenpairs(bundle, count=count)
     dense = scipy.linalg.eigh(
-        assemble_linearized(bundle).toarray(),
+        linearized(bundle.ubar, bundle.profile.exponent).toarray(),
         grid.helmholtz_matrix.toarray(),
         eigvals_only=True,
         subset_by_index=[0, count - 1],
@@ -137,7 +137,7 @@ def test_lowest_eigenvalues_not_skipped(profile_n2, k, eps, count):
     bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, grid)
     result = lowest_eigenpairs(bundle, count=count)
     dense = scipy.linalg.eigh(
-        assemble_linearized(bundle).toarray(),
+        linearized(bundle.ubar, bundle.profile.exponent).toarray(),
         grid.helmholtz_matrix.toarray(),
         eigvals_only=True,
         subset_by_index=[0, count - 1],
