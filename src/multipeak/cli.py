@@ -168,6 +168,11 @@ def _check(ok: bool, constraint: str) -> None:
         raise ConfigError(f"constraint violated: {constraint}")
 
 
+def _check_tol(tol: float) -> None:
+    """A stop tolerance is positive and finite: tol = inf would stop a solve unconverged."""
+    _check(0 < tol < np.inf, f"0 < tol < inf (got {tol})")
+
+
 def _strip_grids(cfg: dict, epsilons) -> dict[float, dom.StripGrid]:
     """Check dim = 2 (the strip operator is planar) and p, then build the grid of each ε."""
     _check(cfg["dim"] == 2, f"dim = 2 on the strip (got {cfg['dim']})")
@@ -268,7 +273,7 @@ def cmd_spectrum(args, cfg):
 
 def cmd_reduce(args, cfg):
     config, grid = _bundle_inputs(cfg)
-    _check(cfg["tol"] > 0, f"tol > 0 (got {cfg['tol']})")
+    _check_tol(cfg["tol"])
 
     def compute():
         state = red.reduce(config, _profile(cfg["p"]), grid, tol=cfg["tol"])
@@ -300,7 +305,7 @@ def cmd_equilibrate(args, cfg):
     initial = ans.PeakConfiguration(eps, tuple(angles))
     if cfg["tol"] is None:
         cfg["tol"] = 1e-2 * ans.residual_rate(initial.sigma_min, 2)
-    _check(cfg["tol"] > 0, f"tol > 0 (got {cfg['tol']})")
+    _check_tol(cfg["tol"])
 
     def compute():
         result = red.equilibrate(initial, _profile(cfg["p"]), grids.__getitem__, tol=cfg["tol"])
@@ -321,7 +326,7 @@ def cmd_equilibrate(args, cfg):
 def cmd_dancer(args, cfg):
     k, eta, tol = cfg["k"], cfg["eta"], cfg["tol"]
     _check(0 < eta < 1, f"0 < eta < 1 (got {eta})")
-    _check(tol > 0, f"tol > 0 (got {tol})")
+    _check_tol(tol)
     if cfg["eps_sweep"] is not None:
         _check(cfg["eps"] is None, f"eps or eps-sweep, not both (got eps = {cfg['eps']})")
         epsilons = list(cfg["eps_sweep"])

@@ -34,7 +34,7 @@ import numpy as np
 from .ansatz import AnsatzBundle, nonlinear_residual, uniform_configuration
 from .domain import GridField, align_shift, reflect_x1, shift_x1
 from .groundstate import GroundStateProfile
-from .reduction import ComplementSolver, reduce, translation_frame
+from .reduction import RTOL, ComplementSolver, reduce, translation_frame
 from .spectrum import linearized
 from .weighted import weighted_sup
 
@@ -80,7 +80,11 @@ def newton_solve(
     (:func:`~multipeak.reduction.translation_frame`), solves the bordered
     system in that frame's coordinates by one preconditioned MINRES run
     (:meth:`~multipeak.reduction.ComplementSolver.pinned_solve`) and
-    updates u and μ together.
+    updates u and μ together.  The run is inexact: step k stops at the
+    forcing term η_k = max(RTOL·‖G₀‖/‖G_k‖, min(0.1, (‖G_k‖/‖G₀‖)²)),
+    ‖G_k‖ = ‖F(u_k) + μ_k c‖, which keeps Newton's quadratic convergence
+    (Dembo, Eisenstat & Steihaug 1982; Eisenstat & Walker 1996) and never
+    asks for more absolute accuracy than RTOL on the first right side.
 
     Parameters
     ----------
@@ -117,8 +121,9 @@ def newton_solve(
                 f"no convergence: residual {history[-1]:.3e} after "
                 f"{len(history) - 1} of {MAX_ITER} iterations"
             )
+        eta = max(RTOL * history[0] / history[-1], min(0.1, (history[-1] / history[0]) ** 2))
         solver = ComplementSolver(linearized(field, p), frame)
-        step, dmu = solver.pinned_solve(c, -G, -float(c @ (u - u0)))
+        step, dmu = solver.pinned_solve(c, -G, -float(c @ (u - u0)), rtol=eta)
         counts += solver.iterations
         u = u + step
         mu += dmu

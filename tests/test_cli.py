@@ -275,6 +275,9 @@ DESK = ["ansatz", "--eps", "0.3", "--k", "2"]
         ["dancer", "--eps", "0.3", "--eta", "1.5"],
         ["dancer", "--eps-sweep", "0.3,0.3,0.3", "--k", "1"],
         ["reduce", "--eps", "0.3", "--k", "2", "--tol", "nan"],
+        ["reduce", "--eps", "0.3", "--k", "2", "--tol", "inf"],
+        ["equilibrate", "--eps", "0.3", "--k", "2", "--tol", "inf"],
+        ["dancer", "--eps", "0.3", "--k", "1", "--tol", "inf"],
         ["spectrum", "--eps", "0.3", "--k", "0"],
         ["spectrum", "--eps", "0.3", "--k", "2", "--dim", "3"],
         DESK + ["--dim", "1"],

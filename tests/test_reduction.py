@@ -145,6 +145,63 @@ def bordered_reference(A, C):
     return solve
 
 
+def exact_inner_newton(bundle, tol=1e-11):
+    """Pinned Newton with every step's MINRES run to RTOL, the reference for the
+    inexact steps of `dancer.newton_solve`: (u, μ) once ‖F(u) + μc‖ < tol."""
+    from multipeak.ansatz import nonlinear_residual
+    from multipeak.dancer import MAX_ITER
+
+    grid, p = bundle.grid, bundle.profile.exponent
+    frame, c = translation_frame(bundle), pin_column(bundle)
+    u0 = bundle.ubar.data.ravel()
+    u, mu = u0, 0.0
+    for _ in range(MAX_ITER + 1):
+        field = GridField(grid, u.reshape(grid.shape))
+        G = nonlinear_residual(field, p).data.ravel() + mu * c
+        if np.linalg.norm(G) < tol:
+            return u, mu
+        solver = ComplementSolver(linearized(field, p), frame)
+        step, dmu = solver.pinned_solve(c, -G, -float(c @ (u - u0)), rtol=reduction.RTOL)
+        u, mu = u + step, mu + dmu
+    raise AssertionError(f"exact-inner Newton did not reach {tol}")
+
+
+def newton_case(profile, equilibrated, case):
+    """Criteria 08/09's Newton bundles: on- and off-lattice k = 2, equilibrated k = 3."""
+    if case == "equilibrated-k3":
+        uniform, _, result = equilibrated[3]
+        return build_ansatz(result.config, profile, make_grid(uniform.epsilon))
+    config, grid = uniform_configuration(0.3, 2), make_grid(0.3)
+    if case == "off-lattice-k2":
+        config = config.shifted(0.37 * grid.h1 * 0.3)
+    return build_ansatz(config, profile, grid)
+
+
+@pytest.mark.parametrize("case", ["on-lattice-k2", "off-lattice-k2", "equilibrated-k3"])
+def test_inexact_newton_matches_exact_inner_reference(profile_n2, equilibrated, case):
+    """Stopping each step's MINRES at the forcing term moves neither the root nor μ:
+    both Newtons reach tol, and they agree to 1e-10 in u and 1e-12 in μ."""
+    from multipeak.dancer import newton_solve
+
+    bundle = newton_case(profile_n2, equilibrated, case)
+    sol = newton_solve(bundle, tol=1e-11)
+    u_ref, mu_ref = exact_inner_newton(bundle, tol=1e-11)
+    assert sol.newton_history[-1] < 1e-11
+    assert np.max(np.abs(sol.field.data.ravel() - u_ref)) <= 1e-10
+    assert abs(sol.multiplier - mu_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("eps, k", [(0.3, 2), (0.2, 3)], ids=["k2", "k3"])
+def test_preconditioner_is_the_two_projection_form(profile_n2, eps, k):
+    """B⁻¹y − ΦG⁻¹Φᵀy is ΠB⁻¹Πᵀy, since ΠΦ = 0 and CᵀB⁻¹ = Φᵀ."""
+    bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, make_grid(eps))
+    frame = translation_frame(bundle)
+    y = np.random.default_rng(6).standard_normal(bundle.grid.size)
+    got = ComplementSolver(L_of(bundle), frame)._precondition(y)
+    expected = frame.project(bundle.grid.helmholtz_inverse(frame.project_t(y)))
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 @pytest.mark.parametrize("target", [0.0, 0.3], ids=["zero", "nonzero"])
 def test_pinned_solve_matches_bordered_factorization(bundle_k2, target):
     """MINRES in frame coordinates agrees with factoring [[𝕃, c], [cᵀ, 0]] whole."""
