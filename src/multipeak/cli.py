@@ -245,8 +245,8 @@ def cmd_spectrum(args, cfg):
     config, grid = _bundle_inputs(cfg)
     if cfg["count"] is None:
         cfg["count"] = 2 * config.k + 2
-    _check(cfg["count"] >= 2 * config.k + 1,
-           f"count >= 2k + 1 (got {cfg['count']} for k = {config.k})")
+    _check(2 * config.k + 1 <= cfg["count"] <= 4 * config.k + 4,
+           f"2k + 1 <= count <= 4k + 4 (got {cfg['count']} for k = {config.k})")
 
     def compute():
         profile = _profile(cfg["p"])

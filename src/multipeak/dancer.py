@@ -13,8 +13,8 @@ converged field.
 Near a k-peak solution the Jacobian is degenerate only along the peaks'
 translations span{∂U_i/∂x₁}, and the one pin removes only one of them.
 Each Newton step deflates all k with the reduction's translation frame and
-solves the bordered system by one preconditioned MINRES run; nothing is
-factored.
+solves the bordered system by the reduction's `pinned_solve` of the
+Jacobian and that frame, one preconditioned MINRES run; nothing is factored.
 
 The deviation ψ of the solution from the periodized sum of ground-state
 translates is exponentially small in the separation — far below the mesh
@@ -34,7 +34,7 @@ import numpy as np
 from .ansatz import AnsatzBundle, nonlinear_residual, uniform_configuration
 from .domain import GridField, align_shift, reflect_x1, shift_x1
 from .groundstate import GroundStateProfile
-from .reduction import RTOL, ComplementSolver, reduce, translation_frame
+from .reduction import RTOL, pinned_solve, reduce, translation_frame
 from .spectrum import linearized
 from .weighted import weighted_sup
 
@@ -79,9 +79,9 @@ def newton_solve(
     refinement.  Each step deflates the bundle's k translation modes
     (:func:`~multipeak.reduction.translation_frame`), solves the bordered
     system in that frame's coordinates by one preconditioned MINRES run
-    (:meth:`~multipeak.reduction.ComplementSolver.pinned_solve`) and
-    updates u and μ together.  The run is inexact: step k stops at the
-    forcing term η_k = max(RTOL·‖G₀‖/‖G_k‖, min(0.1, (‖G_k‖/‖G₀‖)²)),
+    (:func:`~multipeak.reduction.pinned_solve`) and updates u and μ
+    together.  The run is inexact: step k stops at the forcing term
+    η_k = max(RTOL·‖G₀‖/‖G_k‖, min(0.1, (‖G_k‖/‖G₀‖)²)),
     ‖G_k‖ = ‖F(u_k) + μ_k c‖, which keeps Newton's quadratic convergence
     (Dembo, Eisenstat & Steihaug 1982; Eisenstat & Walker 1996) and never
     asks for more absolute accuracy than RTOL on the first right side.
@@ -122,9 +122,9 @@ def newton_solve(
                 f"{len(history) - 1} of {MAX_ITER} iterations"
             )
         eta = max(RTOL * history[0] / history[-1], min(0.1, (history[-1] / history[0]) ** 2))
-        solver = ComplementSolver(linearized(field, p), frame)
-        step, dmu = solver.pinned_solve(c, -G, -float(c @ (u - u0)), rtol=eta)
-        counts += solver.iterations
+        J = linearized(field, p)
+        step, dmu, its = pinned_solve(J, frame, c, -G, -float(c @ (u - u0)), rtol=eta)
+        counts.append(its)
         u = u + step
         mu += dmu
 

@@ -161,6 +161,12 @@ class StripGrid:
 # h = 1 the near kernel is lost.
 MAX_MESH_WIDTH = 0.5
 
+# Shortest admissible transverse extent R: the Dirichlet wall at R must sit
+# where the peaks have decayed.  d₁ at ε = 0.3, peaks (−3.1, 0.2), h = 0.25 is
+# 8.81e-6, 2.70e-5, 4.008e-5, 4.1300e-5, 4.1282e-5 at R = 0.5, 1, 2, 4, 12;
+# criterion 07's σ = 8 pair gives −1.0522e-7, −1.0846e-7, −1.0842e-7 at R = 2, 4, 12.
+MIN_TRANSVERSE = 4.0
+
 # Largest admissible unknown count.  It bounds a command's memory and time.
 # Nothing is factored, so memory grows linearly with the unknowns (the
 # mesh-limit benchmark, whose finest grid is 592×195 = 115k, peaks near
@@ -175,14 +181,16 @@ def make_grid(eps: float, R: float = 12.0, h: float = 0.25) -> StripGrid:
     Raises
     ------
     ValueError
-        Unless ε, R and h are all finite and positive, h is at most
-        MAX_MESH_WIDTH and the grid has at most MAX_UNKNOWNS nodes.
+        Unless ε, R and h are all finite and positive, h ≤ MAX_MESH_WIDTH,
+        R ≥ MIN_TRANSVERSE and the grid has at most MAX_UNKNOWNS nodes.
     """
     for name, value in (("eps", eps), ("R", R), ("h", h)):
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be finite and positive, got {value}")
     if h > MAX_MESH_WIDTH:
         raise ValueError(f"h = {h} is above the maximum mesh width {MAX_MESH_WIDTH}")
+    if R < MIN_TRANSVERSE:
+        raise ValueError(f"R = {R} is below the minimum transverse extent {MIN_TRANSVERSE}")
     period = 2 * np.pi / eps
     n1 = max(8, 4 * round(period / (4 * h)))
     n2 = max(4, round(R / h))

@@ -4,8 +4,8 @@ If h is orthogonal to the near-kernel and 𝕃ξ = h with ξ orthogonal as
 well, then ξ inherits the exponential weight of h: sup (|ξ|+|∇ξ|) e^{η d_x}
 is controlled by sup |h| e^{η d_x} for every η ∈ (0, 1), where d_x is the
 distance to the nearest peak image.  This module performs the constrained
-solve and computes both weighted norms so the ratio can be tracked along
-parameter sweeps.
+solve (the reduction's `complement_solve` of 𝕃 and the frame) and computes
+both weighted norms so the ratio can be tracked along parameter sweeps.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .ansatz import AnsatzBundle, PeakConfiguration, peak_distance_field
 from .domain import GridField, gradient_magnitude, inner_products
-from .reduction import ComplementSolver
+from .reduction import complement_solve
 from .spectrum import NearKernelBasis, linearized
 
 DEFAULT_ETAS = (0.3, 0.5, 0.7)
@@ -58,8 +58,9 @@ def solve_orthogonal(
     bundle: AnsatzBundle,
     basis: NearKernelBasis,
 ) -> GridField:
-    """Solve 𝕃ξ = h⊥ with ⟨ξ, φ_i⟩_{H¹} = 0 by one :class:`ComplementSolver`
-    run (MINRES on the near-kernel's complement, preconditioned by the fast B⁻¹).
+    """Solve 𝕃ξ = h⊥ with ⟨ξ, φ_i⟩_{H¹} = 0 by one
+    :func:`~multipeak.reduction.complement_solve` (MINRES on the near-kernel's
+    complement, preconditioned by the fast B⁻¹).
 
     h is projected onto the orthogonal complement first, so any near-kernel
     component of the input is discarded rather than amplified.
@@ -72,7 +73,7 @@ def solve_orthogonal(
     """
     L = linearized(bundle.ubar, bundle.profile.exponent)
     h_perp, _ = basis.split(h.data)
-    xi_vec, mu = ComplementSolver(L, basis).solve(h_perp)
+    xi_vec, mu, _ = complement_solve(L, basis, h_perp)
     xi = GridField(h.grid, xi_vec.reshape(h.grid.shape))
     rhs_norm = np.linalg.norm(h_perp)
     res = np.linalg.norm(L @ xi_vec + basis.C @ mu - h_perp)

@@ -211,12 +211,16 @@ def test_reduce_where_the_eigen_count_failed(tmp_path):
         (["--eps", "0.9"], "fixed point diverging"),
         (["--eps", "0.3", "--p", "7"], "core length is l = (p U(0)^(p-1))^(-1/2) = 0.05607, "
                                           "so h must be at most 2.5 l = 0.1402"),
+        (["--eps", "0.4", "--tol", "2e-21"], "after 30 iterations, tol = 2e-21"),
+        (["--eps", "0.3", "--tol", "1e-20"], "or tol is below v's roundoff"),
     ],
-    ids=["contraction", "unresolved-core"],
+    ids=["contraction", "unresolved-core", "unconverged", "roundoff-tol"],
 )
 def test_reduce_numerical_failures(args, reason, capsys):
-    """Too close a pair does not contract, and at p = 7 the desk grid does not
-    resolve the core (h = 0.25 > 2.5ℓ): both exit 3 and say why."""
+    """Too close a pair does not contract, at p = 7 the desk grid does not
+    resolve the core (h = 0.25 > 2.5ℓ), and a tol below the roundoff of v is
+    never reached, whether the increments stall (ε = 0.4) or creep up from
+    roundoff (ε = 0.3): all exit 3 and say why."""
     assert main(["reduce", "--k", "2", *args]) == EXIT_NUMERICAL
     error = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert error["error"] == "numerical"
@@ -285,6 +289,10 @@ DESK = ["ansatz", "--eps", "0.3", "--k", "2"]
         ["equilibrate", "--eps", "0.3", "--k", "2", "--dim", "1"],
         ["dancer", "--eps", "0.3", "--dim", "3"],
         ["spectrum", "--eps", "0.3", "--k", "3", "--count", "6"],
+        ["spectrum", "--eps", "0.3", "--k", "2", "--count", "13"],
+        ["spectrum", "--eps", "0.3", "--k", "2", "--count", "4100"],
+        DESK + ["--transverse", "1"],
+        DESK + ["--transverse", "3.9"],
         DESK + ["--out", "/no/such/dir/a.json"],
         ["groundstate", "--profile-out", "/no/such/dir/p.json"],
         ["oracle", "taylor", "--out", "/no/such/dir/t.json"],

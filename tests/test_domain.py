@@ -63,6 +63,9 @@ def test_grid_validation():
     for h in (100.0, 1e-3):
         with pytest.raises(ValueError):
             make_grid(0.3, 12.0, h)
+    # a Dirichlet wall inside the peaks' decay (d₁ 35 % low at R = 1)
+    with pytest.raises(ValueError, match="minimum transverse extent"):
+        make_grid(0.3, 1.0)
     assert make_grid(0.3).shape == (84, 48)
 
 

@@ -66,19 +66,25 @@ def callers(*names):
 def test_one_factorization_primitive():
     """Nothing in the package is factored: B = −Δ+1 has its fast inverse, and 𝕃
     on the near-kernel's complement (the correction) and the pinned Newton
-    Jacobian in frame coordinates are solved by MINRES, called in one place;
-    no bordered assembly and no CG remain."""
+    Jacobian in frame coordinates are solved by MINRES, called in one place,
+    reduction._minres, by the two solves alone; no bordered assembly and no
+    CG remain."""
     assert not list(callers("splu", "spsolve", "factorized", "factorize"))
     assert not [path.stem for path in MODULES if "splu" in path.read_text()]
-    assert list(callers("minres")) == [("reduction", "ComplementSolver")]
+    assert list(callers("minres")) == [("reduction", "_minres")]
+    assert set(callers("_minres")) == {
+        ("reduction", "complement_solve"), ("reduction", "pinned_solve")}
     assert set(callers("pinned_solve")) == {("dancer", "newton_solve")}
+    assert set(callers("complement_solve")) == {
+        ("reduction", "solve_correction"), ("weighted", "solve_orthogonal")}
     assert not set(callers("bmat", "cg"))
 
 
 def test_one_frame():
     """The frame's algebra (Φ, C = BΦ, G⁻¹, the projectors and the split) is
-    spectrum.NearKernelBasis, built once per frame: the solver stores only 𝕃,
-    its frame and its iteration counts.  F′(u) is assembled by
+    spectrum.NearKernelBasis, built once per frame, and the two solves are
+    functions of 𝕃 and the frame: no class binds them, and nothing in the
+    reduction stores 𝕃 on an object.  F′(u) is assembled by
     spectrum.linearized alone, for the correction, the weighted solve and the
     Newton step; outside the grid's and the radial operators, the only
     diagonal matrix is its potential, shared with the eigensolve's pencil.
@@ -86,11 +92,13 @@ def test_one_frame():
     command, whose eigen frame needs the modes resolved too."""
     text = "".join(path.read_text() for path in MODULES)
     assert "split_projection" not in text and "assemble_linearized" not in text
+    assert "ComplementSolver" not in text
     tree = ast.parse((SRC / "reduction.py").read_text())
-    solver = next(n for n in tree.body if getattr(n, "name", None) == "ComplementSolver")
-    stored = {node.attr for node in ast.walk(solver) if isinstance(node, ast.Attribute)
-              and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"}
-    assert stored == {"L", "frame", "iterations"}
+    assert not [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)]
+    fields = {node.target.id for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for node in cls.body if isinstance(node, ast.AnnAssign)}
+    assert fields and "L" not in fields
     outside = {(m, f) for m, f in callers("diags") if m not in ("domain", "groundstate")}
     assert outside == {("spectrum", "_potential")}
     assert set(callers("_potential")) == {("spectrum", "linearized"), ("spectrum", "lowest_eigenpairs")}

@@ -17,9 +17,10 @@ from multipeak.ansatz import (
 )
 from multipeak.domain import GridField, inner_products, make_grid
 from multipeak.reduction import (
-    ComplementSolver,
+    complement_solve,
     equilibrate,
     interaction_d,
+    pinned_solve,
     power_remainder,
     reduce,
     translation_frame,
@@ -120,13 +121,12 @@ def pin_column(bundle):
 
 def test_pinned_solve_inhomogeneous_constraint(bundle_k2):
     """𝕃δ + cμ = rhs and cᵀδ = g hold to roundoff on the k = 2 frame."""
-    solver = ComplementSolver(L_of(bundle_k2), translation_frame(bundle_k2))
-    c = pin_column(bundle_k2)
+    L, c = L_of(bundle_k2), pin_column(bundle_k2)
     rhs = np.random.default_rng(3).standard_normal(c.size)
-    x, mu = solver.pinned_solve(c, rhs, 0.3)
-    assert np.linalg.norm(solver.L @ x + c * mu - rhs) < 1e-12 * np.linalg.norm(rhs)
+    x, mu, its = pinned_solve(L, translation_frame(bundle_k2), c, rhs, 0.3)
+    assert np.linalg.norm(L @ x + c * mu - rhs) < 1e-12 * np.linalg.norm(rhs)
     assert c @ x == pytest.approx(0.3, abs=1e-12)
-    assert len(solver.iterations) == 1
+    assert 0 < its < reduction.MINRES_MAXITER
 
 
 def bordered_reference(A, C):
@@ -160,8 +160,9 @@ def exact_inner_newton(bundle, tol=1e-11):
         G = nonlinear_residual(field, p).data.ravel() + mu * c
         if np.linalg.norm(G) < tol:
             return u, mu
-        solver = ComplementSolver(linearized(field, p), frame)
-        step, dmu = solver.pinned_solve(c, -G, -float(c @ (u - u0)), rtol=reduction.RTOL)
+        step, dmu, _ = pinned_solve(
+            linearized(field, p), frame, c, -G, -float(c @ (u - u0)), rtol=reduction.RTOL
+        )
         u, mu = u + step, mu + dmu
     raise AssertionError(f"exact-inner Newton did not reach {tol}")
 
@@ -197,7 +198,7 @@ def test_preconditioner_is_the_two_projection_form(profile_n2, eps, k):
     bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, make_grid(eps))
     frame = translation_frame(bundle)
     y = np.random.default_rng(6).standard_normal(bundle.grid.size)
-    got = ComplementSolver(L_of(bundle), frame)._precondition(y)
+    got = reduction._precondition(frame, y)
     expected = frame.project(bundle.grid.helmholtz_inverse(frame.project_t(y)))
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -205,11 +206,10 @@ def test_preconditioner_is_the_two_projection_form(profile_n2, eps, k):
 @pytest.mark.parametrize("target", [0.0, 0.3], ids=["zero", "nonzero"])
 def test_pinned_solve_matches_bordered_factorization(bundle_k2, target):
     """MINRES in frame coordinates agrees with factoring [[𝕃, c], [cᵀ, 0]] whole."""
-    solver = ComplementSolver(L_of(bundle_k2), translation_frame(bundle_k2))
-    c = pin_column(bundle_k2)
+    L, c = L_of(bundle_k2), pin_column(bundle_k2)
     rhs = np.random.default_rng(5).standard_normal(c.size)
-    x, mu = solver.pinned_solve(c, rhs, target)
-    x_ref, mu_ref = bordered_reference(solver.L, c[:, None])(rhs, target)
+    x, mu, _ = pinned_solve(L, translation_frame(bundle_k2), c, rhs, target)
+    x_ref, mu_ref = bordered_reference(L, c[:, None])(rhs, target)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
     assert abs(mu - mu_ref[0]) <= 1e-10 * abs(mu_ref[0])
 
@@ -233,10 +233,10 @@ def eigen_frame(bundle):
 def test_complement_solver_matches_bordered_factorization(profile_n2, eps, k, frame):
     """MINRES on the complement gives the bordered system's (x, μ) to 1e-10."""
     bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, make_grid(eps))
-    solver = ComplementSolver(L_of(bundle), frame(bundle))
-    rhs = np.random.default_rng(5).standard_normal(solver.L.shape[0])
-    x, mu = solver.solve(rhs)
-    x_ref, mu_ref = bordered_reference(solver.L, solver.frame.C)(rhs)
+    L, basis = L_of(bundle), frame(bundle)
+    rhs = np.random.default_rng(5).standard_normal(L.shape[0])
+    x, mu, _ = complement_solve(L, basis, rhs)
+    x_ref, mu_ref = bordered_reference(L, basis.C)(rhs)
     assert mu.shape == (k,)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
     assert np.linalg.norm(mu - mu_ref) <= 1e-10 * np.linalg.norm(mu_ref)
@@ -264,19 +264,17 @@ def test_complement_solver_iterations_do_not_grow_with_grid(profile_n2, refineme
     does not depend on the grid, so a cold solve takes at most 30 iterations."""
     bundle = sigma8_bundle(profile_n2, refinements)
     assert bundle.grid.shape == shape
-    solver = ComplementSolver(L_of(bundle), frame(bundle))
-    h_perp, _ = solver.frame.split(-residual(bundle).data)
-    solver.solve(h_perp)
-    assert 0 < solver.iterations[0] <= 30
+    basis = frame(bundle)
+    h_perp, _ = basis.split(-residual(bundle).data)
+    _, _, its = complement_solve(L_of(bundle), basis, h_perp)
+    assert 0 < its <= 30
 
 
 def test_complement_solver_raises_at_iteration_cap(bundle_k2, basis_k2, monkeypatch):
     monkeypatch.setattr(reduction, "MINRES_MAXITER", 3)
-    solver = ComplementSolver(L_of(bundle_k2), basis_k2)
     rhs = np.random.default_rng(2).standard_normal(bundle_k2.grid.size)
-    with pytest.raises(RuntimeError, match="MINRES"):
-        solver.solve(rhs)
-    assert solver.iterations == [3]
+    with pytest.raises(RuntimeError, match="MINRES did not converge in 3 iterations"):
+        complement_solve(L_of(bundle_k2), basis_k2, rhs)
 
 
 def test_pinned_solve_at_nearly_singular_newton_jacobian(profile_n2):
@@ -291,7 +289,7 @@ def test_pinned_solve_at_nearly_singular_newton_jacobian(profile_n2):
     J = linearized(GridField(grid, u.reshape(grid.shape)), 3.0)
     c = pin_column(bundle)
     rhs = np.random.default_rng(9).standard_normal(u.size)
-    x, mu = ComplementSolver(J, translation_frame(bundle)).pinned_solve(c, rhs, 0.25)
+    x, mu, _ = pinned_solve(J, translation_frame(bundle), c, rhs, 0.25)
     x_ref, mu_ref = bordered_reference(J, c[:, None])(rhs, 0.25)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
     assert abs(mu - mu_ref[0]) <= 1e-10 * abs(mu_ref[0])
