@@ -3,7 +3,7 @@
 Modules
 -------
 groundstate
-    Radial ground state by one banded Newton solve with a far-field closure.
+    Radial ground state by one mapped Chebyshev collocation solve with a far-field closure.
 domain
     Periodic-strip discretization, Helmholtz operator, inner products.
 ansatz

@@ -1,18 +1,19 @@
 """Radial ground state of -ΔU + U - U^p = 0 in R^N.
 
-The profile is one discrete boundary value problem on the nodes
-r_j = 0.005 j of [0, r_m], r_m = 12 (down to 0.000625 j while the core is too
-narrow for the spacing): eighth-order central differences, an even reflection at
-r = 0 and, past r_m, ghost nodes that follow the far-field shape
+The profile is one collocation problem on the 97 Chebyshev nodes
+t_j = sin²(πj/192) of [0, 1], mapped to r = 12 sinh(7t)/sinh(7) ∈ [0, r_m] so
+that they crowd into the core (Trefethen, Spectral Methods in MATLAB, 2000;
+Boyd, Chebyshev and Fourier Spectral Methods, 2001, ch. 16).  Its rows are
+U'(0) = 0, the ODE inside and, at r_m = 12, U' = (T'/T) U for the far field
 
     T(r) = r^((1-N)/2) e^{-r} Σ_{k≤3} a_k(ν) r^{-k},   ν = (N-2)/2,
 
 the truncated large-r expansion of r^{-ν} K_ν(r) (DLMF 10.40.2; exact for
-N = 1 and N = 3).  This is the asymptotic boundary condition of Lentini &
-Keller (SIAM J. Numer. Anal. 17, 1980).  A Petviashvili iteration from
-2 sech(r)^{2/(p-1)} leads into Newton's basin, and every step of either is
-one banded solve.  Beyond r_m the profile is U = L0 T with L0 = U(r_m)/T(r_m),
-so U and U' are continuous there.
+N = 1 and N = 3): the asymptotic boundary condition of Lentini & Keller (SIAM
+J. Numer. Anal. 17, 1980).  A Petviashvili iteration from 2 sech(r)^{2/(p-1)}
+leads into Newton's basin; every step of either is one dense solve.  U and U'
+are stored on uniform nodes of [0, r_m]; beyond r_m the profile is U = L0 T
+with L0 = U(r_m)/T(r_m), so U and U' are continuous there.
 """
 
 from __future__ import annotations
@@ -23,24 +24,18 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import solve_banded
 
 
 class SupercriticalError(ValueError):
     """Exponent outside the subcritical range p < (N+2)/(N-2)."""
 
 
-_R_MATCH = 12.0  # end of the solved nodes, where the far field takes over
-_GRID_STEP = 0.005  # spacing of the solved nodes, halved up to three times if the core needs it
-# eighth-order central differences for U' and U'' on offsets -4..4
-_D1 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
-_D2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 315, -1 / 560])
-# 9-point closed Newton–Cotes weights (in units of the node spacing), the
-# rationals of scipy.integrate.newton_cotes(8, 1) over 28,350
-NEWTON_COTES_9 = np.array([7912, 47104, -7424, 83968, -36320, 83968, -7424, 47104, 7912]) / 28350
+_R_MATCH = 12.0  # end of the collocation interval, where the far field takes over
+_NODES = 97  # collocation nodes; np.linalg.solve keeps its bits on 1 and 2 BLAS threads here, not at 104
+_MAP = 7.0  # r = 12 sinh(7t)/sinh(7): half the nodes in r < 0.37, spacing 4e-5 at the center
+_GRID_STEP = 0.005  # spacing of the stored nodes, halved (up to 4 times) to at most ℓ/4
 _NEWTON_TOL = 1e-10  # sup of the last Newton step, relative to U(0)
-_POHOZAEV_TOL = 1e-6
+_POHOZAEV_TOL = 1e-8
 
 
 def validate_exponent(dimension: int, p: float) -> None:
@@ -91,7 +86,7 @@ def _hermite(f, df, h):
 class GroundStateProfile:
     """Computed radial profile with far-field continuation.
 
-    ``values``/``derivatives`` hold U and U' on ``radial_grid``, the solved
+    ``values``/``derivatives`` hold U and U' on ``radial_grid``, uniform
     nodes of [0, tail_match_radius]; past it U = tail_L0 · T.  Between nodes
     U is the cubic matching U and U' at both ends of its cell, and U' the
     cubic matching U' and U'' there, with U'' taken from the equation.
@@ -134,35 +129,42 @@ class GroundStateProfile:
         })
 
 
-def _stencil_matrix(stencil, n, ghost):
-    """The 9-point stencil on nodes 0..n−1 with u_{−j} = u_j and the ghost
-    nodes past the end u_{n−1+i} = ghost[i−1]·u_{n−1}."""
-    rows = np.repeat(np.arange(n), 9)
-    cols = rows + np.tile(np.arange(-4, 5), n)
-    vals = np.tile(stencil, n)
-    past = cols >= n
-    vals[past] *= ghost[cols[past] - n]
-    cols = np.where(past, n - 1, np.abs(cols))
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _band(matrix):
-    """``matrix`` in the (9, n) storage of ``solve_banded((4, 4), ...)``."""
-    coo = matrix.tocoo()
-    ab = np.zeros((9, matrix.shape[0]))
-    ab[4 + coo.row - coo.col, coo.col] = coo.data
-    return ab
+@cache
+def _chebyshev(nodes: int) -> tuple[np.ndarray, ...]:
+    """t_j = sin²(πj/2M) on [0, 1], M = nodes − 1 even, their barycentric
+    weights, d/dt and d²/dt² (Schneider & Werner's formulas, diagonals by
+    negative row sums) and the Clenshaw–Curtis weights of ∫_0^1 dt
+    (Trefethen's clencurt)."""
+    M = nodes - 1
+    theta = np.pi * np.arange(nodes) / M
+    t = np.sin(theta / 2) ** 2
+    w = (-1.0) ** np.arange(nodes)
+    w[[0, -1]] /= 2
+    gap = np.sin((theta[:, None] + theta) / 2) * np.sin((theta[:, None] - theta) / 2)  # t_i − t_j
+    np.fill_diagonal(gap, 1.0)
+    d1 = w / w[:, None] / gap
+    np.fill_diagonal(d1, 0.0)
+    np.fill_diagonal(d1, -d1.sum(1))
+    d2 = 2 * d1 * (np.diag(d1)[:, None] - 1 / gap)
+    np.fill_diagonal(d2, 0.0)
+    np.fill_diagonal(d2, -d2.sum(1))
+    k = np.arange(1, M // 2)
+    v = 1 - (2 * np.cos(2 * np.outer(theta[1:-1], k)) / (4 * k**2 - 1)).sum(1)
+    cc = np.full(nodes, 1 / (2 * (M * M - 1)))
+    cc[1:-1] = (v - np.cos(M * theta[1:-1]) / (M * M - 1)) / M
+    return t, w, d1, d2, cc
 
 
 def solve_ground_state(dimension: int, p: float) -> GroundStateProfile:
     """Compute the positive radial decaying solution of U'' + (N-1)/r U' = U - U^p.
 
-    The discrete problem lives on the nodes 0.005 j of [0, 12], halved (down
-    to 0.000625) while an iterate is not finite, Newton does not converge, U
-    is not positive and strictly decreasing, or ∫|∇U|²/∫U^{p+1} misses the
-    Pohozaev value N(p−1)/(2(p+1)) by more than 1e-6 relative: a core too
-    narrow for the spacing, as for N = 2, p ≥ 11.  Raises RuntimeError,
-    naming the spacing, when the finest one fails too.
+    One collocation solve (module docstring); U and U' are then stored, by the
+    barycentric formula, on the nodes 0.005 j with the spacing halved until it
+    is at most ℓ/4, ℓ = (p U(0)^{p−1})^{−1/2} the core length.  RuntimeError if
+    an iterate is not finite, Newton does not converge, U is not positive and
+    decreasing or ∫|∇U|²/∫U^{p+1} (Clenshaw–Curtis) misses the Pohozaev value
+    N(p−1)/(2(p+1)) by more than 1e-8 relative (a core too narrow for the
+    nodes, as for N = 3, p = 4.99), or ℓ < 0.00125 (N = 2, p = 25).
 
     Parameters
     ----------
@@ -172,38 +174,29 @@ def solve_ground_state(dimension: int, p: float) -> GroundStateProfile:
         Nonlinearity exponent, 2 <= p, subcritical for N >= 3.
     """
     validate_exponent(dimension, p)
-    for h in (_GRID_STEP / 2**m for m in range(4)):
-        try:
-            return _solve_on_nodes(dimension, p, h)
-        except RuntimeError as exc:
-            failure = exc
-    raise RuntimeError(
-        f"{failure} (N = {dimension}, p = {p}) at the finest node spacing {h:g}: "
-        "the core is not resolved on the grid"
-    )
-
-
-def _solve_on_nodes(N: int, p: float, h: float) -> GroundStateProfile:
-    """The profile on the nodes h·j of [0, 12]; RuntimeError if it fails there."""
-    r = np.arange(0.0, _R_MATCH + 0.5 * h, h)
-    n = r.size
-    ghost = far_field(N, r[-1] + h * np.arange(1, 5)) / far_field(N, r[-1])
-    d1 = _stencil_matrix(_D1 / h, n, ghost)
-    d2 = _stencil_matrix(_D2 / h**2, n, ghost)
-    # (N−1)U'/r → (N−1)U''(0) at the center
-    radial = np.concatenate([[0.0], (N - 1) / r[1:]])
-    scale = np.concatenate([[N], np.ones(n - 1)])
-    linear = sparse.diags(scale) @ d2 + sparse.diags(radial) @ d1 - sparse.identity(n)
-    band = _band(linear)
+    N, a = dimension, _MAP
+    t, w, d1, d2, cc = _chebyshev(_NODES)
+    r = _R_MATCH * np.sinh(a * t) / np.sinh(a)
+    dr = _R_MATCH * a * np.cosh(a * t) / np.sinh(a)  # r'(t), and r'' = a² r
+    d1 = d1 / dr[:, None]
+    d2 = (d2 - (a * a * r)[:, None] * d1) / dr[:, None] ** 2  # (d²/dt² − r'' d/dr)/r'²
+    # the rows: U'(0) = 0, U'' + (N−1)U'/r − U = −U^p inside, U' = (T'/T)U at r_m
+    linear = d2 - np.eye(_NODES)
+    linear[1:] += ((N - 1) / r[1:])[:, None] * d1[1:]
+    linear[0] = d1[0]
+    linear[-1] = d1[-1]
+    linear[-1, -1] -= far_field(N, _R_MATCH, True) / far_field(N, _R_MATCH)
+    ode = np.ones(_NODES)
+    ode[[0, -1]] = 0.0
+    weight = cc * dr * r ** (N - 1)  # ∫_0^{r_m} f r^{N−1} dr = weight @ f
 
     # Petviashvili: u ← M^{p/(p−1)} L⁻¹u^p, L = 1 − Δ, M = ⟨u, Lu⟩/⟨u, u^p⟩
-    weight = r ** (N - 1)
     u = 2.0 / np.cosh(r) ** (2 / (p - 1))
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging iterate fails below
         for _ in range(200):
-            up = np.maximum(u, 0.0) ** p
-            m = (weight @ (u * -(linear @ u))) / (weight @ (u * up))
-            new = m ** (p / (p - 1)) * solve_banded((4, 4), -band, up, check_finite=False)
+            up = ode * np.maximum(u, 0.0) ** p
+            m = (weight @ (ode * u * -(linear @ u))) / (weight @ (u * up))
+            new = m ** (p / (p - 1)) * np.linalg.solve(-linear, up)
             change = np.max(np.abs(new - u))
             u = new
             if not change > 1e-3 * u[0]:
@@ -213,9 +206,8 @@ def _solve_on_nodes(N: int, p: float, h: float) -> GroundStateProfile:
         if not np.all(np.isfinite(u)):
             raise RuntimeError("ground-state iterate is not finite")
         up = np.maximum(u, 0.0)
-        jac = band.copy()
-        jac[4] += p * up ** (p - 1)
-        step = solve_banded((4, 4), jac, linear @ u + up**p)
+        jac = linear + np.diag(ode * p * up ** (p - 1))
+        step = np.linalg.solve(jac, linear @ u + ode * up**p)
         u = u - step
         if np.max(np.abs(step)) <= _NEWTON_TOL * u[0]:
             break
@@ -225,24 +217,29 @@ def _solve_on_nodes(N: int, p: float, h: float) -> GroundStateProfile:
     du = d1 @ u
     if not (np.all(u > 0) and np.all(np.diff(u) < 0)):
         raise RuntimeError("ground state is not positive and decreasing")
-    # composite 9-point Newton–Cotes weights, eighth order like the
-    # differences: Simpson's own O(h⁴) error passes 1e-6 at N = 2, p = 9
-    quad = np.zeros(n)
-    quad[:-1] = np.tile(NEWTON_COTES_9[:-1], (n - 1) // 8)
-    quad[8::8] += NEWTON_COTES_9[-1]
-    ratio = (quad @ (weight * du**2)) / (quad @ (weight * u ** (p + 1)))
+    ratio = (weight @ du**2) / (weight @ u ** (p + 1))
     defect = abs(ratio / (N * (p - 1) / (2 * (p + 1))) - 1)
-    if defect > _POHOZAEV_TOL:
+    if not defect <= _POHOZAEV_TOL:
         raise RuntimeError(f"Pohozaev identity violated by {defect:.2e}")
+    ell = (p * u[0] ** (p - 1)) ** -0.5
+    if not ell >= _GRID_STEP / 4:
+        raise RuntimeError(f"core length {ell:.3g} needs stored nodes finer than {_GRID_STEP / 16:g}")
+    h = _GRID_STEP / 2 ** max(0, math.ceil(math.log2(4 * _GRID_STEP / ell)))
+    x = np.arange(0.0, _R_MATCH + 0.5 * h, h)
+    with np.errstate(divide="ignore"):  # barycentric weights in t; a node takes its own value
+        c = w / (np.arcsinh(x * (np.sinh(a) / _R_MATCH))[:, None] / a - t)
+    on_node = np.isinf(c).any(1)
+    c[on_node] = np.isinf(c[on_node])
+    values, derivatives = (np.einsum("ij,j->i", c, f) / c.sum(1) for f in (u, du))
     return GroundStateProfile(
         dimension=N,
         exponent=p,
-        radial_grid=r,
-        values=u,
-        derivatives=du,
-        center_value=float(u[0]),
-        tail_L0=float(u[-1] / far_field(N, r[-1])),
-        tail_match_radius=float(r[-1]),
+        radial_grid=x,
+        values=values,
+        derivatives=derivatives,
+        center_value=float(values[0]),
+        tail_L0=float(values[-1] / far_field(N, x[-1])),
+        tail_match_radius=float(x[-1]),
     )
 
 
@@ -291,13 +288,12 @@ def eval_radial_derivative(profile: GroundStateProfile, r):
     return _radial(profile, r, True)
 
 
-def ode_residual(profile: GroundStateProfile, r_max: float | None = None):
-    """|U'' + (N-1)/r U' - U + U^p| on interior nodes of the solved region.
+def ode_residual(profile: GroundStateProfile):
+    """|U'' + (N-1)/r U' - U + U^p| on interior stored nodes.
 
     U'' is formed by sixth-order central differences of the stored U'
-    values, independent of the solver's eighth-order operator.
+    values, independent of the collocation that produced them.
     """
-    r_max = profile.tail_match_radius if r_max is None else r_max
     r = profile.radial_grid
     u = profile.values
     du = profile.derivatives
@@ -308,7 +304,7 @@ def ode_residual(profile: GroundStateProfile, r_max: float | None = None):
         -du[:-6] / 60 + 0.15 * du[1:-5] - 0.75 * du[2:-4]
         + 0.75 * du[4:-2] - 0.15 * du[5:-1] + du[6:] / 60
     ) / h
-    mask = (r > 3 * h) & (r < r_max - 3 * h)
+    mask = (r > 3 * h) & (r < profile.tail_match_radius - 3 * h)
     N, p = profile.dimension, profile.exponent
     res = d2u[mask] + (N - 1) / r[mask] * du[mask] - u[mask] + u[mask] ** p
     return r[mask], np.abs(res)

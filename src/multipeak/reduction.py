@@ -182,7 +182,9 @@ def solve_correction(
 
     Iterates v ↦ 𝕃⁻¹[(−M(ū) + R(v))⊥] until the sup-norm increment drops
     below tol (absolute); three growing increments in a row, or 30 iterations
-    without one below tol, raise :class:`ContractionError`.  Each step solves
+    without one below tol, raise :class:`ContractionError`.  Increments below
+    16 ε_mach‖v‖∞, the rounding of v, are noise: they neither meet a tol under
+    that floor nor count as growth.  Each step solves
     for the increment, 𝕃(v_{n+1} − v_n) = h(v_n)⊥ − 𝕃v_n, by one
     :func:`complement_solve` whose tolerance is relative to the first step's
     right side: the later, smaller right sides take fewer MINRES iterations,
@@ -204,9 +206,10 @@ def solve_correction(
         step, mu, _ = complement_solve(L, basis, rhs, rtol=RTOL * first / size)
         v = v + step
         increments.append(float(np.max(np.abs(step))))
-        if increments[-1] < tol:
+        floor = 16 * np.finfo(float).eps * np.max(np.abs(v))
+        if increments[-1] < tol and tol >= floor:
             break
-        if it == 30 or len(increments) >= 4 and all(
+        if it == 30 or increments[-1] > floor and len(increments) >= 4 and all(
             increments[-m] > increments[-m - 1] for m in (1, 2, 3)
         ):
             raise ContractionError(

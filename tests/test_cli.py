@@ -44,12 +44,14 @@ def test_spectrum_reproducible(tmp_path):
     "args",
     [
         ["groundstate", "--dim", "2", "--p", "3"],
+        ["groundstate", "--dim", "3", "--p", "4.9"],
         ["spectrum", "--eps", "0.3", "--k", "2"],
     ],
     ids=" ".join,
 )
 def test_fresh_processes_and_blas_threads_agree(tmp_path, args):
-    """Byte-identical output from fresh processes with 1 and 2 BLAS threads."""
+    """Byte-identical output from fresh processes with 1 and 2 BLAS threads;
+    N = 3, p = 4.9 is the ground state's longest run of dense solves."""
     src = str(Path(multipeak.__file__).parents[1])
     outs = []
     for threads in ("1", "2"):
@@ -63,14 +65,32 @@ def test_fresh_processes_and_blas_threads_agree(tmp_path, args):
 
 
 @pytest.mark.parametrize(
-    "args", [["--dim", "3", "--p", "3"], ["--p", "7"], ["--p", "12"], ["--p", "14"]],
+    "args",
+    [["--dim", "3", "--p", "3"], ["--p", "7"], ["--p", "12"], ["--p", "14"], ["--p", "20"],
+     ["--dim", "3", "--p", "4.9"]],
     ids=" ".join,
 )
 def test_groundstate_admissible_inputs_run(tmp_path, args):
-    """N = 3, p = 3 and N = 2, p = 7, 12 and 14 are admissible, so they exit 0."""
+    """N = 3, p = 3 and 4.9 and N = 2, p = 7, 12, 14 and 20 are admissible, so they exit 0."""
     code, f = run(tmp_path, "g.json", ["groundstate", *args])
     assert code == 0
     assert json.loads(f.read_text())["results"]["center_value"] > 1
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [(["--dim", "3", "--p", "4.99"], "ground state is not positive and decreasing"),
+     (["--p", "25"], "core length 0.000433 needs stored nodes finer than 0.0003125")],
+    ids=" ".join,
+)
+def test_groundstate_core_beyond_the_nodes_exits_numerical(args, reason, capsys):
+    """At N = 3, p = 4.99 the core is too narrow for the collocation nodes, and
+    the collocated U rises in the tail; at N = 2, p = 25 the nodes resolve it,
+    but storing it would take more than 38,401 nodes.  Both exit 3 and say why."""
+    assert main(["groundstate", *args]) == EXIT_NUMERICAL
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error["error"] == "numerical"
+    assert reason in error["detail"]
 
 
 def test_content_hash_verifies(tmp_path):
@@ -219,8 +239,8 @@ def test_reduce_where_the_eigen_count_failed(tmp_path):
 def test_reduce_numerical_failures(args, reason, capsys):
     """Too close a pair does not contract, at p = 7 the desk grid does not
     resolve the core (h = 0.25 > 2.5ℓ), and a tol below the roundoff of v is
-    never reached, whether the increments stall (ε = 0.4) or creep up from
-    roundoff (ε = 0.3): all exit 3 and say why."""
+    never reached (ε = 0.4 and 0.3), however the increments move below that
+    roundoff: all exit 3 and say why."""
     assert main(["reduce", "--k", "2", *args]) == EXIT_NUMERICAL
     error = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert error["error"] == "numerical"

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import newton_cotes, simpson
 
+from multipeak import groundstate
 from multipeak.groundstate import (
-    NEWTON_COTES_9,
     SupercriticalError,
     eval_radial,
     eval_radial_derivative,
@@ -87,35 +89,55 @@ def test_pohozaev_and_energy_identities(dimension, p):
     assert pohozaev == pytest.approx(1.0, abs=1e-7)
 
 
-@pytest.mark.parametrize(
-    "p, step", [(3, 0.005), (10, 0.005), (11, 0.0025), (12, 0.0025), (14, 0.00125)]
-)
-def test_spacing_halved_only_for_narrow_core(p, step):
-    """N = 2 up to p = 10 passes the Pohozaev check on the 0.005 nodes and is
-    solved there alone; p = 11 and 12 need the 0.0025 nodes, and p = 14 the
-    0.00125 nodes."""
-    profile = solve_ground_state(2, p)
-    r = profile.radial_grid
-    assert r[1] == step and r[-1] == 12.0 and r.size == round(12 / step) + 1
+def newton_cotes_identities(profile):
+    """The energy and Pohozaev ratios of the stored profile, radial integrals by
+    the composite 9-point Newton–Cotes rule on its nodes (eighth order)."""
+    r, u, du = profile.radial_grid, profile.values, profile.derivatives
+    N, p = profile.dimension, profile.exponent
+    rule = newton_cotes(8, 1)[0]
+    weights = np.zeros(r.size)
+    weights[:-1] = np.tile(rule[:-1], (r.size - 1) // 8)
+    weights[8::8] += rule[-1]
+    grad, mass, power = (weights @ (r ** (N - 1) * f) for f in (du**2, u**2, u ** (p + 1)))
+    return (grad + mass) / power, ((N - 2) / 2 * grad + N / 2 * mass) / (N / (p + 1) * power)
 
 
-def test_unresolved_core_raises():
-    """At N = 2, p = 20 the core is too narrow even for the finest nodes."""
-    with pytest.raises(RuntimeError, match="Pohozaev.*finest node spacing 0.000625"):
-        solve_ground_state(2, 20)
+@settings(deadline=None, max_examples=24, derandomize=True)
+@given(case=st.one_of(st.tuples(st.just(2), st.floats(2, 20)), st.tuples(st.just(3), st.floats(2, 4.9))))
+@example(case=(2, 20.0))
+@example(case=(3, 4.9))
+def test_admissible_exponents_solve(case):
+    """For N = 2, p ∈ [2, 20] and N = 3, p ∈ [2, 4.9] the profile is positive and
+    strictly decreasing on its stored nodes, whose spacing is 0.005/2^m and at most
+    a quarter of the core length, and it meets the energy and Pohozaev identities
+    to 1e-6, the resolution of the rule at h = ℓ/4 (1.5e-7 at N = 2, p = 10.4)."""
+    profile = solve_ground_state(*case)
+    r, u = profile.radial_grid, profile.values
+    assert r[-1] == 12.0 and r[1] <= profile.core_length / 4 and 0.005 / r[1] in (1, 2, 4, 8, 16)
+    assert np.all(u > 0) and np.all(np.diff(u) < 0)
+    for ratio in newton_cotes_identities(profile):
+        assert ratio == pytest.approx(1.0, abs=1e-6)
 
 
-def test_near_critical_n3_solves_on_finest_nodes():
-    """N = 3, p = 4.9 misses the Pohozaev check down to 0.00125 and passes at 0.000625."""
-    assert solve_ground_state(3, 4.9).radial_grid[1] == 0.000625
+def test_near_critical_exponents(monkeypatch):
+    """N = 2, p = 20 and N = 3, p = 4.9 solve with the Pohozaev tolerance cut to
+    1e-9, and U(0) is the value that 97 to 241 collocation nodes agree on."""
+    monkeypatch.setattr(groundstate, "_POHOZAEV_TOL", 1e-9)
+    assert solve_ground_state(2, 20).center_value == pytest.approx(1.6859311673, abs=1e-8)
+    assert solve_ground_state(3, 4.9).center_value == pytest.approx(13.7968158831, abs=1e-8)
 
 
-def test_non_finite_iterate_moves_to_next_spacing():
-    """At N = 3, p = 4.99 the Petviashvili iterate leaves the finite numbers on
-    the 0.005 nodes; that spacing fails like the others, and the last failure
-    is raised as the RuntimeError naming the finest spacing."""
-    with pytest.raises(RuntimeError, match="finest node spacing 0.000625"):
-        solve_ground_state(3, 4.99)
+@pytest.mark.parametrize("dimension, p", [(1, 2), (1, 3), (2, 3), (2, 13), (2, 20), (3, 4.9)])
+def test_profile_converged_in_node_count(dimension, p, monkeypatch):
+    """The stored profile on 97 collocation nodes is the one on 161 and 241 nodes
+    to 5e-10 of U(0): the map resolves the core from p = 2 to the near-critical
+    exponents, and roundoff has not yet taken over."""
+    base = solve_ground_state(dimension, p)
+    for nodes in (161, 241):
+        monkeypatch.setattr(groundstate, "_NODES", nodes)
+        finer = solve_ground_state(dimension, p)
+        assert np.array_equal(finer.radial_grid, base.radial_grid)
+        assert np.max(np.abs(finer.values - base.values)) <= 5e-10 * base.center_value
 
 
 @pytest.mark.parametrize("fixture", ["profile_n1", "profile_n2"])
@@ -124,11 +146,6 @@ def test_ode_residual_independent_check(fixture, request):
     profile = request.getfixturevalue(fixture)
     _, res = ode_residual(profile)
     assert np.max(res) < 1e-9
-
-
-def test_newton_cotes_weights_are_scipys():
-    """The fixed 9-point weights equal scipy's to the last bit."""
-    assert np.array_equal(NEWTON_COTES_9, newton_cotes(8, 1)[0])
 
 
 def test_profile_monotone_decreasing_positive(profile_n2):

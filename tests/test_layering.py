@@ -86,8 +86,8 @@ def test_one_frame():
     functions of 𝕃 and the frame: no class binds them, and nothing in the
     reduction stores 𝕃 on an object.  F′(u) is assembled by
     spectrum.linearized alone, for the correction, the weighted solve and the
-    Newton step; outside the grid's and the radial operators, the only
-    diagonal matrix is its potential, shared with the eigensolve's pencil.
+    Newton step; outside the grid's operators, the only diagonal matrix is
+    its potential, shared with the eigensolve's pencil.
     The resolution check guards the translation frame, and the spectrum
     command, whose eigen frame needs the modes resolved too."""
     text = "".join(path.read_text() for path in MODULES)
@@ -99,12 +99,21 @@ def test_one_frame():
     fields = {node.target.id for cls in tree.body if isinstance(cls, ast.ClassDef)
               for node in cls.body if isinstance(node, ast.AnnAssign)}
     assert fields and "L" not in fields
-    outside = {(m, f) for m, f in callers("diags") if m not in ("domain", "groundstate")}
+    outside = {(m, f) for m, f in callers("diags") if m != "domain"}
     assert outside == {("spectrum", "_potential")}
     assert set(callers("_potential")) == {("spectrum", "linearized"), ("spectrum", "lowest_eigenpairs")}
     assert {m for m, _ in callers("linearized")} == {"reduction", "weighted", "dancer"}
     assert set(callers("check_resolution")) == {
         ("reduction", "translation_frame"), ("cli", "cmd_spectrum")}
+
+
+def test_groundstate_imports_no_scipy():
+    """The ground state is one dense collocation solve in numpy: no sparse
+    stencil, no banded solver and no quadrature rule from scipy."""
+    tree = ast.parse((SRC / "groundstate.py").read_text())
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert imported and not [m for m in imported if m and m.split(".")[0] == "scipy"]
 
 
 def test_cli_import_loads_no_interpolation():

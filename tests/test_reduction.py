@@ -1,5 +1,8 @@
 """Correction solve, projection splitting, and the reduced coefficients."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,6 +18,7 @@ from multipeak.ansatz import (
     residual_rate,
     uniform_configuration,
 )
+from multipeak.cli import main
 from multipeak.domain import GridField, inner_products, make_grid
 from multipeak.reduction import (
     complement_solve,
@@ -363,7 +367,7 @@ def test_reduce_and_equilibrate_reach_no_eigensolver(profile_n2, monkeypatch):
     assert equilibrate(perturbed, profile_n2, make_grid, tol=tol).newton_steps >= 1
 
 
-def test_equilibrate_builds_its_grid_once(profile_n2):
+def test_equilibrate_builds_its_grid_once(profile_n2, tmp_path):
     """ε is fixed while the angles move, so the grid factory is called once; the
     final angles are those of `equilibrate --eps 0.3 --k 2 --perturb 0.05`."""
     calls = []
@@ -377,6 +381,17 @@ def test_equilibrate_builds_its_grid_once(profile_n2):
     result = equilibrate(initial, profile_n2, factory, tol=1e-2 * residual_rate(initial.sigma_min, 2))
     assert calls == [0.3]
     assert result.newton_steps == 2
-    assert result.config.angles == pytest.approx(
-        [-3.141592653589793, 0.00022574091104568192], rel=0, abs=1e-12
-    )
+    out = tmp_path / "equilibrate.json"
+    assert main(["equilibrate", "--eps", "0.3", "--k", "2", "--perturb", "0.05", "--out", str(out)]) == 0
+    assert list(result.config.angles) == json.loads(out.read_text())["results"]["final_angles"]
+
+
+@pytest.mark.parametrize("scale", [1 - 3e-11, 1 - 1e-11, 1 + 1e-11, 1 + 3e-11])
+def test_tol_below_roundoff_fails_for_nearby_profiles(profile_n2, scale):
+    """At ε = 0.3, k = 2 the increments reach 1e-20 to 4e-20, below the rounding
+    16 ε_mach‖v‖∞ ≈ 8.8e-19 of v, so tol = 1e-20 fails for the profile scaled
+    by 1 ± 1e-11 and 1 ± 3e-11 as for the profile itself; counting such an
+    increment as converged let these four pass."""
+    nearby = dataclasses.replace(profile_n2, values=profile_n2.values * scale)
+    with pytest.raises(reduction.ContractionError, match="or tol is below v's roundoff"):
+        reduce(uniform_configuration(0.3, 2), nearby, make_grid(0.3), tol=1e-20)
