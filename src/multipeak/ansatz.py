@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import GridField, StripGrid, apply_helmholtz, l2_norm
+from .domain import GridField, StripGrid, l2_norm
 from .groundstate import GroundStateProfile, eval_radial, eval_radial_derivative
 
 
@@ -208,7 +208,7 @@ def nonlinear_residual(u: GridField, p: float) -> GridField:
     At ū it carries the O(h²) truncation error of the stencil, so it only
     agrees with :func:`residual` to discretization tolerance.
     """
-    return GridField(u.grid, apply_helmholtz(u).data - np.maximum(u.data, 0.0) ** p)
+    return GridField(u.grid, u.grid.helmholtz(u.data) - np.maximum(u.data, 0.0) ** p)
 
 
 def residual_l2(bundle: AnsatzBundle) -> float:

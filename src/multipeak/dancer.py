@@ -105,7 +105,7 @@ def newton_solve(
     grid = bundle.grid
     frame = translation_frame(bundle)
     p = bundle.profile.exponent
-    c = grid.weight * (grid.helmholtz_matrix @ bundle.translation_modes[PIN].data.ravel())
+    c = grid.weight * grid.helmholtz(bundle.translation_modes[PIN].data.ravel())
     u0 = bundle.ubar.data.ravel()
     u = (bundle.ubar if initial is None else initial).data.ravel()
     mu = 0.0

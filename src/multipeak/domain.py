@@ -10,7 +10,7 @@ x₂-translation mode that a full grid would carry.
 Integrals and inner products use the matching trapezoidal-type quadrature
 (weight h₁·2h₂ per stored node, the factor 2 accounting for the mirror
 half), so that the discrete H¹ product coincides exactly with the quadratic
-form of the −Δ+1 matrix.
+form of the −Δ+1 stencil.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -93,31 +92,30 @@ class StripGrid:
             nodes_xp=2 * self.nodes_xp + 1,
         )
 
-    @cached_property
-    def laplacian_x1(self) -> sp.csr_matrix:
-        n, h = self.nodes_x1, self.h1
-        main = np.full(n, 2.0 / h**2)
-        off = np.full(n - 1, -1.0 / h**2)
-        A = sp.diags([off, main, off], (-1, 0, 1), format="lil")
-        A[0, n - 1] = A[n - 1, 0] = -1.0 / h**2
-        return A.tocsr()
+    def helmholtz(self, x: np.ndarray, potential: np.ndarray | None = None) -> np.ndarray:
+        """(−Δ+1−potential)x by the 5-point stencil, for a flattened field or an (n, m) block.
 
-    @cached_property
-    def laplacian_xp(self) -> sp.csr_matrix:
-        n, h = self.nodes_xp, self.h2
-        main = np.full(n, 2.0 / h**2)
-        # mirror at x2 = 0: the ghost node equals the first stored node
-        main[0] = 1.0 / h**2
-        off = np.full(n - 1, -1.0 / h**2)
-        return sp.diags([off, main, off], (-1, 0, 1), format="csr")
-
-    @cached_property
-    def helmholtz_matrix(self) -> sp.csr_matrix:
-        """Sparse −Δ+1 on fields flattened in C order (x₁ major)."""
-        I1 = sp.identity(self.nodes_x1, format="csr")
-        I2 = sp.identity(self.nodes_xp, format="csr")
-        A = sp.kron(self.laplacian_x1, I2) + sp.kron(I1, self.laplacian_xp)
-        return (A + sp.identity(self.size)).tocsr()
+        Periodic in x₁; in x₂ the mirror row at 0 (ghost = first stored node)
+        and the Dirichlet ghost 0 at R.  `potential`, a field on the grid, is
+        folded into the diagonal, so an 𝕃 product is one stencil pass.
+        """
+        n1, n2 = self.shape
+        u = np.asarray(x, dtype=float).reshape(n1, n2, -1)
+        lap2 = np.full(n2, 2.0 / self.h2**2)
+        lap2[0] = 1.0 / self.h2**2  # the mirror ghost folded into the first row
+        diag = (2.0 / self.h1**2 + lap2 + 1.0)[:, None]
+        if potential is not None:
+            diag = diag - np.reshape(potential, (n1, n2, 1))
+        v = diag * u
+        w = u * (1.0 / self.h1**2)
+        v[1:] -= w[:-1]
+        v[:-1] -= w[1:]
+        v[0] -= w[-1]
+        v[-1] -= w[0]
+        np.multiply(u, 1.0 / self.h2**2, out=w)
+        v[:, 1:] -= w[:, :-1]
+        v[:, :-1] -= w[:, 1:]
+        return v.reshape(np.shape(x))
 
     @cached_property
     def helmholtz_eigen(self) -> tuple[np.ndarray, np.ndarray]:
@@ -168,10 +166,10 @@ MAX_MESH_WIDTH = 0.5
 MIN_TRANSVERSE = 4.0
 
 # Largest admissible unknown count.  It bounds a command's memory and time.
-# Nothing is factored, so memory grows linearly with the unknowns (the
-# mesh-limit benchmark, whose finest grid is 592×195 = 115k, peaks near
-# 135 MiB; one `reduce` at 1184×391 = 462,944 near 300 MiB).  500k still
-# admits that next level of the ladder.
+# Nothing is factored or assembled, so memory grows linearly with the unknowns
+# (the mesh-limit benchmark, whose finest grid is 592×195 = 115k, peaks near
+# 100 MiB; one `reduce` at 1184×391 = 462,944 near 185 MiB; one BLAS thread).
+# 500k still admits that next level of the ladder.
 MAX_UNKNOWNS = 500_000
 
 
@@ -237,12 +235,6 @@ def _check_same_grid(u: GridField, w: GridField) -> None:
         raise ValueError("fields live on different grids")
 
 
-def apply_helmholtz(u: GridField) -> GridField:
-    """(−Δ+1)u with the 5-point stencil (periodic x₁, mirror/Dirichlet x₂)."""
-    A = u.grid.helmholtz_matrix
-    return GridField(u.grid, (A @ u.data.ravel()).reshape(u.grid.shape))
-
-
 def solve_helmholtz(rhs: GridField, tol: float = 1e-10) -> GridField:
     """Solve (−Δ+1)u = rhs by the grid's fast exact inverse.
 
@@ -253,10 +245,9 @@ def solve_helmholtz(rhs: GridField, tol: float = 1e-10) -> GridField:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    A = rhs.grid.helmholtz_matrix
     b = rhs.data.ravel()
     x = rhs.grid.helmholtz_inverse(b)
-    res = np.linalg.norm(A @ x - b)
+    res = np.linalg.norm(rhs.grid.helmholtz(x) - b)
     if not res <= tol * np.linalg.norm(b):
         raise RuntimeError(f"Helmholtz solve residual {res:.3e} above tol")
     return GridField(rhs.grid, x.reshape(rhs.grid.shape))
@@ -272,12 +263,13 @@ def inner_products(u: GridField, w: GridField) -> tuple[float, float]:
     _check_same_grid(u, w)
     wgt = u.grid.weight
     l2 = wgt * float(u.data.ravel() @ w.data.ravel())
-    h1 = wgt * float((u.grid.helmholtz_matrix @ u.data.ravel()) @ w.data.ravel())
+    h1 = wgt * float(u.grid.helmholtz(u.data).ravel() @ w.data.ravel())
     return l2, h1
 
 
 def l2_norm(u: GridField) -> float:
-    return float(np.sqrt(max(inner_products(u, u)[0], 0.0)))
+    flat = u.data.ravel()
+    return float(np.sqrt(u.grid.weight * float(flat @ flat)))
 
 
 def h1_norm(u: GridField) -> float:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .ansatz import AnsatzBundle, PeakConfiguration, build_ansatz, residual
 from .domain import GridField, StripGrid, h1_norm, inner_products
@@ -93,6 +92,8 @@ def _minres(matvec, precond, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, 
     RuntimeError
         If MINRES reaches MINRES_MAXITER iterations.
     """
+    from scipy.sparse.linalg import LinearOperator, minres
+
     shape = (rhs.size, rhs.size)
     steps = []
     x, info = minres(
@@ -123,11 +124,11 @@ def complement_solve(L, frame: NearKernelBasis, rhs: np.ndarray, rtol: float = R
     indefinite, hence MINRES and not CG.
     """
     x, its = _minres(
-        lambda x: frame.project_t(L @ frame.project(x)),
+        lambda x: frame.project_t(L(frame.project(x))),
         lambda y: _precondition(frame, y), frame.project_t(rhs), rtol,
     )
     x = frame.project(x)
-    return x, frame.split(rhs - L @ x)[1], its
+    return x, frame.split(rhs - L(x))[1], its
 
 
 def pinned_solve(
@@ -152,7 +153,7 @@ def pinned_solve(
     n, k = Phi.shape
     phi_c = Phi.T @ c
     S = np.zeros((k + 1, k + 1))
-    S[:k, :k] = Phi.T @ (L @ Phi)
+    S[:k, :k] = Phi.T @ L(Phi)
     S[:k, k] = S[k, :k] = phi_c
     w, V = np.linalg.eigh(S)
     S_abs_inv = (V / np.abs(w)) @ V.T
@@ -161,7 +162,7 @@ def pinned_solve(
         return frame.project(z[:n]) + Phi @ z[n:-1]
 
     def matvec(z):
-        Ld = L @ field(z)
+        Ld = L(field(z))
         return np.concatenate(
             [frame.project_t(Ld), Phi.T @ Ld + phi_c * z[-1], [phi_c @ z[n:-1]]]
         )
@@ -172,7 +173,7 @@ def pinned_solve(
         np.concatenate([frame.project_t(rhs), Phi.T @ rhs, [g]]), rtol,
     )
     delta = field(z)
-    return delta, float(phi_c @ (Phi.T @ (rhs - L @ delta)) / (phi_c @ phi_c)), its
+    return delta, float(phi_c @ (Phi.T @ (rhs - L(delta))) / (phi_c @ phi_c)), its
 
 
 def solve_correction(
@@ -199,7 +200,7 @@ def solve_correction(
     increments = []
     for it in range(1, 31):
         h_perp, d = basis.split(minus_M + power_remainder(bundle.ubar.data, v.reshape(grid.shape), p))
-        rhs = h_perp - L @ v
+        rhs = h_perp - L(v)
         size = np.linalg.norm(basis.project_t(rhs))  # the right side MINRES sees
         if it == 1:
             first = size
@@ -220,7 +221,7 @@ def solve_correction(
             )
     field = GridField(grid, v.reshape(grid.shape))
     h_perp, d = basis.split(minus_M + power_remainder(bundle.ubar.data, field.data, p))
-    res = float(np.linalg.norm(L @ v + basis.C @ mu - h_perp))
+    res = float(np.linalg.norm(L(v) + basis.C @ mu - h_perp))
     return ReductionState(
         bundle=bundle,
         basis=basis,

@@ -12,7 +12,7 @@ near-kernel cluster near 0 asymptotically spanned by the translation modes
 ∂v_i/∂x₁.  With 𝕃 = B − P, P = diag(p ū₊^{p−1}) ≥ 0, the pencil is
 Pξ = (1−λ)Bξ, so the lowest λ are the largest μ = 1−λ of (P, B): both
 clusters come from one regular-mode Lanczos run on B⁻¹P, with B⁻¹ the grid's
-fast exact inverse.  The module also holds the one assembly of F′(u)
+fast exact inverse.  The module also holds F′(u) as one stencil callable
 (:func:`linearized`) and the frame every constrained solve is H¹-orthogonal
 to (:class:`NearKernelBasis`).
 """
@@ -20,10 +20,9 @@ to (:class:`NearKernelBasis`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .ansatz import AnsatzBundle
 from .domain import GridField, h1_norm, inner_products
@@ -61,14 +60,10 @@ class SpectralResult:
         return self.translation_products / tnorms
 
 
-def _potential(u: GridField, p: float) -> sp.dia_matrix:
-    """diag(p u₊^{p−1}) on flattened fields."""
-    return sp.diags(p * np.maximum(u.data.ravel(), 0.0) ** (p - 1))
-
-
-def linearized(u: GridField, p: float) -> sp.csr_matrix:
-    """F′(u) = −Δ + 1 − p u₊^{p−1} on flattened fields: 𝕃 at u = ū, Newton's Jacobian."""
-    return u.grid.helmholtz_matrix - _potential(u, p)
+def linearized(u: GridField, p: float):
+    """F′(u) = −Δ + 1 − p u₊^{p−1}, x ↦ F′(u)x on flattened fields or blocks: 𝕃 at
+    u = ū, Newton's Jacobian; one stencil pass with the potential on the diagonal."""
+    return partial(u.grid.helmholtz, potential=p * np.maximum(u.data, 0.0) ** (p - 1))
 
 
 def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
@@ -92,10 +87,15 @@ def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
     """
     if count < 2 * bundle.config.k + 1:
         raise ValueError("count must be at least 2k + 1 to see the spectral gap")
-    P = _potential(bundle.ubar, bundle.profile.exponent)
-    B = bundle.grid.helmholtz_matrix
-    Binv = LinearOperator(B.shape, matvec=bundle.grid.helmholtz_inverse, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(B.shape[0])
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    grid, p = bundle.grid, bundle.profile.exponent
+    pot = p * np.maximum(bundle.ubar.data.ravel(), 0.0) ** (p - 1)
+    shape = (grid.size, grid.size)
+    P = LinearOperator(shape, matvec=lambda x: pot * np.ravel(x), dtype=float)
+    B = LinearOperator(shape, matvec=grid.helmholtz, dtype=float)
+    Binv = LinearOperator(shape, matvec=grid.helmholtz_inverse, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(grid.size)
     # ascending μ with B-orthonormal eigenvector columns, reversed to ascending λ
     mu, vecs = eigsh(P, k=count, M=B, Minv=Binv, which="LA", tol=1e-12, v0=v0)
     vals, vecs = 1.0 - mu[::-1], vecs[:, ::-1]
@@ -104,8 +104,9 @@ def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
 
     if np.any(vals >= 1.0):
         raise RuntimeError(f"eigenvalue >= 1 returned: {vals}")
-    residuals = np.linalg.norm((B @ vecs) * (1.0 - vals) - P @ vecs, axis=0)
-    if np.any(residuals > 1e-8 * np.linalg.norm(B @ vecs[:, 0])):
+    Bvecs = grid.helmholtz(vecs)
+    residuals = np.linalg.norm(Bvecs * (1.0 - vals) - pot[:, None] * vecs, axis=0)
+    if np.any(residuals > 1e-8 * np.linalg.norm(Bvecs[:, 0])):
         raise RuntimeError(f"eigen-residuals too large: {residuals}")
 
     # scale so the quadrature-weighted H¹ norm is 1 (B-orthonormal in the
@@ -143,7 +144,7 @@ class NearKernelBasis:
     def __post_init__(self):
         self.grid = self.fields[0].grid
         self.Phi = np.array([phi.data.ravel() for phi in self.fields]).T
-        self.C = self.grid.helmholtz_matrix @ self.Phi
+        self.C = self.grid.helmholtz(self.Phi)
         G = self.Phi.T @ self.C  # φ_i·(Bφ_j), symmetric up to roundoff
         self.Ginv = np.linalg.inv(0.5 * (G + G.T))
 

@@ -76,7 +76,7 @@ def solve_orthogonal(
     xi_vec, mu, _ = complement_solve(L, basis, h_perp)
     xi = GridField(h.grid, xi_vec.reshape(h.grid.shape))
     rhs_norm = np.linalg.norm(h_perp)
-    res = np.linalg.norm(L @ xi_vec + basis.C @ mu - h_perp)
+    res = np.linalg.norm(L(xi_vec) + basis.C @ mu - h_perp)
     if rhs_norm > 0 and res > 1e-10 * rhs_norm:
         raise RuntimeError(f"constrained MINRES solve residual {res:.3e} too large")
     xi_h1 = max(inner_products(xi, xi)[1], 1e-300)

@@ -1,11 +1,14 @@
 """Shared fixtures: ground-state profiles and reference configurations.
 
 The expensive objects (ground-state solves, eigenpairs, corrections) are
-session-scoped so the acceptance suite and the unit tests share them.
+session-scoped so the acceptance suite and the unit tests share them.  The
+sparse matrices of −Δ+1 and 𝕃 are test-side references for the package's
+stencil, built independently of it.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from multipeak.ansatz import (
     PeakConfiguration,
@@ -17,6 +20,27 @@ from multipeak.domain import make_grid
 from multipeak.groundstate import solve_ground_state
 from multipeak.reduction import equilibrate, reduce, solve_correction
 from multipeak.spectrum import lowest_eigenpairs, near_kernel_basis
+
+
+def helmholtz_csr(grid):
+    """−Δ+1 on fields flattened in C order (x₁ major), as the Kronecker sum of
+    the 1-D stencils: periodic in x₁, mirror row at x₂ = 0, Dirichlet ghost at R."""
+    n, h = grid.nodes_x1, grid.h1
+    off = np.full(n - 1, -1.0 / h**2)
+    A1 = sp.diags([off, np.full(n, 2.0 / h**2), off], (-1, 0, 1), format="lil")
+    A1[0, n - 1] = A1[n - 1, 0] = -1.0 / h**2
+    n, h = grid.nodes_xp, grid.h2
+    main = np.full(n, 2.0 / h**2)
+    main[0] = 1.0 / h**2  # the mirror ghost equals the first stored node
+    off = np.full(n - 1, -1.0 / h**2)
+    A2 = sp.diags([off, main, off], (-1, 0, 1))
+    I1, I2 = sp.identity(grid.nodes_x1), sp.identity(grid.nodes_xp)
+    return (sp.kron(A1.tocsr(), I2) + sp.kron(I1, A2) + sp.identity(grid.size)).tocsr()
+
+
+def linearized_csr(u, p):
+    """𝕃 = −Δ + 1 − p u₊^{p−1} at the field u, as a sparse matrix."""
+    return (helmholtz_csr(u.grid) - sp.diags(p * np.maximum(u.data.ravel(), 0.0) ** (p - 1))).tocsr()
 
 
 @pytest.fixture(scope="session")

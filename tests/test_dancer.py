@@ -32,7 +32,7 @@ def solution_k1(bundle_k1):
 def pinning_direction(bundle):
     """c with cᵀu = ⟨u, ∂v_pin/∂x₁⟩_{H¹}, the bordered column of the solver."""
     grid = bundle.grid
-    return grid.weight * (grid.helmholtz_matrix @ bundle.translation_modes[PIN].data.ravel())
+    return grid.weight * grid.helmholtz(bundle.translation_modes[PIN].data.ravel())
 
 
 def test_newton_converges_fast(solution_k1, bundle_k1):

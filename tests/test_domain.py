@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from conftest import helmholtz_csr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
@@ -10,7 +12,6 @@ from multipeak.domain import (
     GridField,
     StripGrid,
     align_shift,
-    apply_helmholtz,
     h1_norm,
     inner_products,
     l2_norm,
@@ -77,6 +78,7 @@ def test_h1_product_matches_operator_form():
     assert huw == pytest.approx(hwu, rel=1e-12)
     assert inner_products(u, u)[1] >= inner_products(u, u)[0] > 0
     assert h1_norm(u) >= l2_norm(u)
+    assert l2_norm(u) == np.sqrt(inner_products(u, u)[0])
 
 
 def test_solve_helmholtz_manufactured_solution():
@@ -89,7 +91,7 @@ def test_solve_helmholtz_manufactured_solution():
 
 def test_apply_solve_roundtrip():
     u = smooth_field(GRID, [(0.8, -0.1)])
-    back = solve_helmholtz(apply_helmholtz(u), tol=1e-12)
+    back = solve_helmholtz(GridField(GRID, GRID.helmholtz(u.data)), tol=1e-12)
     assert np.max(np.abs(back.data - u.data)) < 1e-9
 
 
@@ -107,7 +109,7 @@ def test_zero_rhs_and_bad_tol():
 )
 def test_helmholtz_inverse_matches_lu(grid):
     """The FFT/eigenbasis inverse is exact for odd and even n₁, on vectors and blocks."""
-    B = grid.helmholtz_matrix
+    B = helmholtz_csr(grid)
     b = np.random.default_rng(3).standard_normal((grid.size, 2))
     x = grid.helmholtz_inverse(b)
     lu = splu(B.tocsc()).solve(b)
@@ -115,6 +117,29 @@ def test_helmholtz_inverse_matches_lu(grid):
         assert np.linalg.norm(B @ x[:, j] - b[:, j]) <= 1e-13 * np.linalg.norm(b[:, j])
         assert np.max(np.abs(x[:, j] - lu[:, j])) <= 1e-13 * np.max(np.abs(lu[:, j]))
         assert np.max(np.abs(grid.helmholtz_inverse(b[:, j]) - x[:, j])) <= 1e-15 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [StripGrid(0.5, 10.0, 4, 2), StripGrid(0.7, 5.0, 9, 7), StripGrid(0.5, 10.0, 47, 33),
+     make_grid(0.3)],
+    ids=lambda g: "x".join(map(str, g.shape)),
+)
+@pytest.mark.parametrize("cols", [None, 3], ids=["vector", "block"])
+@pytest.mark.parametrize("with_potential", [False, True], ids=["B", "L"])
+def test_helmholtz_stencil_matches_csr(grid, cols, with_potential):
+    """The stencil, with or without a potential on its diagonal, is the product
+    with the sparse Kronecker-sum matrix (periodic x₁, mirror row, Dirichlet ghost)."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(grid.size if cols is None else (grid.size, cols))
+    potential = rng.uniform(0.0, 3.0, grid.shape) if with_potential else None
+    A = helmholtz_csr(grid)
+    if with_potential:
+        A = A - sp.diags(potential.ravel())
+    expected = A @ x
+    got = grid.helmholtz(x, potential)
+    assert got.shape == expected.shape
+    assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 def test_mismatched_grids_rejected():

@@ -84,10 +84,8 @@ def test_one_frame():
     """The frame's algebra (Φ, C = BΦ, G⁻¹, the projectors and the split) is
     spectrum.NearKernelBasis, built once per frame, and the two solves are
     functions of 𝕃 and the frame: no class binds them, and nothing in the
-    reduction stores 𝕃 on an object.  F′(u) is assembled by
-    spectrum.linearized alone, for the correction, the weighted solve and the
-    Newton step; outside the grid's operators, the only diagonal matrix is
-    its potential, shared with the eigensolve's pencil.
+    reduction stores 𝕃 on an object.  F′(u) is built by spectrum.linearized
+    alone, for the correction, the weighted solve and the Newton step.
     The resolution check guards the translation frame, and the spectrum
     command, whose eigen frame needs the modes resolved too."""
     text = "".join(path.read_text() for path in MODULES)
@@ -99,12 +97,39 @@ def test_one_frame():
     fields = {node.target.id for cls in tree.body if isinstance(cls, ast.ClassDef)
               for node in cls.body if isinstance(node, ast.AnnAssign)}
     assert fields and "L" not in fields
-    outside = {(m, f) for m, f in callers("diags") if m != "domain"}
-    assert outside == {("spectrum", "_potential")}
-    assert set(callers("_potential")) == {("spectrum", "linearized"), ("spectrum", "lowest_eigenpairs")}
     assert {m for m, _ in callers("linearized")} == {"reduction", "weighted", "dancer"}
     assert set(callers("check_resolution")) == {
         ("reduction", "translation_frame"), ("cli", "cmd_spectrum")}
+
+
+def scipy_imports(path):
+    """(top-level function or None, names) of each scipy import in the file."""
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [a.name for a in node.names]
+            else:
+                continue
+            if names[0].split(".")[0] == "scipy":
+                yield getattr(top, "name", None), names
+
+
+def test_no_scipy_at_module_level():
+    """−Δ+1 and 𝕃 are stencils on the grid's array, so no module imports scipy
+    when it loads: each use imports it inside the one function that calls it."""
+    for path in MODULES:
+        assert None not in {top for top, _ in scipy_imports(path)}, path.stem
+
+
+def test_krylov_solvers_imported_where_called():
+    """minres is imported only by reduction._minres and eigsh only by
+    spectrum.lowest_eigenpairs, their one call sites."""
+    for name, home in (("minres", ("reduction", "_minres")), ("eigsh", ("spectrum", "lowest_eigenpairs"))):
+        found = {(path.stem, top) for path in MODULES
+                 for top, names in scipy_imports(path) if name in names}
+        assert found == {home}, name
 
 
 def test_groundstate_imports_no_scipy():
@@ -116,15 +141,23 @@ def test_groundstate_imports_no_scipy():
     assert imported and not [m for m in imported if m and m.split(".")[0] == "scipy"]
 
 
-def test_cli_import_loads_no_interpolation():
-    """The profile interpolates itself, so the front end loads no scipy.interpolate."""
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, multipeak.cli; print(*sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
-        capture_output=True, text=True, check=True, timeout=60,
-    ).stdout.split()
-    assert "multipeak.groundstate" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.interpolate")]
+def test_cli_import_loads_no_interpolation(tmp_path):
+    """The profile interpolates itself and the grid applies −Δ+1 as a stencil, so
+    the front end loads no scipy at all, and neither do the commands that solve
+    no Krylov or eigenproblem and take no quadrature: each run is a fresh process."""
+    out = str(tmp_path / "summary.json")
+    runs = [None, ["groundstate"], ["ansatz", "--eps", "0.3", "--k", "2"],
+            ["oracle", "taylor", "--n", "1000"]]
+    for argv in runs:
+        command = "" if argv is None else f"assert main({[*argv, '--out', out]!r}) == 0; "
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys\nfrom multipeak.cli import main\n{command}print(*sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.split()
+        assert "multipeak.groundstate" in loaded
+        assert not [m for m in loaded if m.split(".")[0] == "scipy"], argv
 
 
 def test_one_pipeline_step():

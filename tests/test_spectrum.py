@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
+from conftest import helmholtz_csr, linearized_csr
 
-from multipeak import spectrum
 from multipeak.ansatz import build_ansatz, uniform_configuration
 from multipeak.domain import GridField, inner_products, make_grid
 from multipeak.groundstate import solve_ground_state
@@ -25,10 +26,7 @@ def test_ground_state_exact_eigenvector_identity(bundle_k1):
     exponentially small lattice-image interaction.
     """
     ubar = bundle_k1.ubar
-    Lu = GridField(
-        ubar.grid,
-        (linearized(ubar, bundle_k1.profile.exponent) @ ubar.data.ravel()).reshape(ubar.grid.shape),
-    )
+    Lu = GridField(ubar.grid, linearized(ubar, bundle_k1.profile.exponent)(ubar.data))
     num = inner_products(Lu, ubar)[0]
     den = inner_products(ubar, ubar)[1]
     assert num / den == pytest.approx(-2.0, rel=2e-2)
@@ -75,7 +73,7 @@ def test_principal_angles_small(spectral_k2, bundle_k2):
     assert angles.max() < 0.1
     # reference: B-orthonormalize both frames by Cholesky, then SVD of the
     # cross-Gram matrix; agrees only while the eigenvectors are H¹-orthonormal
-    B, wgt = bundle_k2.grid.helmholtz_matrix, bundle_k2.grid.weight
+    B, wgt = helmholtz_csr(bundle_k2.grid), bundle_k2.grid.weight
 
     def orthonormal(X):
         return X @ np.linalg.inv(np.linalg.cholesky(wgt * (X.T @ (B @ X)))).T
@@ -121,8 +119,8 @@ def test_degenerate_spectrum_matches_dense(p, grid_args, count):
     )
     result = lowest_eigenpairs(bundle, count=count)
     dense = scipy.linalg.eigh(
-        linearized(bundle.ubar, bundle.profile.exponent).toarray(),
-        grid.helmholtz_matrix.toarray(),
+        linearized_csr(bundle.ubar, bundle.profile.exponent).toarray(),
+        helmholtz_csr(grid).toarray(),
         eigvals_only=True,
         subset_by_index=[0, count - 1],
     )
@@ -137,8 +135,8 @@ def test_lowest_eigenvalues_not_skipped(profile_n2, k, eps, count):
     bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, grid)
     result = lowest_eigenpairs(bundle, count=count)
     dense = scipy.linalg.eigh(
-        linearized(bundle.ubar, bundle.profile.exponent).toarray(),
-        grid.helmholtz_matrix.toarray(),
+        linearized_csr(bundle.ubar, bundle.profile.exponent).toarray(),
+        helmholtz_csr(grid).toarray(),
         eigvals_only=True,
         subset_by_index=[0, count - 1],
     )
@@ -149,13 +147,13 @@ def test_lowest_eigenvalues_not_skipped(profile_n2, k, eps, count):
 def test_one_lanczos_run(bundle_k2, monkeypatch):
     """One run without a shift, on the fast B⁻¹, from a seeded non-constant vector."""
     calls = []
-    eigsh = spectrum.eigsh
+    eigsh = scipy.sparse.linalg.eigsh
 
     def counted(*args, **kwargs):
         calls.append(kwargs)
         return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "eigsh", counted)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
     lowest_eigenpairs(bundle_k2, count=6)
     assert len(calls) == 1
     assert np.ptp(calls[0]["v0"]) > 0
@@ -166,7 +164,7 @@ def test_eigenvector_sign_follows_start_vector(bundle_k2, monkeypatch):
     """Each eigenvector pairs positively with the seeded start vector, whatever
     sign the eigensolver returns it with."""
     starts = []
-    eigsh = spectrum.eigsh
+    eigsh = scipy.sparse.linalg.eigsh
 
     def flipped(*args, **kwargs):
         starts.append(kwargs["v0"])
@@ -174,7 +172,7 @@ def test_eigenvector_sign_follows_start_vector(bundle_k2, monkeypatch):
         return vals, -vecs
 
     plain = lowest_eigenpairs(bundle_k2, count=6)
-    monkeypatch.setattr(spectrum, "eigsh", flipped)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", flipped)
     result = lowest_eigenpairs(bundle_k2, count=6)
     for f, g in zip(result.eigenvectors, plain.eigenvectors):
         assert f.data.ravel() @ starts[0] > 0
