@@ -10,10 +10,11 @@ U'(0) = 0, the ODE inside and, at r_m = 12, U' = (T'/T) U for the far field
 
 the truncated large-r expansion of r^{-ν} K_ν(r) (DLMF 10.40.2; exact for
 N = 1 and N = 3): the asymptotic boundary condition of Lentini & Keller (SIAM
-J. Numer. Anal. 17, 1980).  A Petviashvili iteration from 2 sech(r)^{2/(p-1)}
-leads into Newton's basin; every step of either is one dense solve.  U and U'
-are stored on uniform nodes of [0, r_m]; beyond r_m the profile is U = L0 T
-with L0 = U(r_m)/T(r_m), so U and U' are continuous there.
+J. Numer. Anal. 17, 1980).  A Petviashvili iteration from the N = 1 profile
+((p+1)/2)^{1/(p-1)} sech^{2/(p-1)}((p-1)r/2) leads into Newton's basin; every
+step of either is one dense solve.  U and U' are stored on uniform nodes of
+[0, r_m]; beyond r_m the profile is U = L0 T with L0 = U(r_m)/T(r_m), so U and
+U' are continuous there.
 """
 
 from __future__ import annotations
@@ -191,7 +192,8 @@ def solve_ground_state(dimension: int, p: float) -> GroundStateProfile:
     weight = cc * dr * r ** (N - 1)  # ∫_0^{r_m} f r^{N−1} dr = weight @ f
 
     # Petviashvili: u ← M^{p/(p−1)} L⁻¹u^p, L = 1 − Δ, M = ⟨u, Lu⟩/⟨u, u^p⟩
-    u = 2.0 / np.cosh(r) ** (2 / (p - 1))
+    with np.errstate(over="ignore"):  # cosh overflows to inf far out, and u there to 0
+        u = ((p + 1) / 2) ** (1 / (p - 1)) / np.cosh((p - 1) * r / 2) ** (2 / (p - 1))
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging iterate fails below
         for _ in range(200):
             up = ode * np.maximum(u, 0.0) ** p

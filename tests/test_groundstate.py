@@ -35,13 +35,17 @@ def test_n1_p2_matches_sech_squared_oracle():
     assert profile.tail_L0 == pytest.approx(6.0, rel=1e-3)
 
 
-@pytest.mark.parametrize("p", [2.5, 4, 7, 12])
+@pytest.mark.parametrize("p", [2.5, 4, 7, 12, 500, 1000])
 def test_n1_matches_closed_form(p):
     """U(x) = ((p+1)/2)^{1/(p−1)} sech^{2/(p−1)}((p−1)x/2) on the line."""
     profile = solve_ground_state(1, p)
     r = np.linspace(0.0, 10.0, 2001)
-    exact = ((p + 1) / 2) ** (1 / (p - 1)) / np.cosh((p - 1) * r / 2) ** (2 / (p - 1))
+    y = (p - 1) * r / 2
+    center = ((p + 1) / 2) ** (1 / (p - 1))
+    # log cosh y = y + log(1 + e^{−2y}) − log 2, since cosh overflows at large p
+    exact = center * np.exp(-2 / (p - 1) * (y + np.log1p(np.exp(-2 * y)) - np.log(2)))
     assert np.max(np.abs(eval_radial(profile, r) - exact)) < 1e-10
+    assert abs(eval_radial(profile, 0.0) / center - 1) < 1e-12
 
 
 def test_n1_p3_between_nodes(profile_n1):
