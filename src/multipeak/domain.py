@@ -104,10 +104,11 @@ class StripGrid:
         lap2 = np.full(n2, 2.0 / self.h2**2)
         lap2[0] = 1.0 / self.h2**2  # the mirror ghost folded into the first row
         diag = (2.0 / self.h1**2 + lap2 + 1.0)[:, None]
+        w = np.empty_like(u)
         if potential is not None:
-            diag = diag - np.reshape(potential, (n1, n2, 1))
+            diag = np.subtract(diag, np.reshape(potential, (n1, n2, 1)), out=w)
         v = diag * u
-        w = u * (1.0 / self.h1**2)
+        np.multiply(u, 1.0 / self.h1**2, out=w)
         v[1:] -= w[:-1]
         v[:-1] -= w[1:]
         v[0] -= w[-1]
@@ -147,8 +148,10 @@ class StripGrid:
         cols = x.shape[2]
         # rows (x₁ node, column), one GEMM per x₂ transform
         x = (x.transpose(0, 2, 1).reshape(-1, n2) @ modes).reshape(n1, cols, n2)
-        spec = np.fft.rfft(x, axis=0) * scale[:, None, :]
-        x = np.fft.irfft(spec, n=n1, axis=0).reshape(-1, n2) @ modes.T
+        spec = np.fft.rfft(x, axis=0)
+        spec *= scale[:, None, :]
+        back = np.fft.irfft(spec, n=n1, axis=0).reshape(-1, n2)
+        x = np.matmul(back, modes.T, out=x.reshape(-1, n2))  # into the first GEMM's spent buffer
         return x.reshape(n1, cols, n2).transpose(0, 2, 1).reshape(np.shape(b))
 
 
