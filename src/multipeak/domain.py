@@ -104,7 +104,7 @@ class StripGrid:
         lap2 = np.full(n2, 2.0 / self.h2**2)
         lap2[0] = 1.0 / self.h2**2  # the mirror ghost folded into the first row
         diag = (2.0 / self.h1**2 + lap2 + 1.0)[:, None]
-        w = np.empty_like(u)
+        w = np.empty_like(u)  # scratch: the centre with a potential, then each scaled copy of u
         if potential is not None:
             diag = np.subtract(diag, np.reshape(potential, (n1, n2, 1)), out=w)
         v = diag * u
