@@ -217,5 +217,10 @@ def residual_l2(bundle: AnsatzBundle) -> float:
 
 
 def residual_rate(sigma_min: float, dimension: int) -> float:
-    """Reference scale e^{−2σ̲} σ̲^{(1−N)/2} for residual/correction ratios."""
-    return math.exp(-2 * sigma_min) * sigma_min ** ((1 - dimension) / 2)
+    """Reference scale e^{−2σ̲} σ̲^{(1−N)/2} for residual/correction ratios;
+    ValueError where it underflows to 0 (σ̲ > 371.09 for N = 2)."""
+    rate = math.exp(-2 * sigma_min) * sigma_min ** ((1 - dimension) / 2)
+    if rate == 0:
+        raise ValueError(f"sigma_min = {sigma_min:.6g}: the rate e^(-2 sigma_min) sigma_min^((1-N)/2) "
+                         "underflows to 0 for sigma_min > 371.09 (N = 2)")
+    return rate

@@ -224,11 +224,11 @@ def cmd_groundstate(args, cfg):
 
 def cmd_ansatz(args, cfg):
     config, grid = _bundle_inputs(cfg)
+    rate = ans.residual_rate(config.sigma_min, 2)
 
     def compute():
         bundle = ans.build_ansatz(config, _profile(cfg["p"]), grid)
         res = ans.residual(bundle)
-        rate = ans.residual_rate(bundle.config.sigma_min, bundle.profile.dimension)
         return {
             "sigma_min": bundle.config.sigma_min,
             "half_gaps": list(bundle.config.half_gaps),
@@ -274,10 +274,10 @@ def cmd_spectrum(args, cfg):
 def cmd_reduce(args, cfg):
     config, grid = _bundle_inputs(cfg)
     _check_tol(cfg["tol"])
+    rate = ans.residual_rate(config.sigma_min, 2)
 
     def compute():
         state = red.reduce(config, _profile(cfg["p"]), grid, tol=cfg["tol"])
-        rate = ans.residual_rate(config.sigma_min, 2)
         results = {
             "sigma_min": config.sigma_min,
             "sup_norm": state.sup_norm,
@@ -374,8 +374,7 @@ def cmd_dancer(args, cfg):
 
 
 def cmd_oracle_taylor(args, cfg):
-    asym.validate_taylor_exponent(cfg["p"])
-    _check(cfg["n"] >= 1, f"n >= 1 (got {cfg['n']})")
+    asym.validate_taylor_check(cfg["n"], cfg["p"])
     _check(cfg["seed"] >= 0, f"seed >= 0 (got {cfg['seed']})")
 
     def compute():

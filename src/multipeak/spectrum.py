@@ -155,10 +155,6 @@ class NearKernelBasis:
         d = self.Ginv @ (self.Phi.T @ flat)
         return flat - self.C @ d, d
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Πx: the B-orthogonal projection onto {x : Cᵀx = 0}."""
-        return x - self.Phi @ (self.Ginv @ (self.C.T @ x))
-
     def project_t(self, y: np.ndarray) -> np.ndarray:
         """Πᵀy: the component of y that pairs to zero with every φ_i."""
         return self.split(y)[0]

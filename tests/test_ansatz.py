@@ -107,3 +107,10 @@ def test_lattice_cutoff_covers_period():
     images = config.image_positions(0)
     assert images.min() < -config.period
     assert images.max() > config.period
+
+
+def test_residual_rate_rejects_underflow():
+    """e^{−2σ̲}σ̲^{−1/2} is the least subnormal double at σ̲ = 371.09 and 0 beyond."""
+    assert residual_rate(371.09, 2) > 0
+    with pytest.raises(ValueError, match="371.09"):
+        residual_rate(371.1, 2)

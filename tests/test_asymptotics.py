@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multipeak import asymptotics
 from multipeak.asymptotics import (
     InteractionSpec,
     interaction_limit,
@@ -41,9 +42,12 @@ def test_spec_validation():
         InteractionSpec(decay, decay, a=2.0, b=1.0, y0=1.0)
     with pytest.raises(ValueError):
         InteractionSpec(decay, decay, a=2.0, b=1.0, y0=12.0, dimension=3)
-    for a, y0 in ((math.inf, 12.0), (math.nan, 12.0), (2.0, math.nan), (2.0, math.inf)):
+    for a, y0 in ((math.inf, 12.0), (math.nan, 12.0), (2.0, math.nan), (2.0, math.inf),
+                  (2.0, 709.8), (2.0, -750.0)):
         with pytest.raises(ValueError):
             InteractionSpec(decay, decay, a=a, b=1.0, y0=y0)
+    # up to b|y0| = log of the largest double, e^(b|y0|) in rescale is finite
+    assert math.isfinite(rescale(exp_spec(y0=709.7), 1.0))
 
 
 @settings(deadline=None, max_examples=10)
@@ -119,6 +123,9 @@ def test_taylor_check_validates_p():
         with pytest.raises(ValueError):
             taylor_remainder_check(10, p, seed=0)
     assert math.isfinite(taylor_remainder_check(1000, 93.0, seed=1).max_ratio)
+    for n in (0, asymptotics._TAYLOR_MAX_SAMPLES + 1):
+        with pytest.raises(ValueError, match="samples"):
+            taylor_remainder_check(n, 3.0, seed=0)
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.7])

@@ -320,6 +320,11 @@ DESK = ["ansatz", "--eps", "0.3", "--k", "2"]
         ["oracle", "taylor", "--p", "100"],
         ["oracle", "taylor", "--p", "150"],
         ["oracle", "interactions", "--y0", "nan"],
+        ["oracle", "interactions", "--y0", "750"],
+        ["oracle", "taylor", "--n", "10000001"],
+        ["ansatz", "--eps", "0.0084", "--k", "1"],
+        ["reduce", "--eps", "0.0084", "--k", "1"],
+        ["equilibrate", "--eps", "0.004", "--k", "2"],
         ["oracle", "taylor", "--y0", "5"],
         ["oracle", "interactions", "--seed", "3"],
         ["ansatz", "--eps", "0.3", "--k", "3", "--peaks=-3.14,0"],

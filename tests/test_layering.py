@@ -102,6 +102,15 @@ def test_one_frame():
         ("reduction", "translation_frame"), ("cli", "cmd_spectrum")}
 
 
+def test_no_projection_of_krylov_vectors():
+    """The preconditioner ΠB⁻¹Πᵀ keeps every MINRES iterate in range Π, so the
+    reduction applies Π to no Krylov input or result, and the frame has no `project`."""
+    from multipeak.spectrum import NearKernelBasis
+
+    assert not list(callers("project"))
+    assert not hasattr(NearKernelBasis, "project")
+
+
 def scipy_imports(path):
     """(top-level function or None, names) of each scipy import in the file."""
     for top in ast.parse(path.read_text()).body:

@@ -210,7 +210,9 @@ def test_preconditioner_is_the_two_projection_form(profile_n2, eps, k):
     frame = translation_frame(bundle)
     y = np.random.default_rng(6).standard_normal(bundle.grid.size)
     got = reduction._precondition(frame, y)
-    expected = frame.project(bundle.grid.helmholtz_inverse(frame.project_t(y)))
+    Phi, C, Ginv = frame.Phi, frame.C, frame.Ginv
+    x = bundle.grid.helmholtz_inverse(frame.project_t(y))
+    expected = x - Phi @ (Ginv @ (C.T @ x))  # Πx
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -251,6 +253,35 @@ def test_complement_solver_matches_bordered_factorization(profile_n2, eps, k, fr
     assert mu.shape == (k,)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
     assert np.linalg.norm(mu - mu_ref) <= 1e-10 * np.linalg.norm(mu_ref)
+
+
+@pytest.mark.parametrize("eps, k, frame", [
+    pytest.param(0.3, 2, translation_frame, id="0.3-2"),
+    pytest.param(0.2, 3, translation_frame, id="0.2-3"),
+    pytest.param(0.3, 2, eigen_frame, id="eigen-0.3-2"),
+    pytest.param(0.2, 3, eigen_frame, id="eigen-0.2-3"),
+])
+def test_solutions_lie_on_the_complement_unprojected(profile_n2, eps, k, frame, monkeypatch):
+    """The preconditioner's range is {Cᵀx = 0}, so complement_solve's x and the
+    complement coordinate x = δ − Φa of pinned_solve's MINRES solution z = (x, a, μ)
+    satisfy ‖Cᵀx‖ ≤ 1e-13‖C‖‖x‖ with no projection applied to them."""
+    bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, make_grid(eps))
+    L, basis = L_of(bundle), frame(bundle)
+    n, C = bundle.grid.size, basis.C
+    rhs = np.random.default_rng(12).standard_normal(n)
+    minres, runs = reduction._minres, []
+
+    def recorded(*args):
+        runs.append(minres(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(reduction, "_minres", recorded)
+    x, _, _ = complement_solve(L, basis, rhs)
+    delta, _, _ = pinned_solve(L, basis, C[:, 0], rhs, 0.3)
+    z = runs[-1][0]
+    assert np.array_equal(delta, z[:n] + basis.Phi @ z[n:-1])
+    for v in (x, z[:n]):
+        assert np.linalg.norm(C.T @ v) <= 1e-13 * np.linalg.norm(C, 2) * np.linalg.norm(v)
 
 
 def sigma8_bundle(profile, refinements):
@@ -402,3 +433,17 @@ def test_tol_below_roundoff_fails_for_nearby_profiles(profile_n2, scale):
     nearby = dataclasses.replace(profile_n2, values=profile_n2.values * scale)
     with pytest.raises(reduction.ContractionError, match="or tol is below v's roundoff"):
         reduce(uniform_configuration(0.3, 2), nearby, make_grid(0.3), tol=1e-20)
+
+
+@pytest.mark.filterwarnings("error")
+def test_underflowed_residual_is_solved_without_minres(monkeypatch, capsys):
+    """One peak at ε = 0.0095 (σ̲ ≈ 331): M(ū) underflows to 0, so the correction
+    is 0 at once, with no MINRES run and no 0/0 tolerance (a warning fails here)."""
+
+    def no_minres(*args):
+        raise AssertionError("MINRES called on a zero right side")
+
+    monkeypatch.setattr(reduction, "_minres", no_minres)
+    assert main(["reduce", "--eps", "0.0095", "--k", "1"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["sup_norm"] == 0 and results["iterations"] == 1
