@@ -25,6 +25,7 @@ live on are resolved to roundoff rather than to mesh truncation error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -79,7 +80,8 @@ class ReductionState:
     solve_residual: float
 
 
-# MINRES stop: scipy's ‖r‖ ≤ rtol·‖A‖‖x‖, residual in the preconditioner's norm
+# `_minres` stops at ‖r‖ ≤ rtol·‖A‖‖x‖: ‖r‖ is the recurrence's residual in the
+# preconditioner's norm, ‖A‖ the Frobenius norm of the Lanczos tridiagonal so far
 RTOL = 1e-14
 MINRES_MAXITER = 200
 
@@ -87,23 +89,74 @@ MINRES_MAXITER = 200
 def _minres(matvec, precond, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
     """(x, iterations) of the package's one MINRES run, on symmetric matvecs.
 
+    Preconditioned MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975)
+    from x₀ = 0 for an SPD ``precond``: the loop of scipy 1.17.1's ``minres``
+    (scipy/sparse/linalg/_isolve/minres.py, BSD-3-Clause) for shift 0, with
+    its operation order and stop tests, so x and the iteration count are
+    scipy's bit for bit.  A zero preconditioned right side (β₁ = 0) returns
+    x = 0 after 0 iterations.
+
     Raises
     ------
     RuntimeError
-        If MINRES reaches MINRES_MAXITER iterations.
+        If MINRES reaches MINRES_MAXITER iterations, or breaks down because
+        the preconditioner is indefinite or the operator is not symmetric.
     """
-    from scipy.sparse.linalg import LinearOperator, minres
+    eps = np.finfo(float).eps
+    x = np.zeros(rhs.size)
+    r1 = rhs
+    y = precond(r1)
+    beta1 = np.inner(r1, y)
+    if beta1 < 0:
+        raise RuntimeError("MINRES breakdown: indefinite preconditioner")
+    if beta1 == 0:
+        return x, 0
+    beta1 = sqrt(beta1)
 
-    shape = (rhs.size, rhs.size)
-    steps = []
-    x, info = minres(
-        LinearOperator(shape, matvec=matvec, dtype=float), rhs, rtol=rtol,
-        M=LinearOperator(shape, matvec=precond, dtype=float),
-        maxiter=MINRES_MAXITER, callback=lambda _: steps.append(1),
-    )
-    if info:
-        raise RuntimeError(f"MINRES did not converge in {MINRES_MAXITER} iterations")
-    return x, len(steps)
+    oldb, beta, dbar, epsln, phibar = 0, beta1, 0, 0, beta1
+    tnorm2, gmax, gmin, cs, sn = 0, 0, np.finfo(float).max, -1, 0
+    w = w2 = np.zeros(rhs.size)
+    r2 = r1
+    for itn in range(1, MINRES_MAXITER + 1):
+        # the Lanczos step
+        v = (1.0 / beta) * y
+        y = matvec(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = np.inner(v, y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = precond(r2)
+        oldb, beta = beta, np.inner(r2, y)
+        if beta < 0:
+            raise RuntimeError("MINRES breakdown: non-symmetric operator")
+        beta = sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        # the previous plane rotation, then the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = np.linalg.norm([gbar, dbar])
+        gamma = max(np.linalg.norm([gbar, beta]), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+
+        Anorm, ynorm = sqrt(tnorm2), np.linalg.norm(x)
+        test1 = np.inf if ynorm == 0 or Anorm == 0 else phibar / (Anorm * ynorm)
+        test2 = np.inf if Anorm == 0 else root / Anorm
+        if (
+            itn == 1 and beta / beta1 <= 10 * eps
+            or 1 + test1 <= 1 or test1 <= rtol or 1 + test2 <= 1 or test2 <= rtol
+            or gmax / gmin >= 0.1 / eps or Anorm * ynorm * eps >= beta1
+        ):
+            return x, itn
+    raise RuntimeError(f"MINRES did not converge in {MINRES_MAXITER} iterations")
 
 
 def _precondition(frame: NearKernelBasis, y: np.ndarray) -> np.ndarray:

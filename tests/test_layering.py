@@ -66,12 +66,12 @@ def callers(*names):
 def test_one_factorization_primitive():
     """Nothing in the package is factored: B = −Δ+1 has its fast inverse, and 𝕃
     on the near-kernel's complement (the correction) and the pinned Newton
-    Jacobian in frame coordinates are solved by MINRES, called in one place,
-    reduction._minres, by the two solves alone; no bordered assembly and no
-    CG remain."""
+    Jacobian in frame coordinates are solved by the package's own MINRES,
+    reduction._minres, called by the two solves alone; scipy's `minres`, a
+    bordered assembly and CG have no caller."""
     assert not list(callers("splu", "spsolve", "factorized", "factorize"))
     assert not [path.stem for path in MODULES if "splu" in path.read_text()]
-    assert list(callers("minres")) == [("reduction", "_minres")]
+    assert not list(callers("minres"))
     assert set(callers("_minres")) == {
         ("reduction", "complement_solve"), ("reduction", "pinned_solve")}
     assert set(callers("pinned_solve")) == {("dancer", "newton_solve")}
@@ -133,12 +133,15 @@ def test_no_scipy_at_module_level():
 
 
 def test_krylov_solvers_imported_where_called():
-    """minres is imported only by reduction._minres and eigsh only by
-    spectrum.lowest_eigenpairs, their one call sites."""
-    for name, home in (("minres", ("reduction", "_minres")), ("eigsh", ("spectrum", "lowest_eigenpairs"))):
-        found = {(path.stem, top) for path in MODULES
-                 for top, names in scipy_imports(path) if name in names}
-        assert found == {home}, name
+    """eigsh, the one Krylov solver left to scipy, is imported only by
+    spectrum.lowest_eigenpairs, its one call site; MINRES is the package's own,
+    so reduction imports nothing from scipy, and only spectrum and the
+    quadratures of asymptotics import it at all."""
+    found = {(path.stem, top) for path in MODULES
+             for top, names in scipy_imports(path) if "eigsh" in names}
+    assert found == {("spectrum", "lowest_eigenpairs")}
+    assert not [path.stem for path in MODULES for _, names in scipy_imports(path) if "minres" in names]
+    assert {path.stem for path in MODULES if list(scipy_imports(path))} == {"spectrum", "asymptotics"}
 
 
 def test_groundstate_imports_no_scipy():
@@ -151,12 +154,14 @@ def test_groundstate_imports_no_scipy():
 
 
 def test_cli_import_loads_no_interpolation(tmp_path):
-    """The profile interpolates itself and the grid applies −Δ+1 as a stencil, so
-    the front end loads no scipy at all, and neither do the commands that solve
-    no Krylov or eigenproblem and take no quadrature: each run is a fresh process."""
+    """The profile interpolates itself, the grid applies −Δ+1 as a stencil and
+    MINRES is the package's own, so the front end loads no scipy at all, and
+    neither do the commands that solve no eigenproblem and take no quadrature:
+    each run is a fresh process."""
     out = str(tmp_path / "summary.json")
     runs = [None, ["groundstate"], ["ansatz", "--eps", "0.3", "--k", "2"],
-            ["oracle", "taylor", "--n", "1000"]]
+            ["oracle", "taylor", "--n", "1000"], ["reduce", "--eps", "0.3", "--k", "2"],
+            ["equilibrate", "--eps", "0.3", "--k", "2"], ["dancer", "--eps", "0.3", "--k", "1"]]
     for argv in runs:
         command = "" if argv is None else f"assert main({[*argv, '--out', out]!r}) == 0; "
         loaded = subprocess.run(

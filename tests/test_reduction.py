@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from multipeak import reduction
+from multipeak import dancer, reduction, weighted
 from multipeak.ansatz import (
     PeakConfiguration,
     build_ansatz,
@@ -317,6 +317,108 @@ def test_complement_solver_raises_at_iteration_cap(bundle_k2, basis_k2, monkeypa
     rhs = np.random.default_rng(2).standard_normal(bundle_k2.grid.size)
     with pytest.raises(RuntimeError, match="MINRES did not converge in 3 iterations"):
         complement_solve(L_of(bundle_k2), basis_k2, rhs)
+
+
+def scipy_minres(matvec, precond, rhs, rtol):
+    """(x, iterations) of scipy's `minres` on the operators `_minres` receives: the reference."""
+    from scipy.sparse.linalg import LinearOperator, minres
+
+    shape, steps = (rhs.size, rhs.size), []
+    x, info = minres(
+        LinearOperator(shape, matvec=matvec, dtype=float), rhs, rtol=rtol,
+        M=LinearOperator(shape, matvec=precond, dtype=float),
+        maxiter=reduction.MINRES_MAXITER, callback=lambda _: steps.append(1),
+    )
+    assert info == 0
+    return x, len(steps)
+
+
+# every MINRES run of each case: complement_solve on the translation frame (each
+# correction step of `reduce`) and on the eigen frame of `weighted`, and pinned_solve
+# (each Newton step)
+MINRES_CASES = {
+    "complement-k2": lambda f: reduce(uniform_configuration(0.3, 2), f("profile_n2"), make_grid(0.3)),
+    "complement-k3": lambda f: reduce(uniform_configuration(0.2, 3), f("profile_n2"), make_grid(0.2)),
+    "complement-off-lattice": lambda f: reduce(
+        PeakConfiguration(0.3, (-3.1, 0.2)), f("profile_n2"), make_grid(0.3)),
+    "complement-eigen-frame": lambda f: weighted.solve_orthogonal(
+        residual(f("bundle_k2")), f("bundle_k2"), f("basis_k2")),
+    "pinned-k1": lambda f: dancer.newton_solve(f("bundle_k1")),
+    "pinned-k2": lambda f: dancer.newton_solve(f("bundle_k2")),
+}
+
+
+@pytest.mark.parametrize("case", MINRES_CASES)
+def test_minres_matches_scipy_bit_for_bit(case, request, monkeypatch):
+    """The package's MINRES is scipy's loop for x₀ = 0: on every run of the desk
+    solves it returns the same x, bit for bit, after the same number of iterations."""
+    own, runs = reduction._minres, []
+
+    def compared(matvec, precond, rhs, rtol):
+        x, its = own(matvec, precond, rhs, rtol)
+        x_ref, its_ref = scipy_minres(matvec, precond, rhs, rtol)
+        runs.append((np.array_equal(x, x_ref), its, its_ref))
+        return x, its
+
+    monkeypatch.setattr(reduction, "_minres", compared)
+    MINRES_CASES[case](request.getfixturevalue)
+    assert runs and all(same and its == its_ref for same, its, its_ref in runs), runs
+
+
+def test_minres_zero_right_side_takes_no_step():
+    def no_matvec(v):
+        raise AssertionError("matvec called on a zero right side")
+
+    x, its = reduction._minres(no_matvec, lambda y: y, np.zeros(7), reduction.RTOL)
+    assert its == 0 and np.array_equal(x, np.zeros(7))
+
+
+def test_minres_raises_at_iteration_cap(bundle_k2, monkeypatch):
+    monkeypatch.setattr(reduction, "MINRES_MAXITER", 2)
+    L, c = L_of(bundle_k2), pin_column(bundle_k2)
+    rhs = np.random.default_rng(3).standard_normal(c.size)
+    with pytest.raises(RuntimeError, match="MINRES did not converge in 2 iterations"):
+        pinned_solve(L, translation_frame(bundle_k2), c, rhs, 0.3)
+
+
+@pytest.mark.parametrize("matvec, precond, rhs, message", [
+    pytest.param(lambda v: v, lambda y: -y, np.ones(3), "indefinite preconditioner", id="negated"),
+    pytest.param(lambda v: v[::-1], lambda y: y * [1.0, -1.0], np.array([1.0, 0.0]),
+                 "non-symmetric operator", id="non-symmetric"),
+])
+def test_minres_breakdown_is_a_solver_error(matvec, precond, rhs, message):
+    """yᵀPy < 0 for a Lanczos vector breaks MINRES down: a RuntimeError, as a
+    non-converged run is, never the ValueError of an inadmissible input."""
+    with pytest.raises(RuntimeError, match=message):
+        reduction._minres(matvec, precond, rhs, reduction.RTOL)
+
+
+def test_equilibrate_propagates_a_minres_breakdown(profile_n2, monkeypatch):
+    """The line search halves a trial step that leaves the separation regime
+    (ValueError) or does not contract; a MINRES breakdown in the trial is a
+    solver fault, so it reaches the caller instead of ending as a failed line
+    search.  At k = 2 the first two `reduce` runs are the start and the Jacobian's
+    one column; every later run, a trial, gets the preconditioner y ↦ −P y."""
+    own, reduces = reduction._minres, []
+    real_reduce = reduction.reduce
+
+    def counted(*args, **kwargs):
+        reduces.append(1)
+        return real_reduce(*args, **kwargs)
+
+    def broken(matvec, precond, rhs, rtol):
+        if len(reduces) > 2:
+            return own(matvec, lambda y: -precond(y), rhs, rtol)
+        return own(matvec, precond, rhs, rtol)
+
+    monkeypatch.setattr(reduction, "reduce", counted)
+    monkeypatch.setattr(reduction, "_minres", broken)
+    uniform = uniform_configuration(0.3, 2)
+    initial = PeakConfiguration(0.3, (uniform.angles[0], uniform.angles[1] + 0.05 * np.pi))
+    tol = 1e-2 * residual_rate(uniform.sigma_min, 2)
+    with pytest.raises(RuntimeError, match="MINRES breakdown: indefinite preconditioner"):
+        equilibrate(initial, profile_n2, make_grid, tol=tol)
+    assert len(reduces) == 3
 
 
 def test_pinned_solve_at_nearly_singular_newton_jacobian(profile_n2):
