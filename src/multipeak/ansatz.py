@@ -48,10 +48,10 @@ class PeakConfiguration:
         if not -np.pi <= a[0] <= a[-1] < np.pi:
             raise ValueError("angles must lie in [-pi, pi)")
         object.__setattr__(self, "angles", tuple(float(v) for v in a))
-        if not np.all(np.asarray(self.gaps) > 2.0):
-            raise ValueError(
-                f"peak separation violated: gaps {self.gaps} must all exceed 2"
-            )
+        i = int(np.argmin(self.gaps))
+        if not self.gaps[i] > 2.0:
+            raise ValueError(f"peak separation violated: the smallest gap, {self.gaps[i]:.6g} "
+                             f"from peak {i} to peak {(i + 1) % self.k}, must exceed 2")
 
     @property
     def k(self) -> int:
@@ -103,7 +103,11 @@ class PeakConfiguration:
 
 
 def uniform_configuration(epsilon: float, k: int) -> PeakConfiguration:
-    """k equally spaced peaks starting at angle −π."""
+    """k equally spaced peaks starting at angle −π; ValueError, before any angle
+    is built, unless their gap 2π/(kε) exceeds 2."""
+    if k * epsilon >= np.pi:
+        raise ValueError(f"peak separation violated: the equal gap 2 pi/(k eps) of k = {k} peaks "
+                         f"at eps = {epsilon:g} is {2 * np.pi / (k * epsilon):.6g}, must exceed 2")
     return PeakConfiguration(
         epsilon, tuple(-np.pi + 2 * np.pi * i / k for i in range(k))
     )

@@ -192,14 +192,13 @@ def make_grid(eps: float, R: float = 12.0, h: float = 0.25) -> StripGrid:
         raise ValueError(f"h = {h} is above the maximum mesh width {MAX_MESH_WIDTH}")
     if R < MIN_TRANSVERSE:
         raise ValueError(f"R = {R} is below the minimum transverse extent {MIN_TRANSVERSE}")
-    period = 2 * np.pi / eps
-    n1 = max(8, 4 * round(period / (4 * h)))
-    n2 = max(4, round(R / h))
-    if n1 * n2 > MAX_UNKNOWNS:
-        raise ValueError(
-            f"{n1}x{n2} grid has {n1 * n2} unknowns, above the cap {MAX_UNKNOWNS}"
-        )
-    return StripGrid(eps, R, n1, n2)
+    # node counts in floating point, so a count that overflows is rejected, not rounded
+    n1 = max(8.0, 4 * np.rint(2 * np.pi / eps / (4 * h)))
+    n2 = max(4.0, np.rint(R / h))
+    if not n1 * n2 <= MAX_UNKNOWNS:
+        raise ValueError(f"the {n1:.0f}x{n2:.0f} grid of eps = {eps:g}, R = {R:g}, h = {h:g} "
+                         f"has {n1 * n2:.0f} unknowns, above the cap {MAX_UNKNOWNS}")
+    return StripGrid(eps, R, int(n1), int(n2))
 
 
 @dataclass

@@ -10,12 +10,13 @@ along the (−Δ+1)φ_i (coefficients d_i, by the frame's Gram matrix) and the
 remainder.  On that complement 𝕃 is invertible uniformly in ε, and B⁻¹𝕃
 (B = −Δ+1) is the identity minus a compact operator, so the two linear
 problems, functions of 𝕃 and the frame, are MINRES runs preconditioned by the
-grid's fast B⁻¹ restricted to the complement, which keeps every iterate there:
-:func:`complement_solve` (the correction and the weighted estimates) and
-:func:`pinned_solve` (the pinned Newton step).  Nothing is factored and no eigenproblem is solved.  Setting every d_i to
-zero is the reduced equation for the peak positions; Newton on those scalars
-drives the configuration to uniform spacing.  The chain ansatz → frame →
-correction is the one pipeline step :func:`reduce`.
+grid's fast B⁻¹ alone, which maps range Πᵀ, where every Krylov vector lies,
+onto the complement {Cᵀx = 0} (CᵀB⁻¹ = Φᵀ, ΦᵀΠᵀ = 0): :func:`complement_solve`
+(the correction and the weighted estimates) and :func:`pinned_solve` (the
+pinned Newton step).  Nothing is factored and no eigenproblem is solved.
+Setting every d_i to zero is the reduced equation for the peak positions;
+Newton on those scalars drives the configuration to uniform spacing.  The
+chain ansatz → frame → correction is the one pipeline step :func:`reduce`.
 
 Both M(ū) and R(v) are evaluated algebraically from the profile — never
 through the discrete Laplacian — so the exponentially small scales they
@@ -159,26 +160,19 @@ def _minres(matvec, precond, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, 
     raise RuntimeError(f"MINRES did not converge in {MINRES_MAXITER} iterations")
 
 
-def _precondition(frame: NearKernelBasis, y: np.ndarray) -> np.ndarray:
-    """ΠB⁻¹Πᵀy = B⁻¹y − ΦG⁻¹Φᵀy (ΠΦ = 0, CᵀB⁻¹ = Φᵀ): the grid's fast exact B⁻¹
-    and one rank-k update."""
-    return frame.grid.helmholtz_inverse(y) - frame.Phi @ (frame.Ginv @ (frame.Phi.T @ y))
-
-
 def complement_solve(L, frame: NearKernelBasis, rhs: np.ndarray, rtol: float = RTOL):
     """(x, μ, MINRES iterations) with 𝕃x + Cμ = rhs and Cᵀx = 0, C = BΦ.
 
     The frame (:class:`~multipeak.spectrum.NearKernelBasis`) holds Φ, C, the
-    Gram inverse G⁻¹ and Πᵀ.  MINRES solves Πᵀ𝕃x = Πᵀrhs preconditioned by
-    ΠB⁻¹Πᵀ (:func:`_precondition`), whose range is {Cᵀx = 0}, so each iterate
-    from x₀ = 0 lies there without a projection; μ = G⁻¹Φᵀ(rhs − 𝕃x).  The
+    Gram inverse G⁻¹ and Πᵀ.  MINRES solves Πᵀ𝕃x = Πᵀrhs preconditioned by the
+    grid's B⁻¹, which maps range Πᵀ onto {Cᵀx = 0}, so each iterate from x₀ = 0
+    lies there without a projection; μ = G⁻¹Φᵀ(rhs − 𝕃x).  The
     preconditioned operator is B⁻¹𝕃 on the complement, whose spectrum (the k
     bottom eigenvalues near 1−p, then the gap up to 1) is bounded away from 0
     independently of the grid; it is indefinite, hence MINRES and not CG.
     """
     x, its = _minres(
-        lambda x: frame.project_t(L(x)),
-        lambda y: _precondition(frame, y), frame.project_t(rhs), rtol,
+        lambda x: frame.project_t(L(x)), frame.grid.helmholtz_inverse, frame.project_t(rhs), rtol
     )
     return x, frame.split(rhs - L(x))[1], its
 
@@ -190,8 +184,8 @@ def pinned_solve(
 
     The bordered system in frame coordinates δ = x + Φa, Cᵀx = 0: since Πᵀc = 0
     it is the symmetric [[Πᵀ𝕃, Πᵀ𝕃Φ, 0], [Φᵀ𝕃, Φᵀ𝕃Φ, Φᵀc], [0, cᵀΦ, 0]] in
-    (x, a, μ), solved by one MINRES run preconditioned by the SPD diag(ΠB⁻¹Πᵀ,
-    |S|⁻¹), S = [[Φᵀ𝕃Φ, Φᵀc], [cᵀΦ, 0]], which keeps x on {Cᵀx = 0} as in
+    (x, a, μ), solved by one MINRES run preconditioned by the SPD diag(B⁻¹,
+    |S|⁻¹), S = [[Φᵀ𝕃Φ, Φᵀc], [cᵀΦ, 0]], whose B⁻¹ keeps x on {Cᵀx = 0} as in
     :func:`complement_solve`.  The k small eigenvalues of 𝕃 along the frame
     (one translation, k − 1 relative motions, all near 0 at a Newton root)
     live in S, which |S|⁻¹ inverts exactly; on the complement B⁻¹𝕃 is
@@ -219,7 +213,7 @@ def pinned_solve(
 
     z, its = _minres(
         matvec,
-        lambda y: np.concatenate([_precondition(frame, y[:n]), S_abs_inv @ y[n:]]),
+        lambda y: np.concatenate([frame.grid.helmholtz_inverse(y[:n]), S_abs_inv @ y[n:]]),
         np.concatenate([frame.project_t(rhs), Phi.T @ rhs, [g]]), rtol,
     )
     delta = z[:n] + Phi @ z[n:-1]

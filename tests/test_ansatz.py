@@ -26,6 +26,11 @@ def test_configuration_validation():
         PeakConfiguration(0.3, (4.0,))  # outside [-pi, pi)
     with pytest.raises(ValueError):
         PeakConfiguration(2.0, (-np.pi, 0.0))  # gap π/2 < 2 in x units
+    with pytest.raises(ValueError, match=r"smallest gap, 1\.66667 from peak 1 to peak 2,"):
+        PeakConfiguration(0.3, (-3.0, -1.0, -0.5))
+    # kε ≥ π puts the equal gap 2π/(kε) at or below 2: rejected before 10⁷ angles are made
+    with pytest.raises(ValueError, match=r"of k = 10000000 peaks at eps = 0\.3 is 2\.0944e-06,"):
+        uniform_configuration(0.3, 10_000_000)
     for eps, angles in ((np.nan, (0.0,)), (0.3, (np.nan,)), (0.3, (-1.0, np.nan))):
         with pytest.raises(ValueError):
             PeakConfiguration(eps, angles)

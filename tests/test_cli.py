@@ -325,6 +325,11 @@ DESK = ["ansatz", "--eps", "0.3", "--k", "2"]
         ["ansatz", "--eps", "0.0084", "--k", "1"],
         ["reduce", "--eps", "0.0084", "--k", "1"],
         ["equilibrate", "--eps", "0.004", "--k", "2"],
+        ["ansatz", "--eps", "0.3", "--h", "1e-310"],
+        ["ansatz", "--eps", "1e-310", "--k", "1"],
+        ["ansatz", "--eps", "0.3", "--transverse", "1e308"],
+        ["ansatz", "--eps", "0.3", "--k", "10000000"],
+        ["dancer", "--eps", "0.3", "--k", "3000000"],
         ["oracle", "taylor", "--y0", "5"],
         ["oracle", "interactions", "--seed", "3"],
         ["ansatz", "--eps", "0.3", "--k", "3", "--peaks=-3.14,0"],

@@ -64,6 +64,10 @@ def test_grid_validation():
     for h in (100.0, 1e-3):
         with pytest.raises(ValueError):
             make_grid(0.3, 12.0, h)
+    # node counts that overflow to inf are rejected before they are rounded
+    for args in ((0.3, 12.0, 1e-310), (1e-310,), (0.3, 1e308)):
+        with pytest.raises(ValueError, match="unknowns, above the cap"):
+            make_grid(*args)
     # a Dirichlet wall inside the peaks' decay (d₁ 35 % low at R = 1)
     with pytest.raises(ValueError, match="minimum transverse extent"):
         make_grid(0.3, 1.0)

@@ -67,8 +67,9 @@ def test_one_factorization_primitive():
     """Nothing in the package is factored: B = −Δ+1 has its fast inverse, and 𝕃
     on the near-kernel's complement (the correction) and the pinned Newton
     Jacobian in frame coordinates are solved by the package's own MINRES,
-    reduction._minres, called by the two solves alone; scipy's `minres`, a
-    bordered assembly and CG have no caller."""
+    reduction._minres, preconditioned by that B⁻¹ alone (no rank-k update) and
+    called by the two solves alone; scipy's `minres`, a bordered assembly and
+    CG have no caller."""
     assert not list(callers("splu", "spsolve", "factorized", "factorize"))
     assert not [path.stem for path in MODULES if "splu" in path.read_text()]
     assert not list(callers("minres"))
@@ -103,8 +104,9 @@ def test_one_frame():
 
 
 def test_no_projection_of_krylov_vectors():
-    """The preconditioner ΠB⁻¹Πᵀ keeps every MINRES iterate in range Π, so the
-    reduction applies Π to no Krylov input or result, and the frame has no `project`."""
+    """The preconditioner B⁻¹ maps each Krylov vector, which lies in range Πᵀ, onto
+    {Cᵀx = 0}, so every MINRES iterate lies there: the reduction applies Π to no
+    Krylov input or result, and the frame has no `project`."""
     from multipeak.spectrum import NearKernelBasis
 
     assert not list(callers("project"))
@@ -228,6 +230,27 @@ def test_benchmark_layers_resolve():
     for module, func in perfbench_literal("tracing.py", "LAYERS"):
         assert callable(getattr(importlib.import_module(f"multipeak.{module}"), func, None)), (
             module, func)
+
+
+def perfbench_functions(filename, *names):
+    """Namespace of the top-level functions `names` of a perfbench file, compiled
+    from its source without importing the file."""
+    tree = ast.parse((PERFBENCH / filename).read_text())
+    body = [node for node in tree.body if getattr(node, "name", None) in names]
+    namespace = {"np": importlib.import_module("numpy"), "sys": sys}
+    exec(compile(ast.Module(body=body, type_ignores=[]), str(PERFBENCH / filename), "exec"), namespace)
+    return namespace
+
+
+def test_benchmark_grid_is_the_domain_grid_policy():
+    """perfbench/workloads.py keeps its own copy of the grid policy; on the ε its
+    workloads use (the desk 0.3, k = 3's 0.2 and criterion 07's σ = 8) it must give
+    `domain.make_grid`'s grids, so a change to the policy cannot bypass the benchmark."""
+    from multipeak import ansatz, domain  # noqa: F401  (looked up by the copy's _mod)
+
+    bench = perfbench_functions("workloads.py", "_mod", "make_grid", "sigma8_configuration")
+    for eps in (0.3, 0.2, bench["sigma8_configuration"]().epsilon):
+        assert bench["make_grid"](eps) == domain.make_grid(eps), eps
 
 
 def reached_modules(tree, name):

@@ -203,19 +203,6 @@ def test_inexact_newton_matches_exact_inner_reference(profile_n2, equilibrated, 
     assert abs(sol.multiplier - mu_ref) <= 1e-12
 
 
-@pytest.mark.parametrize("eps, k", [(0.3, 2), (0.2, 3)], ids=["k2", "k3"])
-def test_preconditioner_is_the_two_projection_form(profile_n2, eps, k):
-    """B⁻¹y − ΦG⁻¹Φᵀy is ΠB⁻¹Πᵀy, since ΠΦ = 0 and CᵀB⁻¹ = Φᵀ."""
-    bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, make_grid(eps))
-    frame = translation_frame(bundle)
-    y = np.random.default_rng(6).standard_normal(bundle.grid.size)
-    got = reduction._precondition(frame, y)
-    Phi, C, Ginv = frame.Phi, frame.C, frame.Ginv
-    x = bundle.grid.helmholtz_inverse(frame.project_t(y))
-    expected = x - Phi @ (Ginv @ (C.T @ x))  # Πx
-    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-
-
 @pytest.mark.parametrize("target", [0.0, 0.3], ids=["zero", "nonzero"])
 def test_pinned_solve_matches_bordered_factorization(bundle_k2, target):
     """MINRES in frame coordinates agrees with factoring [[𝕃, c], [cᵀ, 0]] whole."""
@@ -255,14 +242,29 @@ def test_complement_solver_matches_bordered_factorization(profile_n2, eps, k, fr
     assert np.linalg.norm(mu - mu_ref) <= 1e-10 * np.linalg.norm(mu_ref)
 
 
-@pytest.mark.parametrize("eps, k, frame", [
+# the translation frame and the eigen frame at k = 2 and 3
+COMPLEMENT_CASES = [
     pytest.param(0.3, 2, translation_frame, id="0.3-2"),
     pytest.param(0.2, 3, translation_frame, id="0.2-3"),
     pytest.param(0.3, 2, eigen_frame, id="eigen-0.3-2"),
     pytest.param(0.2, 3, eigen_frame, id="eigen-0.2-3"),
-])
+]
+
+
+@pytest.mark.parametrize("eps, k, frame", COMPLEMENT_CASES)
+def test_helmholtz_inverse_maps_range_pi_t_onto_the_complement(profile_n2, eps, k, frame):
+    """The invariant both MINRES preconditioners rely on: CᵀB⁻¹ = Φᵀ and ΦᵀΠᵀ = 0,
+    so x = B⁻¹Πᵀy satisfies ‖Cᵀx‖ ≤ 1e-13‖C‖‖x‖ for any y."""
+    bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, make_grid(eps))
+    basis = frame(bundle)
+    for y in np.random.default_rng(6).standard_normal((3, bundle.grid.size)):
+        x = bundle.grid.helmholtz_inverse(basis.project_t(y))
+        assert np.linalg.norm(basis.C.T @ x) <= 1e-13 * np.linalg.norm(basis.C, 2) * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("eps, k, frame", COMPLEMENT_CASES)
 def test_solutions_lie_on_the_complement_unprojected(profile_n2, eps, k, frame, monkeypatch):
-    """The preconditioner's range is {Cᵀx = 0}, so complement_solve's x and the
+    """B⁻¹ maps range Πᵀ onto {Cᵀx = 0}, so complement_solve's x and the
     complement coordinate x = δ − Φa of pinned_solve's MINRES solution z = (x, a, μ)
     satisfy ‖Cᵀx‖ ≤ 1e-13‖C‖‖x‖ with no projection applied to them."""
     bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, make_grid(eps))
