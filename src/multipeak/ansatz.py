@@ -99,6 +99,7 @@ class PeakConfiguration:
     def shifted(self, tau_angle: float) -> "PeakConfiguration":
         """Rotate every peak by the same angle (wrapped and re-sorted)."""
         a = (np.asarray(self.angles) + tau_angle + np.pi) % (2 * np.pi) - np.pi
+        a[a >= np.pi] -= 2 * np.pi  # % gives 2π for a tiny negative argument
         return PeakConfiguration(self.epsilon, tuple(np.sort(a)))
 
 

@@ -135,15 +135,15 @@ def test_no_scipy_at_module_level():
 
 
 def test_krylov_solvers_imported_where_called():
-    """eigsh, the one Krylov solver left to scipy, is imported only by
-    spectrum.lowest_eigenpairs, its one call site; MINRES is the package's own,
-    so reduction imports nothing from scipy, and only spectrum and the
-    quadratures of asymptotics import it at all."""
-    found = {(path.stem, top) for path in MODULES
-             for top, names in scipy_imports(path) if "eigsh" in names}
-    assert found == {("spectrum", "lowest_eigenpairs")}
-    assert not [path.stem for path in MODULES for _, names in scipy_imports(path) if "minres" in names]
-    assert {path.stem for path in MODULES if list(scipy_imports(path))} == {"spectrum", "asymptotics"}
+    """The Krylov solvers are the package's own: MINRES in reduction and the
+    block Lanczos in spectrum, so no module imports scipy's `eigsh` or `minres`
+    or names `eigsh` or `LinearOperator`, and only the quadratures of
+    asymptotics import scipy at all."""
+    assert not [path.stem for path in MODULES for _, names in scipy_imports(path)
+                if {"eigsh", "minres"} & set(names)]
+    assert not [path.stem for path in MODULES
+                if "eigsh" in path.read_text() or "LinearOperator" in path.read_text()]
+    assert {path.stem for path in MODULES if list(scipy_imports(path))} == {"asymptotics"}
 
 
 def test_groundstate_imports_no_scipy():
@@ -157,11 +157,12 @@ def test_groundstate_imports_no_scipy():
 
 def test_cli_import_loads_no_interpolation(tmp_path):
     """The profile interpolates itself, the grid applies −Δ+1 as a stencil and
-    MINRES is the package's own, so the front end loads no scipy at all, and
-    neither do the commands that solve no eigenproblem and take no quadrature:
+    MINRES and the block Lanczos are the package's own, so the front end loads
+    no scipy at all, and neither does any command that takes no quadrature:
     each run is a fresh process."""
     out = str(tmp_path / "summary.json")
     runs = [None, ["groundstate"], ["ansatz", "--eps", "0.3", "--k", "2"],
+            ["spectrum", "--eps", "0.3", "--k", "2", "--weighted-report"],
             ["oracle", "taylor", "--n", "1000"], ["reduce", "--eps", "0.3", "--k", "2"],
             ["equilibrate", "--eps", "0.3", "--k", "2"], ["dancer", "--eps", "0.3", "--k", "1"]]
     for argv in runs:

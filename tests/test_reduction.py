@@ -6,13 +6,12 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg
 from conftest import linearized_csr
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from multipeak import dancer, reduction, weighted
+from multipeak import dancer, reduction, spectrum, weighted
 from multipeak.ansatz import (
     PeakConfiguration,
     build_ansatz,
@@ -499,9 +498,9 @@ def test_reduce_and_equilibrate_reach_no_eigensolver(profile_n2, monkeypatch):
     """The pipeline step and the equilibration run with the eigensolver disabled."""
 
     def disabled(*args, **kwargs):
-        raise AssertionError("eigsh called")
+        raise AssertionError("block Lanczos called")
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", disabled)
+    monkeypatch.setattr(spectrum, "_block_lanczos", disabled)
     uniform = uniform_configuration(0.3, 2)
     assert np.max(np.abs(reduce(uniform, profile_n2, make_grid(0.3)).d_coeffs)) < 1e-9
     perturbed = PeakConfiguration(0.3, (uniform.angles[0], uniform.angles[1] + 0.05 * np.pi))

@@ -1,12 +1,16 @@
 """Weighted eigenpairs, near-kernel identification, principal angles."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 from conftest import helmholtz_csr, linearized_csr
 
-from multipeak.ansatz import build_ansatz, uniform_configuration
+from multipeak import spectrum
+from multipeak.ansatz import PeakConfiguration, build_ansatz, uniform_configuration
+from multipeak.cli import EXIT_NUMERICAL, main
 from multipeak.domain import GridField, inner_products, make_grid
 from multipeak.groundstate import solve_ground_state
 from multipeak.spectrum import (
@@ -104,6 +108,16 @@ def test_count_validation(bundle_k2):
         lowest_eigenpairs(bundle_k2, count=4)
 
 
+def dense_lowest(bundle, count):
+    """The `count` lowest eigenvalues of the pencil (𝕃, −Δ+1) by dense `eigh`: the reference."""
+    return scipy.linalg.eigh(
+        linearized_csr(bundle.ubar, bundle.profile.exponent).toarray(),
+        helmholtz_csr(bundle.grid).toarray(),
+        eigvals_only=True,
+        subset_by_index=[0, count - 1],
+    )
+
+
 @pytest.mark.parametrize(
     "p, grid_args, count",
     [
@@ -118,12 +132,7 @@ def test_degenerate_spectrum_matches_dense(p, grid_args, count):
         uniform_configuration(grid.epsilon, 3), solve_ground_state(2, p), grid
     )
     result = lowest_eigenpairs(bundle, count=count)
-    dense = scipy.linalg.eigh(
-        linearized_csr(bundle.ubar, bundle.profile.exponent).toarray(),
-        helmholtz_csr(grid).toarray(),
-        eigvals_only=True,
-        subset_by_index=[0, count - 1],
-    )
+    dense = dense_lowest(bundle, count)
     assert result.eigenvalues == pytest.approx(dense, abs=1e-10)
 
 
@@ -134,46 +143,98 @@ def test_lowest_eigenvalues_not_skipped(profile_n2, k, eps, count):
     grid = make_grid(eps, 6.0, 0.5)
     bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, grid)
     result = lowest_eigenpairs(bundle, count=count)
-    dense = scipy.linalg.eigh(
-        linearized_csr(bundle.ubar, bundle.profile.exponent).toarray(),
-        helmholtz_csr(grid).toarray(),
-        eigvals_only=True,
-        subset_by_index=[0, count - 1],
-    )
+    dense = dense_lowest(bundle, count)
     assert dense[0] == pytest.approx(-7.922, abs=1e-3)
     assert result.eigenvalues == pytest.approx(dense, abs=1e-10)
 
 
 def test_one_lanczos_run(bundle_k2, monkeypatch):
-    """One run without a shift, on the fast B⁻¹, from a seeded non-constant vector."""
+    """One block run without a shift on K = P^{1/2}B⁻¹P^{1/2}, by the fast B⁻¹, from
+    a seeded generic block of size 2 whose first column is default_rng(0)'s vector."""
     calls = []
-    eigsh = scipy.sparse.linalg.eigsh
+    lanczos = spectrum._block_lanczos
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs)
-        return eigsh(*args, **kwargs)
+    def counted(apply, start, count):
+        calls.append((apply, start))
+        return lanczos(apply, start, count)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    monkeypatch.setattr(spectrum, "_block_lanczos", counted)
     lowest_eigenpairs(bundle_k2, count=6)
     assert len(calls) == 1
-    assert np.ptp(calls[0]["v0"]) > 0
-    assert "sigma" not in calls[0] and calls[0]["Minv"] is not None
+    apply, start = calls[0]
+    grid = bundle_k2.grid
+    assert start.shape == (grid.size, 2) and np.ptp(start, axis=0).min() > 0
+    assert np.array_equal(start[:, 0], np.random.default_rng(0).standard_normal(grid.size))
+    p = bundle_k2.profile.exponent
+    root = np.sqrt(p * bundle_k2.ubar.data.ravel() ** (p - 1))[:, None]
+    B = helmholtz_csr(grid)
+    assert apply(start) == pytest.approx(root * scipy.sparse.linalg.spsolve(B, root * start),
+                                         abs=1e-12)
 
 
 def test_eigenvector_sign_follows_start_vector(bundle_k2, monkeypatch):
-    """Each eigenvector pairs positively with the seeded start vector, whatever
-    sign the eigensolver returns it with."""
+    """Each eigenvector pairs positively with the first column of the seeded start
+    block, whatever sign the eigensolver returns it with."""
     starts = []
-    eigsh = scipy.sparse.linalg.eigsh
+    lanczos = spectrum._block_lanczos
 
-    def flipped(*args, **kwargs):
-        starts.append(kwargs["v0"])
-        vals, vecs = eigsh(*args, **kwargs)
-        return vals, -vecs
+    def flipped(apply, start, count):
+        starts.append(start)
+        theta, z = lanczos(apply, start, count)
+        return theta, -z
 
     plain = lowest_eigenpairs(bundle_k2, count=6)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", flipped)
+    monkeypatch.setattr(spectrum, "_block_lanczos", flipped)
     result = lowest_eigenpairs(bundle_k2, count=6)
     for f, g in zip(result.eigenvectors, plain.eigenvectors):
-        assert f.data.ravel() @ starts[0] > 0
+        assert f.data.ravel() @ starts[0][:, 0] > 0
         assert np.array_equal(f.data, g.data)
+
+
+def test_off_lattice_spectrum_matches_dense(profile_n2):
+    """Unequal gaps (peaks at −3.1 and 0.2, ε = 0.3) break the pair symmetry;
+    the desk mesh width with a transverse extent of 6 keeps the dense reference small."""
+    bundle = build_ansatz(PeakConfiguration(0.3, (-3.1, 0.2)), profile_n2, make_grid(0.3, 6.0))
+    result = lowest_eigenpairs(bundle, count=6)
+    assert result.near_kernel_count == 2
+    assert result.eigenvalues == pytest.approx(dense_lowest(bundle, 6), abs=1e-10)
+
+
+def test_merged_bundle_bottom_eigenvalue(profile_n2):
+    """At ε = 1.2 the two peaks merge into one bump, whose bottom eigenvalue
+    −4.886 lies far below 1−p = −2; the run returns it and the dense values."""
+    bundle = build_ansatz(uniform_configuration(1.2, 2), profile_n2, make_grid(1.2))
+    result = lowest_eigenpairs(bundle, count=5)
+    assert result.eigenvalues[0] == pytest.approx(-4.886, abs=1e-3)
+    assert result.eigenvalues == pytest.approx(dense_lowest(bundle, 5), abs=1e-10)
+
+
+def test_lanczos_step_cap_exits_numerical(monkeypatch, capsys):
+    """A Lanczos run that reaches its step cap is a numerical failure: the
+    command exits 3 with the error line and no traceback."""
+    monkeypatch.setattr(spectrum, "LANCZOS_MAXSTEPS", 1)
+    assert main(["spectrum", "--eps", "0.3", "--k", "2"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error = json.loads(err.splitlines()[-1])
+    assert error["error"] == "numerical"
+    assert "block Lanczos did not converge in 1 steps" in error["detail"]
+
+
+def test_block_lanczos_stops_when_the_basis_fills_the_space():
+    """On a 26×26 random symmetric matrix the basis fills the space after 13
+    steps, between two 5-step tests: the run returns the top 5 of `eigh` there."""
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((26, 26))
+    A = X + X.T
+    applied = []
+
+    def apply(x):
+        applied.append(x.shape)
+        return A @ x
+
+    theta, z = spectrum._block_lanczos(apply, rng.standard_normal((26, 2)), 5)
+    vals, vecs = np.linalg.eigh(A)
+    assert len(applied) == 13
+    assert theta == pytest.approx(vals[:-6:-1], abs=1e-12)
+    assert np.abs(z.T @ vecs[:, :-6:-1]) == pytest.approx(np.eye(5), abs=1e-12)
