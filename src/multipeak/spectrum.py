@@ -78,15 +78,16 @@ def _block_lanczos(apply, start: np.ndarray, count: int) -> tuple[np.ndarray, np
     Each step applies full reorthogonalization twice (Golub and Underwood,
     1977; Parlett, *The Symmetric Eigenvalue Problem*, 1980), so the block
     tridiagonal T (diagonal blocks QⱼᵀKQⱼ, off-diagonal the R of each QR) is
-    the operator on the basis.  Every 5 steps, and when the basis fills the
-    space, the Ritz residuals ‖R Y_last‖ are tested against 1e-12·θ_max.  No
-    product with the whole basis on both sides is formed: its bytes would
-    depend on the BLAS thread count.
+    the operator on the basis.  Every 5 steps, and at the last step (the
+    basis fills the space, or the cap), the Ritz residuals ‖R Y_last‖ are
+    tested against 1e-12·θ_max.  No product with the whole basis on both
+    sides is formed: its bytes would depend on the BLAS thread count.
 
     Raises
     ------
     RuntimeError
-        If the run reaches LANCZOS_MAXSTEPS steps.
+        If the Ritz residuals still fail that test at the last step, which
+        is at most LANCZOS_MAXSTEPS.
     """
     n, b = start.shape
     steps = min(LANCZOS_MAXSTEPS, n // b)
@@ -101,7 +102,7 @@ def _block_lanczos(apply, start: np.ndarray, count: int) -> tuple[np.ndarray, np
             W -= Q[:m].T @ (Q[:m] @ W)
         Qn, R = np.linalg.qr(W)
         Q[m:m + b], T[m:m + b, cur] = Qn.T, R
-        if m >= count and ((j + 1) % 5 == 0 or j + 1 == n // b):
+        if m >= count and ((j + 1) % 5 == 0 or j + 1 == steps):
             theta, Y = np.linalg.eigh(T[:m, :m])
             theta, Y = theta[:-count - 1:-1], Y[:, :-count - 1:-1]
             if np.all(np.linalg.norm(R @ Y[-b:], axis=0) <= 1e-12 * theta[0]):
