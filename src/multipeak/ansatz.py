@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import GridField, StripGrid, l2_norm
+from .domain import GridField, StripGrid, l2_norm, wrap
 from .groundstate import GroundStateProfile, eval_radial, eval_radial_derivative
 
 
@@ -98,8 +98,7 @@ class PeakConfiguration:
 
     def shifted(self, tau_angle: float) -> "PeakConfiguration":
         """Rotate every peak by the same angle (wrapped and re-sorted)."""
-        a = (np.asarray(self.angles) + tau_angle + np.pi) % (2 * np.pi) - np.pi
-        a[a >= np.pi] -= 2 * np.pi  # % gives 2π for a tiny negative argument
+        a = wrap(np.asarray(self.angles) + tau_angle, 2 * np.pi)
         return PeakConfiguration(self.epsilon, tuple(np.sort(a)))
 
 
@@ -155,8 +154,7 @@ def peak_distance_field(grid: StripGrid, positions) -> np.ndarray:
     X1, X2 = grid.meshes()
     d = np.full(grid.shape, np.inf)
     for pos in positions:
-        dx1 = grid.wrap_x1(X1 - pos)
-        d = np.minimum(d, np.hypot(dx1, X2))
+        d = np.minimum(d, np.hypot(wrap(X1 - pos, grid.period), X2))
     return d
 
 
@@ -184,7 +182,7 @@ def build_ansatz(
         power_sum += vp
 
     # cell labels: nearest peak in periodic x₁ distance, ties to lower index
-    dists = np.stack([np.abs(grid.wrap_x1(grid.x1 - pos)) for pos in config.positions])
+    dists = np.stack([np.abs(wrap(grid.x1 - pos, grid.period)) for pos in config.positions])
     labels_x1 = np.argmin(dists, axis=0)  # argmin takes the first minimum
     cell_labels = np.repeat(labels_x1[:, None], grid.nodes_xp, axis=1)
 

@@ -11,7 +11,6 @@ C |b|^p used throughout the expansion.
 
 from __future__ import annotations
 
-import errno
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -105,25 +104,16 @@ def mass_constant(spec: InteractionSpec) -> float:
     because a > b ≥ the tail rate.
     """
     from scipy.integrate import quad
-    sign = 1.0 if spec.y0 > 0 else -1.0
-    if spec.dimension == 1:
-        val, _ = quad(
-            lambda x: spec.f(abs(x)) ** spec.a * math.exp(spec.b * sign * x),
-            -40.0,
-            40.0,
-            points=[0.0],
-            epsabs=1e-300,
-            epsrel=1e-10,
-            limit=400,
-        )
-        return val
 
-    def outer(x):
-        inner = _transverse(lambda t: spec.f(math.hypot(x, t)) ** spec.a)
-        return inner * math.exp(spec.b * sign * x)
+    def integrand(x):
+        if spec.dimension == 1:
+            peak = spec.f(abs(x)) ** spec.a
+        else:
+            peak = _transverse(lambda t: spec.f(math.hypot(x, t)) ** spec.a)
+        return peak * math.exp(math.copysign(spec.b, spec.y0) * x)
 
-    val, _ = quad(outer, -40.0, 40.0, points=[0.0],
-                  epsabs=1e-300, epsrel=1e-8, limit=400)
+    val, _ = quad(integrand, -40.0, 40.0, points=[0.0], epsabs=1e-300,
+                  epsrel=1e-10 if spec.dimension == 1 else 1e-8, limit=400)
     return val
 
 
@@ -215,23 +205,12 @@ def validate_taylor_check(samples: int, p: float) -> None:
         )
 
 
-def _pow_a(a: np.ndarray, y: float) -> np.ndarray:
-    """a**y elementwise, raising OverflowError like Python's float ``**``.
-
-    ``np.float_power`` calls libm's pow, as Python's float ``**`` and numpy's
-    scalar ``**`` do; ``np.power``'s vector loops differ in the last bit.
-    """
-    out = np.float_power(a, y)
-    if np.isinf(out).any():
-        raise OverflowError(errno.ERANGE, "Numerical result out of range")
-    return out
-
-
 def taylor_remainders(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """taylor_remainder over arrays a > 0 and b, bit for bit, by regime masks.
 
-    The scalar function takes b as a numpy scalar in the check, so its powers
-    of b do not raise on overflow; its powers of a are Python floats and do.
+    Its domain is taylor_remainder_check's, a, |b| in [1e−3, 1e3] and p ≤ _TAYLOR_MAX_EXPONENT,
+    where no power overflows.  ``np.float_power`` calls libm's pow, as Python's float ``**``
+    does; ``np.power``'s vector loops differ in the last bit.
     """
     k = math.floor(p)
     s = a + b
@@ -254,11 +233,11 @@ def taylor_remainders(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
                 active &= ~(np.abs(term) < 1e-18 * np.abs(total))
                 if not active.any() or m > 300:
                     break
-            out[smooth] = np.abs(_pow_a(aa, p) * total)
+            out[smooth] = np.abs(np.float_power(aa, p) * total)
         if direct.any():
             aa, bb, sd = a[direct], b[direct], s[direct]
             terms = np.stack([
-                _binomial(p, m) * _pow_a(aa, p - m) * np.float_power(bb, m)
+                _binomial(p, m) * np.float_power(aa, p - m) * np.float_power(bb, m)
                 for m in range(k + 1)
             ], axis=1)
             head = np.array([math.fsum(row) for row in terms.tolist()])

@@ -249,9 +249,7 @@ def cmd_spectrum(args, cfg):
            f"2k + 1 <= count <= 4k + 4 (got {cfg['count']} for k = {config.k})")
 
     def compute():
-        profile = _profile(cfg["p"])
-        red.check_resolution(profile, grid)
-        bundle = ans.build_ansatz(config, profile, grid)
+        bundle = ans.build_ansatz(config, _profile(cfg["p"]), grid)
         result = spec.lowest_eigenpairs(bundle, count=cfg["count"])
         basis = spec.near_kernel_basis(result, bundle)
         results = {

@@ -73,11 +73,6 @@ class StripGrid:
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.x1, self.x2, indexing="ij")
 
-    def wrap_x1(self, x):
-        """Reduce x₁ offsets to the fundamental interval [−π/ε, π/ε)."""
-        half = np.pi / self.epsilon
-        return (np.asarray(x) + half) % self.period - half
-
     def refined(self) -> "StripGrid":
         """Grid with h₁ exactly halved and h₂ nearly halved.
 
@@ -155,6 +150,12 @@ class StripGrid:
         return x.reshape(n1, cols, n2).transpose(0, 2, 1).reshape(np.shape(b))
 
 
+def wrap(x, period: float) -> np.ndarray:
+    """x in [−period/2, period/2): a peak angle (period 2π) or an x₁ offset (2π/ε)."""
+    r = (np.asarray(x) + period / 2) % period - period / 2
+    return np.where(r >= period / 2, r - period, r)  # % gives period for a tiny negative x + period/2
+
+
 # Coarsest admissible mesh width.  The ground state varies on the unit
 # length scale, and the near-kernel eigenvalues (0 in the continuum) are
 # mesh error: at ε = 0.3, k = 2, p = 3 they sit at −0.021 for h = 0.25 and
@@ -174,6 +175,23 @@ MIN_TRANSVERSE = 4.0
 # 100 MiB; one `reduce` at 1184×391 = 462,944 near 185 MiB; one BLAS thread).
 # 500k still admits that next level of the ladder.
 MAX_UNKNOWNS = 500_000
+
+# Coarsest mesh width, in core lengths ℓ = (p U(0)^{p−1})^{−1/2}, that
+# resolves the translation modes: one peak at ε = 0.6 keeps its translation
+# eigenvalue within 0.05 of 0 at h/ℓ ≤ 2.5 for p = 3 to 13, and loses it at
+# h/ℓ ≥ 3 (+0.07 at p = 13; +0.44 at p = 7, h/ℓ = 4.5).
+RESOLUTION = 2.5
+
+
+def check_resolution(profile, grid: StripGrid) -> None:
+    """Raise RuntimeError if max(h₁, h₂) > RESOLUTION · ℓ, naming ℓ and the h it needs."""
+    ell, h = profile.core_length, max(grid.h1, grid.h2)
+    if h > RESOLUTION * ell:
+        raise RuntimeError(
+            f"mesh width {h:.4g} does not resolve the p = {profile.exponent:g} core: "
+            f"the core length is l = (p U(0)^(p-1))^(-1/2) = {ell:.4g}, "
+            f"so h must be at most {RESOLUTION} l = {RESOLUTION * ell:.4g}"
+        )
 
 
 def make_grid(eps: float, R: float = 12.0, h: float = 0.25) -> StripGrid:
@@ -324,6 +342,4 @@ def align_shift(u: GridField, ref: GridField) -> float:
     cm, c0, cp = corr[(j - 1) % n], corr[j], corr[(j + 1) % n]
     denom = cm - 2 * c0 + cp
     frac = 0.5 * (cm - cp) / denom if denom != 0 else 0.0
-    tau = u.grid.h1 * (j + frac)
-    half = 0.5 * u.grid.period
-    return float((tau + half) % u.grid.period - half)
+    return float(wrap(u.grid.h1 * (j + frac), u.grid.period))

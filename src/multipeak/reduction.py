@@ -31,7 +31,7 @@ from math import sqrt
 import numpy as np
 
 from .ansatz import AnsatzBundle, PeakConfiguration, build_ansatz, residual
-from .domain import GridField, StripGrid, h1_norm, inner_products
+from .domain import GridField, StripGrid, check_resolution, h1_norm, inner_products
 from .groundstate import GroundStateProfile
 from .spectrum import NearKernelBasis, linearized
 
@@ -293,24 +293,6 @@ def translation_frame(bundle: AnsatzBundle) -> NearKernelBasis:
         alphas=alphas,
         alignment_residuals=np.zeros(alphas.size),
     )
-
-
-# Coarsest mesh width, in core lengths ℓ = (p U(0)^{p−1})^{−1/2}, that
-# resolves the translation modes: one peak at ε = 0.6 keeps its translation
-# eigenvalue within 0.05 of 0 at h/ℓ ≤ 2.5 for p = 3 to 13, and loses it at
-# h/ℓ ≥ 3 (+0.07 at p = 13; +0.44 at p = 7, h/ℓ = 4.5).
-RESOLUTION = 2.5
-
-
-def check_resolution(profile: GroundStateProfile, grid: StripGrid) -> None:
-    """Raise RuntimeError if max(h₁, h₂) > RESOLUTION · ℓ, naming ℓ and the h it needs."""
-    ell, h = profile.core_length, max(grid.h1, grid.h2)
-    if h > RESOLUTION * ell:
-        raise RuntimeError(
-            f"mesh width {h:.4g} does not resolve the p = {profile.exponent:g} core: "
-            f"the core length is l = (p U(0)^(p-1))^(-1/2) = {ell:.4g}, "
-            f"so h must be at most {RESOLUTION} l = {RESOLUTION * ell:.4g}"
-        )
 
 
 def reduce(

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .ansatz import AnsatzBundle
-from .domain import GridField, h1_norm, inner_products
+from .domain import GridField, check_resolution, h1_norm, inner_products
 
 GAP_THRESHOLD = 0.1
 
@@ -130,11 +130,13 @@ def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
     Raises
     ------
     RuntimeError
-        If the Lanczos run does not converge, or if any returned pair's
+        If the grid does not resolve the core (:func:`check_resolution`), if
+        the Lanczos run does not converge, or if any returned pair's
         residual ‖𝕃ξ − λBξ‖₂ exceeds 1e-8·‖Bξ₀‖₂.
     """
     if count < 2 * bundle.config.k + 1:
         raise ValueError("count must be at least 2k + 1 to see the spectral gap")
+    check_resolution(bundle.profile, bundle.grid)
     grid, p = bundle.grid, bundle.profile.exponent
     pot = p * np.maximum(bundle.ubar.data.ravel(), 0.0) ** (p - 1)
     root = np.sqrt(pot)[:, None]

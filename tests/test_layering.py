@@ -87,8 +87,9 @@ def test_one_frame():
     functions of 𝕃 and the frame: no class binds them, and nothing in the
     reduction stores 𝕃 on an object.  F′(u) is built by spectrum.linearized
     alone, for the correction, the weighted solve and the Newton step.
-    The resolution check guards the translation frame, and the spectrum
-    command, whose eigen frame needs the modes resolved too."""
+    The resolution check, a grid rule of the domain layer, guards the
+    translation frame and the weighted spectrum, whose eigen frame needs the
+    modes resolved too; the command line applies no grid rule by hand."""
     text = "".join(path.read_text() for path in MODULES)
     assert "split_projection" not in text and "assemble_linearized" not in text
     assert "ComplementSolver" not in text
@@ -100,7 +101,8 @@ def test_one_frame():
     assert fields and "L" not in fields
     assert {m for m, _ in callers("linearized")} == {"reduction", "weighted", "dancer"}
     assert set(callers("check_resolution")) == {
-        ("reduction", "translation_frame"), ("cli", "cmd_spectrum")}
+        ("reduction", "translation_frame"), ("spectrum", "lowest_eigenpairs")}
+    assert "resolution" not in (SRC / "cli.py").read_text().lower()
 
 
 def test_no_projection_of_krylov_vectors():
