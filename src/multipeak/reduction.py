@@ -45,7 +45,9 @@ def power_remainder(ubar: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
 
     For integer p the smooth branch is the exact binomial tail (quadratic
     and higher in v), which keeps R accurate when |v| ≪ ū; the truncation
-    branch ū+v < 0 is evaluated directly.
+    branch ū+v < 0 is evaluated directly.  For other p the tail
+    ū^p Σ_{m≥2} C(p,m)(v/ū)^m is summed where |v| ≤ ū/2, and the direct
+    difference, which cancels only mildly there, is taken elsewhere.
     """
     ubar = np.asarray(ubar, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -64,6 +66,15 @@ def power_remainder(ubar: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
             out = np.where(neg, -(ubar ** float(ip)) - ip * ubar ** (ip - 1) * v, out)
         return out
     out = np.maximum(s, 0.0) ** p - ubar**p - p * ubar ** (p - 1) * v
+    smooth = (ubar > 0) & (np.abs(v) <= 0.5 * ubar)
+    if smooth.any():
+        t = v[smooth] / ubar[smooth]
+        term = 0.5 * p * (p - 1) * t**2
+        tail = term
+        for m in range(2, 61):  # term m+1 = term m·(p−m)/(m+1)·t, smaller by |t| ≤ ½ once m > p/2
+            term = term * ((p - m) / (m + 1)) * t
+            tail = tail + term
+        out[smooth] = ubar[smooth] ** p * tail
     return out
 
 

@@ -82,6 +82,15 @@ def test_interaction_limit_exponential_case():
     assert np.all(np.diff(gaps[:-1]) < 0)
 
 
+def test_interaction_limit_rejects_a_non_monotone_sweep(monkeypatch):
+    """Quadratures whose rescaled values move away from the tail, then back, are rejected."""
+    rescaled = {8.0: 1.3, 10.0: 1.32, 12.0: 1.2, 16.0: 1.33}
+    monkeypatch.setattr(asymptotics, "interaction_quadrature",
+                        lambda s: rescaled[abs(s.y0)] / rescale(s, 1.0))
+    with pytest.raises(RuntimeError, match="not monotone"):
+        interaction_limit(exp_spec(), tuple(rescaled))
+
+
 def test_taylor_remainder_exact_cases():
     assert taylor_remainder(2.0, 0.0, 2.7) == 0.0
     assert taylor_remainder(2.0, 1.0, 3.0) == 0.0  # integer p, a+b ≥ 0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import multipeak
-from multipeak import asymptotics
+from multipeak import asymptotics, reduction
 from multipeak.ansatz import residual_rate
 from multipeak.cli import (
     EXIT_CONFIG, EXIT_NUMERICAL, PARAMS, _render, _resolve, build_parser, main,
@@ -256,6 +256,26 @@ def test_unresolved_core_exits_numerical(command, capsys):
     error = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert error["error"] == "numerical"
     assert "so h must be at most 2.5 l = 0.1402" in error["detail"]
+
+
+def test_equilibrate_line_search_failure_exits_numerical(monkeypatch, capsys):
+    """Every trial step diverging (ContractionError) fails the line search: exit 3,
+    one JSON line and no traceback.  The first two `reduce` runs, the start and
+    the Jacobian's column at k = 2, are real."""
+    real, runs = reduction.reduce, []
+
+    def diverging(*args, **kwargs):
+        runs.append(1)
+        if len(runs) > 2:
+            raise reduction.ContractionError("scripted divergence")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "reduce", diverging)
+    assert main(["equilibrate", "--eps", "0.3", "--k", "2", "--perturb", "0.05"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": "numerical", "detail": "equilibrate line search failed"}
+    assert len(runs) == 2 + 8
 
 
 def test_oracle_taylor_deterministic(tmp_path):

@@ -13,6 +13,7 @@ from multipeak.ansatz import (
     peak_distance_field,
     uniform_configuration,
 )
+from multipeak import dancer
 from multipeak.dancer import (
     PIN,
     align_and_compare,
@@ -195,3 +196,17 @@ def test_newton_leaves_no_reference_cycles(bundle_k2):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_psi_decay_fit_rejects_a_non_monotone_sweep(profile_n2, monkeypatch):
+    """A weighted sup that grows as ε falls flags an under-resolved sweep."""
+    real, sups = dancer.weighted_sup, []
+
+    def growing(field, config, eta):
+        sups.append(10 * sups[-1] if sups else real(field, config, eta))
+        return sups[-1]
+
+    monkeypatch.setattr(dancer, "weighted_sup", growing)
+    with pytest.raises(RuntimeError, match="not monotone"):
+        dancer.psi_decay_fit(profile_n2, (0.35, 0.3), 1, 0.3, make_grid)
+    assert len(sups) == 2

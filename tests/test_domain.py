@@ -1,10 +1,12 @@
 """Strip grid, quadrature, transforms, and the Helmholtz solver."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import helmholtz_csr
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
@@ -19,9 +21,23 @@ from multipeak.domain import (
     reflect_x1,
     shift_x1,
     solve_helmholtz,
+    wrap,
 )
 
 GRID = StripGrid(epsilon=0.5, transverse_extent=10.0, nodes_x1=48, nodes_xp=32)
+
+
+@settings(deadline=None, max_examples=300)
+@given(x=st.floats(-1e300, 1e300), period=st.floats(1e-300, 1e300))
+@example(x=np.nextafter(-np.pi / 0.35, -np.inf), period=2 * np.pi / 0.35)  # % rounds up to period
+def test_wrap_lands_in_the_fundamental_interval(x, period):
+    """wrap(x, P) lies in [−P/2, P/2) and differs from x by a whole multiple of P,
+    up to the rounding of x + P/2 and of the final subtraction."""
+    r = float(wrap(x, period))
+    assert -period / 2 <= r < period / 2
+    turns = (Fraction(x) - Fraction(r)) / Fraction(period)
+    miss = abs(turns - round(turns)) * Fraction(period)
+    assert miss <= 2 * (np.spacing(abs(x) + period) + np.spacing(period))
 
 
 def smooth_field(grid, coeffs):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from multipeak.ansatz import (
 from multipeak.cli import main
 from multipeak.domain import GridField, inner_products, make_grid
 from multipeak.reduction import (
+    ContractionError,
     complement_solve,
     equilibrate,
     interaction_d,
@@ -68,6 +70,22 @@ def test_power_remainder_cancellation_free():
     got = float(power_remainder(np.array([u]), np.array([v]), 3.0)[0])
     exact = 3 * u * v**2 + v**3
     assert got == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.5, 4.7, 7.3])
+def test_power_remainder_non_integer_p_matches_mpmath(p):
+    """Within 1e-14 relative of R at 50 digits for |v|/ū from 1e-13 to 3, either
+    sign, ū + v < 0 included; the direct difference lost up to ten digits."""
+    mpmath = pytest.importorskip("mpmath")
+    ratios = np.logspace(-13, np.log10(3.0), 60)
+    for u in (1e-3, 1.0, 3.0):
+        v = u * np.concatenate([ratios, -ratios])
+        got = power_remainder(np.full(v.size, u), v, p)
+        with mpmath.workdps(50):
+            for g, x in zip(got.tolist(), v.tolist()):
+                s = mpmath.mpf(u) + x
+                exact = (s**p if s > 0 else 0) - mpmath.mpf(u) ** p - p * mpmath.mpf(u) ** (p - 1) * x
+                assert abs(g - exact) <= 1e-14 * abs(exact), (u, x)
 
 
 def L_of(bundle):
@@ -550,3 +568,50 @@ def test_underflowed_residual_is_solved_without_minres(monkeypatch, capsys):
     assert main(["reduce", "--eps", "0.0095", "--k", "1"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["sup_norm"] == 0 and results["iterations"] == 1
+
+
+def scripted_reduce(target, trials):
+    """A stand-in for `reduce` with d linear in the second angle, zero at `target`.
+    The first two runs (the start and the Jacobian's column at k = 2) are the
+    model's; each later run, a trial step, takes the next entry of `trials`:
+    "raise" raises ContractionError, "grow" doubles the start's d, None is the model."""
+    runs, queue = [], list(trials)
+
+    def fake(config, profile, grid):
+        runs.append(config.angles[1])
+        d = (config.angles[1] - target) * np.array([1.0, -1.0])
+        action = queue.pop(0) if len(runs) > 2 and queue else None
+        if action == "raise":
+            raise ContractionError("scripted divergence")
+        if action == "grow":
+            d = 2 * (runs[0] - target) * np.array([1.0, -1.0])
+        return types.SimpleNamespace(d_coeffs=d)
+
+    return fake, runs
+
+
+def test_equilibrate_halves_a_diverging_or_growing_trial(monkeypatch):
+    """The full step diverges and the half step does not reduce max|d|, so the
+    quarter step is taken; the next full step lands on the model's root."""
+    uniform = uniform_configuration(0.3, 2)
+    target = uniform.angles[1]
+    initial = PeakConfiguration(0.3, (uniform.angles[0], target + 0.1))
+    fake, runs = scripted_reduce(target, ["raise", "grow"])
+    monkeypatch.setattr(reduction, "reduce", fake)
+    result = equilibrate(initial, None, make_grid, tol=1e-9)
+    assert result.newton_steps == 2
+    assert runs[2:5] == pytest.approx([target, target + 0.05, target + 0.075], abs=1e-9)
+    assert np.max(np.abs(result.d_history[1])) == pytest.approx(0.075, rel=1e-6)
+    assert np.max(np.abs(result.d_history[-1])) < 1e-9
+
+
+@pytest.mark.parametrize("trial", ["raise", "grow"])
+def test_equilibrate_line_search_failure(trial, monkeypatch):
+    """Eight halvings that all diverge, or all fail to reduce max|d|, end the run."""
+    uniform = uniform_configuration(0.3, 2)
+    initial = PeakConfiguration(0.3, (uniform.angles[0], uniform.angles[1] + 0.1))
+    fake, runs = scripted_reduce(uniform.angles[1], [trial] * 8)
+    monkeypatch.setattr(reduction, "reduce", fake)
+    with pytest.raises(RuntimeError, match="equilibrate line search failed"):
+        equilibrate(initial, None, make_grid, tol=1e-9)
+    assert len(runs) == 2 + 8

@@ -108,6 +108,15 @@ def test_count_validation(bundle_k2):
         lowest_eigenpairs(bundle_k2, count=4)
 
 
+def test_unresolved_core_is_rejected_by_the_eigensolve():
+    """A library caller of the spectrum is guarded as the Newton step is: at
+    p = 7 the desk grid (h = 0.25 > 2.5ℓ = 0.1402) loses the translation modes."""
+    grid = make_grid(0.3)
+    bundle = build_ansatz(uniform_configuration(0.3, 2), solve_ground_state(2, 7), grid)
+    with pytest.raises(RuntimeError, match="so h must be at most 2.5 l = 0.1402"):
+        lowest_eigenpairs(bundle, count=5)
+
+
 def dense_lowest(bundle, count):
     """The `count` lowest eigenvalues of the pencil (𝕃, −Δ+1) by dense `eigh`: the reference."""
     return scipy.linalg.eigh(
