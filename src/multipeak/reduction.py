@@ -46,8 +46,8 @@ def power_remainder(ubar: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
     For integer p the smooth branch is the exact binomial tail (quadratic
     and higher in v), which keeps R accurate when |v| ≪ ū; the truncation
     branch ū+v < 0 is evaluated directly.  For other p the tail
-    ū^p Σ_{m≥2} C(p,m)(v/ū)^m is summed where |v| ≤ ū/2, and the direct
-    difference, which cancels only mildly there, is taken elsewhere.
+    ū^p Σ_{m≥2} C(p,m)(v/ū)^m is summed where |v| ≤ ū/2; elsewhere the
+    direct difference cancels at most mildly, and it is used there.
     """
     ubar = np.asarray(ubar, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -65,17 +65,17 @@ def power_remainder(ubar: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
         if neg.any():
             out = np.where(neg, -(ubar ** float(ip)) - ip * ubar ** (ip - 1) * v, out)
         return out
-    out = np.maximum(s, 0.0) ** p - ubar**p - p * ubar ** (p - 1) * v
     smooth = (ubar > 0) & (np.abs(v) <= 0.5 * ubar)
-    if smooth.any():
-        t = v[smooth] / ubar[smooth]
-        term = 0.5 * p * (p - 1) * t**2
-        tail = term
-        for m in range(2, 61):  # term m+1 = term m·(p−m)/(m+1)·t, smaller by |t| ≤ ½ once m > p/2
-            term = term * ((p - m) / (m + 1)) * t
-            tail = tail + term
-        out[smooth] = ubar[smooth] ** p * tail
-    return out
+    t = np.divide(v, ubar, out=np.zeros(s.shape), where=smooth)
+    term = tail = 0.5 * p * (p - 1) * t**2
+    for m in range(2, 61):
+        # term m+1 = term m·(p−m)/(m+1)·t: the factor falls with m up to p and
+        # stays below |t| ≤ ½ after, so once every term is negligible all later ones are
+        term = term * ((p - m) / (m + 1)) * t
+        tail = tail + term
+        if np.all(np.abs(term) <= 1e-17 * np.abs(tail)):
+            break
+    return np.where(smooth, ubar**p * tail, np.maximum(s, 0.0) ** p - ubar**p - p * ubar ** (p - 1) * v)
 
 
 @dataclass
