@@ -287,6 +287,12 @@ def inner_products(u: GridField, w: GridField) -> tuple[float, float]:
     return l2, h1
 
 
+def h1_gram(grid: StripGrid, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[i, j] = ⟨a_i, b_j⟩_{H¹} for the flattened fields a_i, b_j, the columns of A and B:
+    the quadratic form of :func:`inner_products`, one stencil pass on the block A."""
+    return grid.weight * (grid.helmholtz(A).T @ B)
+
+
 def l2_norm(u: GridField) -> float:
     flat = u.data.ravel()
     return float(np.sqrt(u.grid.weight * float(flat @ flat)))

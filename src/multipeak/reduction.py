@@ -31,7 +31,7 @@ from math import sqrt
 import numpy as np
 
 from .ansatz import AnsatzBundle, PeakConfiguration, build_ansatz, residual
-from .domain import GridField, StripGrid, check_resolution, h1_norm, inner_products
+from .domain import GridField, StripGrid, check_resolution, h1_norm
 from .groundstate import GroundStateProfile
 from .spectrum import NearKernelBasis, linearized
 
@@ -343,8 +343,7 @@ def interaction_d(bundle: AnsatzBundle, basis: NearKernelBasis, i: int) -> float
     mask = bundle.cell_labels == i
     integrand = Ui ** (p - 1) * others * dUi
     integral = bundle.grid.weight * float(integrand[mask].sum())
-    phi = basis.fields[i]
-    return p * basis.alphas[i] * integral / inner_products(phi, phi)[1]
+    return p * basis.alphas[i] * integral / (bundle.grid.weight * float(basis.Phi[:, i] @ basis.C[:, i]))
 
 
 def d_mesh_limit(

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .ansatz import AnsatzBundle
-from .domain import GridField, check_resolution, h1_norm, inner_products
+from .domain import GridField, check_resolution, h1_gram
 
 GAP_THRESHOLD = 0.1
 
@@ -36,6 +36,11 @@ class NearKernelError(RuntimeError):
     def __init__(self, message, eigenvalues):
         super().__init__(message)
         self.eigenvalues = eigenvalues
+
+
+def _columns(fields: list[GridField]) -> np.ndarray:
+    """The fields, flattened, as the columns of one block."""
+    return np.array([f.data.ravel() for f in fields]).T
 
 
 @dataclass
@@ -56,8 +61,8 @@ class SpectralResult:
     @property
     def overlap_matrix(self) -> np.ndarray:
         """H¹ overlaps with the normalized translation modes."""
-        tnorms = np.array([h1_norm(t) for t in self.bundle.translation_modes])
-        return self.translation_products / tnorms
+        T = _columns(self.bundle.translation_modes)
+        return self.translation_products / np.sqrt(np.diag(h1_gram(self.bundle.grid, T, T)))
 
 
 def linearized(u: GridField, p: float):
@@ -154,23 +159,15 @@ def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
         raise RuntimeError(f"eigen-residuals too large: {residuals}")
 
     # scale so the quadrature-weighted H¹ norm is 1 (B-orthonormal in the
-    # same inner product used everywhere else)
-    scale = 1.0 / np.sqrt(bundle.grid.weight)
-    fields = [
-        GridField(bundle.grid, scale * v.reshape(bundle.grid.shape))
-        for v in vecs.T
-    ]
-
-    products = np.array(
-        [[inner_products(f, t)[1] for t in bundle.translation_modes] for f in fields]
-    )
+    # same inner product used everywhere else): ⟨ξ/√w, t⟩_{H¹} = √w (Bξ)ᵀt
+    scale = 1.0 / np.sqrt(grid.weight)
     return SpectralResult(
         bundle=bundle,
         eigenvalues=vals,
-        eigenvectors=fields,
+        eigenvectors=[GridField(grid, scale * v.reshape(grid.shape)) for v in vecs.T],
         residuals=residuals,
         near_kernel=np.flatnonzero(np.abs(vals) < GAP_THRESHOLD),
-        translation_products=products,
+        translation_products=np.sqrt(grid.weight) * (Bvecs.T @ _columns(bundle.translation_modes)),
     )
 
 
@@ -187,7 +184,7 @@ class NearKernelBasis:
 
     def __post_init__(self):
         self.grid = self.fields[0].grid
-        self.Phi = np.array([phi.data.ravel() for phi in self.fields]).T
+        self.Phi = _columns(self.fields)
         self.C = self.grid.helmholtz(self.Phi)
         G = self.Phi.T @ self.C  # φ_i·(Bφ_j), symmetric up to roundoff
         self.Ginv = np.linalg.inv(0.5 * (G + G.T))
@@ -219,23 +216,18 @@ def near_kernel_basis(result: SpectralResult, bundle: AnsatzBundle) -> NearKerne
         raise NearKernelError(
             f"near-kernel dimension {len(idx)} != k = {k}", result.eigenvalues
         )
-    vecs = [result.eigenvectors[m] for m in idx]
+    grid, T = bundle.grid, _columns(bundle.translation_modes)
     W, _, Vt = np.linalg.svd(result.translation_products[idx])
-    Q = W @ Vt
-    fields, alphas, residuals = [], [], []
-    for i, t in enumerate(bundle.translation_modes):
-        phi = GridField(bundle.grid, sum(Q[m, i] * vecs[m].data for m in range(k)))
-        if inner_products(phi, t)[1] < 0:
-            phi = -1.0 * phi
-        phi = (1.0 / phi.sup_norm()) * phi
-        alpha = inner_products(phi, t)[1] / inner_products(t, t)[1]
-        fields.append(phi)
-        alphas.append(alpha)
-        residuals.append(h1_norm(phi - alpha * t))
+    Phi = _columns([result.eigenvectors[m] for m in idx]) @ (W @ Vt)
+    overlaps = np.diag(h1_gram(grid, Phi, T))  # ⟨φ_i, ∂v_i/∂x₁⟩_{H¹} before the scaling
+    scale = np.where(overlaps < 0, -1.0, 1.0) / np.max(np.abs(Phi), axis=0)
+    Phi *= scale
+    alphas = scale * overlaps / np.diag(h1_gram(grid, T, T))
+    R = Phi - alphas * T
     return NearKernelBasis(
-        fields=fields,
-        alphas=np.array(alphas),
-        alignment_residuals=np.array(residuals),
+        fields=[GridField(grid, phi.reshape(grid.shape)) for phi in Phi.T],
+        alphas=alphas,
+        alignment_residuals=np.sqrt(np.maximum(np.diag(h1_gram(grid, R, R)), 0.0)),
     )
 
 
@@ -246,8 +238,8 @@ def principal_angles(result: SpectralResult, bundle: AnsatzBundle) -> np.ndarray
     frame is orthonormalized (by the Cholesky factor of its Gram matrix)
     before the SVD of the cross-Gram matrix.
     """
-    modes = bundle.translation_modes
-    gram = np.array([[inner_products(a, b)[1] for b in modes] for a in modes])
+    T = _columns(bundle.translation_modes)
+    gram = h1_gram(bundle.grid, T, T)
     cross = result.translation_products[result.near_kernel]
     s = np.linalg.svd(cross @ np.linalg.inv(np.linalg.cholesky(gram)).T, compute_uv=False)
     return np.arccos(np.clip(s, -1.0, 1.0))

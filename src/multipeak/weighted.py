@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzBundle, PeakConfiguration, peak_distance_field
-from .domain import GridField, gradient_magnitude, inner_products
+from .domain import GridField, gradient_magnitude
 from .reduction import complement_solve
 from .spectrum import NearKernelBasis, linearized
 
@@ -73,20 +73,17 @@ def solve_orthogonal(
     """
     L = linearized(bundle.ubar, bundle.profile.exponent)
     h_perp, _ = basis.split(h.data)
-    xi_vec, mu, _ = complement_solve(L, basis, h_perp)
-    xi = GridField(h.grid, xi_vec.reshape(h.grid.shape))
+    xi, mu, _ = complement_solve(L, basis, h_perp)
     rhs_norm = np.linalg.norm(h_perp)
-    res = np.linalg.norm(L(xi_vec) + basis.C @ mu - h_perp)
+    res = np.linalg.norm(L(xi) + basis.C @ mu - h_perp)
     if rhs_norm > 0 and res > 1e-10 * rhs_norm:
         raise RuntimeError(f"constrained MINRES solve residual {res:.3e} too large")
-    xi_h1 = max(inner_products(xi, xi)[1], 1e-300)
-    for phi in basis.fields:
-        defect = abs(inner_products(xi, phi)[1]) / (
-            np.sqrt(xi_h1) * np.sqrt(inner_products(phi, phi)[1])
-        )
-        if defect > 1e-8:
-            raise RuntimeError(f"orthogonality defect {defect:.3e} too large")
-    return xi
+    # ⟨ξ, φ_i⟩_{H¹} = w (Cᵀξ)_i and ‖φ_i‖²_{H¹} = w (ΦᵀC)_ii: the weight w cancels
+    xi_h1 = max(float(xi @ h.grid.helmholtz(xi)), 1e-300)
+    defects = np.abs(basis.C.T @ xi) / np.sqrt(xi_h1 * np.einsum("ij,ij->j", basis.Phi, basis.C))
+    if np.any(defects > 1e-8):
+        raise RuntimeError(f"orthogonality defect {defects.max():.3e} too large")
+    return GridField(h.grid, xi.reshape(h.grid.shape))
 
 
 def weighted_report(

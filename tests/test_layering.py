@@ -105,6 +105,13 @@ def test_one_frame():
     assert "resolution" not in (SRC / "cli.py").read_text().lower()
 
 
+def test_one_h1_pairing():
+    """H¹ products between sets of fields are blocks: domain.h1_gram, or the
+    frame's Φ and C = BΦ; the per-pair inner_products serves h1_norm alone."""
+    assert set(callers("inner_products")) == {("domain", "h1_norm")}
+    assert {module for module, _ in callers("h1_gram")} == {"spectrum"}
+
+
 def test_no_projection_of_krylov_vectors():
     """The preconditioner B⁻¹ maps each Krylov vector, which lies in range Πᵀ, onto
     {Cᵀx = 0}, so every MINRES iterate lies there: the reduction applies Π to no

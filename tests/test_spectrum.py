@@ -11,7 +11,7 @@ from conftest import helmholtz_csr, linearized_csr
 from multipeak import spectrum
 from multipeak.ansatz import PeakConfiguration, build_ansatz, uniform_configuration
 from multipeak.cli import EXIT_NUMERICAL, main
-from multipeak.domain import GridField, inner_products, make_grid
+from multipeak.domain import GridField, StripGrid, h1_norm, inner_products, make_grid
 from multipeak.groundstate import solve_ground_state
 from multipeak.spectrum import (
     NearKernelError,
@@ -247,3 +247,60 @@ def test_block_lanczos_stops_when_the_basis_fills_the_space():
     assert len(applied) == 13
     assert theta == pytest.approx(vals[:-6:-1], abs=1e-12)
     assert np.abs(z.T @ vecs[:, :-6:-1]) == pytest.approx(np.eye(5), abs=1e-12)
+
+
+@pytest.fixture(scope="module", params=["k2", "k3", "off-lattice"])
+def spectrum_case(request, profile_n2, bundle_k2, spectral_k2):
+    """(bundle, spectrum): k = 2 and k = 3 equal peaks, and the off-lattice pair (−3.1, 0.2)."""
+    if request.param == "k2":
+        return bundle_k2, spectral_k2
+    config = {"k3": uniform_configuration(0.2, 3),
+              "off-lattice": PeakConfiguration(0.3, (-3.1, 0.2))}[request.param]
+    bundle = build_ansatz(config, profile_n2, make_grid(config.epsilon))
+    return bundle, lowest_eigenpairs(bundle, count=2 * config.k + 2)
+
+
+def pairwise(left, right):
+    """[i, j] = ⟨left_i, right_j⟩_{H¹} by one inner_products call per pair, and the
+    Cauchy–Schwarz scale ‖left_i‖‖right_j‖ of each entry."""
+    products = np.array([[inner_products(a, b)[1] for b in right] for a in left])
+    return products, np.outer([h1_norm(a) for a in left], [h1_norm(b) for b in right])
+
+
+def test_block_products_match_pairwise(spectrum_case):
+    """Every H¹ product the spectrum forms as a block (√w BvecsᵀT and h1_gram)
+    agrees with the per-pair products to 1e-13 of the entry's Cauchy–Schwarz
+    scale; αᵢ and the alignment residuals to 1e-13 relative; the principal
+    angles through their cosines (arccos near 1 amplifies roundoff) to 1e-13."""
+    bundle, result = spectrum_case
+    modes = bundle.translation_modes
+    products, scale = pairwise(result.eigenvectors, modes)
+    assert np.all(np.abs(result.translation_products - products) <= 1e-13 * scale)
+    tnorms = np.array([h1_norm(t) for t in modes])
+    assert np.all(np.abs(result.overlap_matrix - products / tnorms) <= 1e-13 * scale / tnorms)
+
+    basis = near_kernel_basis(result, bundle)
+    cross, _ = pairwise(basis.fields, modes)
+    gram, _ = pairwise(modes, modes)
+    assert basis.alphas == pytest.approx(np.diag(cross) / np.diag(gram), rel=1e-13, abs=0)
+    residuals = [h1_norm(phi - a * t) for phi, a, t in zip(basis.fields, basis.alphas, modes)]
+    assert basis.alignment_residuals == pytest.approx(residuals, rel=1e-13, abs=0)
+
+    whitened = products[result.near_kernel] @ np.linalg.inv(np.linalg.cholesky(gram)).T
+    cosines = np.linalg.svd(whitened, compute_uv=False)
+    assert np.cos(principal_angles(result, bundle)) == pytest.approx(cosines, rel=1e-13, abs=0)
+
+
+def test_eigenpairs_take_one_stencil_pass(bundle_k2, monkeypatch):
+    """The products with the translation modes come from the block Bvecs that the
+    residual check forms: `lowest_eigenpairs` applies −Δ+1 once, to that block."""
+    shapes = []
+    stencil = StripGrid.helmholtz
+
+    def counted(self, x, potential=None):
+        shapes.append(np.shape(x))
+        return stencil(self, x, potential)
+
+    monkeypatch.setattr(StripGrid, "helmholtz", counted)
+    lowest_eigenpairs(bundle_k2, count=6)
+    assert shapes == [(bundle_k2.grid.size, 6)]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from multipeak import weighted
 from multipeak.ansatz import residual
 from multipeak.domain import GridField, inner_products
 from multipeak.weighted import (
@@ -56,3 +57,25 @@ def test_ratio_of_zero_input(bundle_k2):
 
     assert WeightedReport(0.3, 0.0, 0.0).ratio == 0.0
     assert WeightedReport(0.3, 0.0, 1.0).ratio == np.inf
+
+
+def test_solve_orthogonal_rejects_a_bad_solution(rhs_k2, bundle_k2, basis_k2, monkeypatch):
+    """Both gates fire: a perturbed multiplier breaks 𝕃ξ + Cμ = h⊥ (residual),
+    and a frame component returned for h⊥ = 0, which no residual sees, breaks
+    the H¹-orthogonality to the frame (defect 1 for φ₀)."""
+    solve = weighted.complement_solve
+
+    def perturbed_mu(L, frame, rhs):
+        xi, mu, its = solve(L, frame, rhs)
+        # each Cᵢδμᵢ of norm 1e-8‖h⊥‖, a hundred times the 1e-10 gate
+        return xi, mu + 1e-8 * np.linalg.norm(rhs) / np.linalg.norm(frame.C, axis=0), its
+
+    monkeypatch.setattr(weighted, "complement_solve", perturbed_mu)
+    with pytest.raises(RuntimeError, match="residual .* too large"):
+        solve_orthogonal(rhs_k2, bundle_k2, basis_k2)
+
+    monkeypatch.setattr(weighted, "complement_solve",
+                        lambda L, frame, rhs: (frame.Phi[:, 0].copy(), np.zeros(2), 0))
+    zero = GridField(bundle_k2.grid, np.zeros(bundle_k2.grid.shape))
+    with pytest.raises(RuntimeError, match="orthogonality defect 1.000e\\+00 too large"):
+        solve_orthogonal(zero, bundle_k2, basis_k2)
