@@ -115,15 +115,18 @@ def uniform_configuration(epsilon: float, k: int) -> PeakConfiguration:
 
 @dataclass
 class AnsatzBundle:
-    """ū together with its per-peak pieces and cell partition."""
+    """ū together with its per-peak pieces and cell partition.
+
+    The per-peak fields are (n, k) column-major blocks, n = n₁n₂: column i
+    is U_i or ∂U_i/∂x₁ flattened."""
 
     config: PeakConfiguration
     profile: GroundStateProfile
     grid: StripGrid
     ubar: GridField
-    peak_fields: list[GridField]
-    translation_modes: list[GridField]
-    cell_labels: np.ndarray
+    peak_fields: np.ndarray
+    translation_modes: np.ndarray
+    cell_labels: np.ndarray  # (n₁,): the peak nearest each x₁ column
     power_sum: GridField  # Σ_{i,l} U_{i,l}^p, kept for the algebraic residual
 
 
@@ -149,13 +152,14 @@ def image_sums(profile: GroundStateProfile, grid: StripGrid, centres):
     return v, dv, vp
 
 
+def _x1_distances(grid: StripGrid, positions) -> np.ndarray:
+    """[i, j] = |wrap(x₁ⱼ − posᵢ)|, the periodic x₁ distance of column j to peak i."""
+    return np.abs(wrap(grid.x1 - np.asarray(positions)[:, None], grid.period))
+
+
 def peak_distance_field(grid: StripGrid, positions) -> np.ndarray:
     """d_x: distance of every node to the nearest peak image."""
-    X1, X2 = grid.meshes()
-    d = np.full(grid.shape, np.inf)
-    for pos in positions:
-        d = np.minimum(d, np.hypot(wrap(X1 - pos, grid.period), X2))
-    return d
+    return np.hypot(_x1_distances(grid, positions).min(axis=0)[:, None], grid.x2)
 
 
 def build_ansatz(
@@ -171,20 +175,16 @@ def build_ansatz(
     if not np.isclose(grid.period, config.period, rtol=1e-12):
         raise ValueError("grid period does not match configuration period")
 
-    peak_fields, translation_modes = [], []
+    k, n = config.k, grid.size
+    # column-major (n, k) blocks, so each peak's column is contiguous
+    peak_fields, translation_modes = np.empty((k, n)).T, np.empty((k, n)).T
     ubar = np.zeros(grid.shape)
     power_sum = np.zeros(grid.shape)
-    for i in range(config.k):
+    for i in range(k):
         v, dv, vp = image_sums(profile, grid, config.image_positions(i))
-        peak_fields.append(GridField(grid, v))
-        translation_modes.append(GridField(grid, dv))
+        peak_fields[:, i], translation_modes[:, i] = v.ravel(), dv.ravel()
         ubar += v
         power_sum += vp
-
-    # cell labels: nearest peak in periodic x₁ distance, ties to lower index
-    dists = np.stack([np.abs(wrap(grid.x1 - pos, grid.period)) for pos in config.positions])
-    labels_x1 = np.argmin(dists, axis=0)  # argmin takes the first minimum
-    cell_labels = np.repeat(labels_x1[:, None], grid.nodes_xp, axis=1)
 
     return AnsatzBundle(
         config=config,
@@ -193,7 +193,8 @@ def build_ansatz(
         ubar=GridField(grid, ubar),
         peak_fields=peak_fields,
         translation_modes=translation_modes,
-        cell_labels=cell_labels,
+        # the nearest peak in x₁; argmin takes the first, so ties go to the lower index
+        cell_labels=np.argmin(_x1_distances(grid, config.positions), axis=0),
         power_sum=GridField(grid, power_sum),
     )
 

@@ -260,8 +260,9 @@ def cmd_spectrum(args, cfg):
             "alignment_residuals": basis.alignment_residuals,
         }
         if args.weighted_report:
+            phis = [dom.GridField(grid, phi.reshape(grid.shape)) for phi in basis.Phi.T]
             results["weighted_eigenvector_norms"] = [
-                {"eta": eta, "norms": [wgt.weighted_sup(phi, config, eta) for phi in basis.fields]}
+                {"eta": eta, "norms": [wgt.weighted_sup(phi, config, eta) for phi in phis]}
                 for eta in wgt.DEFAULT_ETAS
             ]
         return results

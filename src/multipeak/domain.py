@@ -233,18 +233,9 @@ class GridField:
                 f"data shape {self.data.shape} does not match grid {self.grid.shape}"
             )
 
-    def __add__(self, other):
-        _check_same_grid(self, other)
-        return GridField(self.grid, self.data + other.data)
-
     def __sub__(self, other):
         _check_same_grid(self, other)
         return GridField(self.grid, self.data - other.data)
-
-    def __mul__(self, scalar):
-        return GridField(self.grid, self.data * float(scalar))
-
-    __rmul__ = __mul__
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.data)))
@@ -260,11 +251,13 @@ def solve_helmholtz(rhs: GridField, tol: float = 1e-10) -> GridField:
 
     Raises
     ------
+    ValueError
+        Unless tol is finite and positive, before solving.
     RuntimeError
         If the relative residual is not below tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:  # NaN fails it too
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     b = rhs.data.ravel()
     x = rhs.grid.helmholtz_inverse(b)
     res = np.linalg.norm(rhs.grid.helmholtz(x) - b)

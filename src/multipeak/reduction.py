@@ -298,9 +298,11 @@ def translation_frame(bundle: AnsatzBundle) -> NearKernelBasis:
     RuntimeError if the grid does not resolve these modes (:func:`check_resolution`).
     """
     check_resolution(bundle.profile, bundle.grid)
-    alphas = np.array([1.0 / z.sup_norm() for z in bundle.translation_modes])
+    modes = bundle.translation_modes
+    alphas = 1.0 / np.max(np.abs(modes), axis=0)
     return NearKernelBasis(
-        fields=[a * z for a, z in zip(alphas, bundle.translation_modes)],
+        grid=bundle.grid,
+        Phi=modes * alphas,
         alphas=alphas,
         alignment_residuals=np.zeros(alphas.size),
     )
@@ -336,13 +338,11 @@ def interaction_d(bundle: AnsatzBundle, basis: NearKernelBasis, i: int) -> float
     if bundle.config.k < 2:
         raise ValueError("interaction coefficients require k >= 2")
     p = bundle.profile.exponent
-    Ui = bundle.peak_fields[i].data
-    dUi = bundle.translation_modes[i].data
-    others = bundle.ubar.data - Ui
+    Ui, dUi = bundle.peak_fields[:, i], bundle.translation_modes[:, i]
+    others = bundle.ubar.data.ravel() - Ui
 
-    mask = bundle.cell_labels == i
-    integrand = Ui ** (p - 1) * others * dUi
-    integral = bundle.grid.weight * float(integrand[mask].sum())
+    integrand = (Ui ** (p - 1) * others * dUi).reshape(bundle.grid.shape)
+    integral = bundle.grid.weight * float(integrand[bundle.cell_labels == i].sum())
     return p * basis.alphas[i] * integral / (bundle.grid.weight * float(basis.Phi[:, i] @ basis.C[:, i]))
 
 

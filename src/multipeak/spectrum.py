@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .ansatz import AnsatzBundle
-from .domain import GridField, check_resolution, h1_gram
+from .domain import GridField, StripGrid, check_resolution, h1_gram
 
 GAP_THRESHOLD = 0.1
 
@@ -38,18 +38,14 @@ class NearKernelError(RuntimeError):
         self.eigenvalues = eigenvalues
 
 
-def _columns(fields: list[GridField]) -> np.ndarray:
-    """The fields, flattened, as the columns of one block."""
-    return np.array([f.data.ravel() for f in fields]).T
-
-
 @dataclass
 class SpectralResult:
-    """Low eigenpairs of the weighted pencil, B-orthonormal."""
+    """Low eigenpairs of the weighted pencil, B-orthonormal; eigenvector m is
+    column m of the column-major (n, count) block, flattened."""
 
     bundle: AnsatzBundle
     eigenvalues: np.ndarray
-    eigenvectors: list[GridField]
+    eigenvectors: np.ndarray
     residuals: np.ndarray
     near_kernel: np.ndarray  # indices of the eigenvalues with |λ| < GAP_THRESHOLD
     translation_products: np.ndarray  # [m, i] = ⟨ξ_m, ∂v_i/∂x₁⟩_{H¹}
@@ -61,7 +57,7 @@ class SpectralResult:
     @property
     def overlap_matrix(self) -> np.ndarray:
         """H¹ overlaps with the normalized translation modes."""
-        T = _columns(self.bundle.translation_modes)
+        T = self.bundle.translation_modes
         return self.translation_products / np.sqrt(np.diag(h1_gram(self.bundle.grid, T, T)))
 
 
@@ -164,27 +160,26 @@ def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
     return SpectralResult(
         bundle=bundle,
         eigenvalues=vals,
-        eigenvectors=[GridField(grid, scale * v.reshape(grid.shape)) for v in vecs.T],
+        eigenvectors=np.multiply(scale, vecs, order="F"),  # column-major, as the bundle's blocks
         residuals=residuals,
         near_kernel=np.flatnonzero(np.abs(vals) < GAP_THRESHOLD),
-        translation_products=np.sqrt(grid.weight) * (Bvecs.T @ _columns(bundle.translation_modes)),
+        translation_products=np.sqrt(grid.weight) * (Bvecs.T @ bundle.translation_modes),
     )
 
 
 @dataclass
 class NearKernelBasis:
     """A frame φ_i ≈ α_i ∂v_i/∂x₁ (:func:`~multipeak.reduction.translation_frame`,
-    or rotated eigenvectors) with its algebra, built once: ``Phi`` (the fields
-    as columns), ``C`` = BΦ and the inverse ``Ginv`` of the H¹ Gram matrix
-    G = ΦᵀC, needed since the translation modes overlap."""
+    or rotated eigenvectors) with its algebra, built once: ``Phi`` (the (n, k)
+    block, column i the flattened φ_i), ``C`` = BΦ and the inverse ``Ginv`` of
+    the H¹ Gram matrix G = ΦᵀC, needed since the translation modes overlap."""
 
-    fields: list[GridField]
+    grid: StripGrid
+    Phi: np.ndarray
     alphas: np.ndarray
     alignment_residuals: np.ndarray
 
     def __post_init__(self):
-        self.grid = self.fields[0].grid
-        self.Phi = _columns(self.fields)
         self.C = self.grid.helmholtz(self.Phi)
         G = self.Phi.T @ self.C  # φ_i·(Bφ_j), symmetric up to roundoff
         self.Ginv = np.linalg.inv(0.5 * (G + G.T))
@@ -216,16 +211,17 @@ def near_kernel_basis(result: SpectralResult, bundle: AnsatzBundle) -> NearKerne
         raise NearKernelError(
             f"near-kernel dimension {len(idx)} != k = {k}", result.eigenvalues
         )
-    grid, T = bundle.grid, _columns(bundle.translation_modes)
+    grid, T = bundle.grid, bundle.translation_modes
     W, _, Vt = np.linalg.svd(result.translation_products[idx])
-    Phi = _columns([result.eigenvectors[m] for m in idx]) @ (W @ Vt)
+    Phi = result.eigenvectors[:, idx] @ (W @ Vt)
     overlaps = np.diag(h1_gram(grid, Phi, T))  # ⟨φ_i, ∂v_i/∂x₁⟩_{H¹} before the scaling
     scale = np.where(overlaps < 0, -1.0, 1.0) / np.max(np.abs(Phi), axis=0)
     Phi *= scale
     alphas = scale * overlaps / np.diag(h1_gram(grid, T, T))
     R = Phi - alphas * T
     return NearKernelBasis(
-        fields=[GridField(grid, phi.reshape(grid.shape)) for phi in Phi.T],
+        grid=grid,
+        Phi=Phi,
         alphas=alphas,
         alignment_residuals=np.sqrt(np.maximum(np.diag(h1_gram(grid, R, R)), 0.0)),
     )
@@ -238,7 +234,7 @@ def principal_angles(result: SpectralResult, bundle: AnsatzBundle) -> np.ndarray
     frame is orthonormalized (by the Cholesky factor of its Gram matrix)
     before the SVD of the cross-Gram matrix.
     """
-    T = _columns(bundle.translation_modes)
+    T = bundle.translation_modes
     gram = h1_gram(bundle.grid, T, T)
     cross = result.translation_products[result.near_kernel]
     s = np.linalg.svd(cross @ np.linalg.inv(np.linalg.cholesky(gram)).T, compute_uv=False)

@@ -16,7 +16,7 @@ from multipeak.ansatz import (
     residual_rate,
     uniform_configuration,
 )
-from multipeak.domain import make_grid
+from multipeak.domain import GridField, make_grid
 from multipeak.groundstate import solve_ground_state
 from multipeak.reduction import equilibrate, reduce, solve_correction
 from multipeak.spectrum import lowest_eigenpairs, near_kernel_basis
@@ -41,6 +41,11 @@ def helmholtz_csr(grid):
 def linearized_csr(u, p):
     """𝕃 = −Δ + 1 − p u₊^{p−1} at the field u, as a sparse matrix."""
     return (helmholtz_csr(u.grid) - sp.diags(p * np.maximum(u.data.ravel(), 0.0) ** (p - 1))).tocsr()
+
+
+def fields(grid, block):
+    """The columns of an (n, m) block of flattened fields as GridFields."""
+    return [GridField(grid, col.reshape(grid.shape)) for col in block.T]
 
 
 @pytest.fixture(scope="session")

@@ -188,3 +188,16 @@ def test_blocked_check_matches_sample_loop(p, seed):
     """Over several blocks the maximum and its first argmax agree bit for bit."""
     report = taylor_remainder_check(20_000, p, seed)
     assert (report.max_ratio, report.argmax) == _taylor_check_by_sample(20_000, p, seed)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_interaction_quadrature_rejects_an_unresolved_integrand():
+    """f switches between 1 and 1e-300 every π/1000: quad exhausts its 400
+    subintervals with an error estimate above 1 % of the value (1.492e-04 of
+    1.220e-03 with scipy 1.17)."""
+    spec = InteractionSpec(
+        f=lambda r: 1.0 if math.sin(1000 * r) > 0 else 1e-300,
+        g=lambda r: math.exp(-r), a=2.0, b=1.0, y0=12.0, dimension=1,
+    )
+    with pytest.raises(RuntimeError, match=r"quadrature error \S+ above 1% of \S+"):
+        interaction_quadrature(spec)

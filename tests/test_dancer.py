@@ -33,7 +33,7 @@ def solution_k1(bundle_k1):
 def pinning_direction(bundle):
     """c with cᵀu = ⟨u, ∂v_pin/∂x₁⟩_{H¹}, the bordered column of the solver."""
     grid = bundle.grid
-    return grid.weight * grid.helmholtz(bundle.translation_modes[PIN].data.ravel())
+    return grid.weight * grid.helmholtz(bundle.translation_modes[:, PIN])
 
 
 def test_newton_converges_fast(solution_k1, bundle_k1):
@@ -210,3 +210,9 @@ def test_psi_decay_fit_rejects_a_non_monotone_sweep(profile_n2, monkeypatch):
     with pytest.raises(RuntimeError, match="not monotone"):
         dancer.psi_decay_fit(profile_n2, (0.35, 0.3), 1, 0.3, make_grid)
     assert len(sups) == 2
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0, float("nan")])
+def test_psi_decay_fit_rejects_eta_outside_the_unit_interval(profile_n2, eta):
+    with pytest.raises(ValueError, match="eta must lie in"):
+        dancer.psi_decay_fit(profile_n2, (0.35, 0.3), 1, eta, make_grid)

@@ -122,6 +122,24 @@ def test_zero_rhs_and_bad_tol():
         solve_helmholtz(zero, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_solve_helmholtz_rejects_tol_before_solving(tol, monkeypatch):
+    """Neither a NaN tol, which every residual fails, nor an infinite one, which
+    every residual meets, reaches the solve."""
+    def unreachable(self, b):
+        raise AssertionError("solved with an invalid tol")
+
+    monkeypatch.setattr(StripGrid, "helmholtz_inverse", unreachable)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        solve_helmholtz(smooth_field(GRID, [(0.8, -0.1)]), tol=tol)
+
+
+def test_solve_helmholtz_residual_gate():
+    """The residual of the fast inverse, about 1e-16 relative, is above tol = 1e-30."""
+    with pytest.raises(RuntimeError, match="Helmholtz solve residual .* above tol"):
+        solve_helmholtz(smooth_field(GRID, [(0.8, -0.1)]), tol=1e-30)
+
+
 @pytest.mark.parametrize(
     "grid",
     [StripGrid(0.5, 10.0, 4, 2), StripGrid(0.7, 5.0, 9, 7), GRID, StripGrid(0.5, 10.0, 47, 33)],
@@ -165,7 +183,7 @@ def test_helmholtz_stencil_matches_csr(grid, cols, with_potential):
 def test_mismatched_grids_rejected():
     other = StripGrid(0.5, 10.0, 48, 33)
     with pytest.raises(ValueError):
-        GridField(GRID, np.zeros(GRID.shape)) + GridField(
+        GridField(GRID, np.zeros(GRID.shape)) - GridField(
             other, np.zeros(other.shape)
         )
 

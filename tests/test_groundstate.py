@@ -208,3 +208,8 @@ def test_supercritical_rejected():
     for p in (1.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             solve_ground_state(2, p)
+
+
+def test_dimension_below_one_rejected():
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        groundstate.validate_exponent(0, 3.0)

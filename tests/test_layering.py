@@ -112,6 +112,26 @@ def test_one_h1_pairing():
     assert {module for module, _ in callers("h1_gram")} == {"spectrum"}
 
 
+def test_one_block_per_field_set(bundle_k2):
+    """Each per-peak set of fields (the peak fields and translation modes, the
+    eigenvectors, the frame) is one (n, k) block whose column i is field i
+    flattened: no dataclass holds a list of GridFields, nothing converts one to a
+    block, the frame has no `fields`, and the cell labels are one per x₁ column."""
+    import dataclasses
+
+    from multipeak.spectrum import NearKernelBasis
+
+    assert not [path.stem for path in MODULES if "_columns" in path.read_text()]
+    annotations = [ast.unparse(node.annotation).replace(" ", "").lower()
+                   for path in MODULES for cls in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, ast.AnnAssign)]
+    assert annotations and not [a for a in annotations if "list[gridfield]" in a]
+    assert "fields" not in {f.name for f in dataclasses.fields(NearKernelBasis)}
+    assert not hasattr(NearKernelBasis, "fields")
+    assert bundle_k2.cell_labels.ndim == 1
+
+
 def test_no_projection_of_krylov_vectors():
     """The preconditioner B⁻¹ maps each Krylov vector, which lies in range Πᵀ, onto
     {Cᵀx = 0}, so every MINRES iterate lies there: the reduction applies Π to no

@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import linearized_csr
+from conftest import fields, linearized_csr
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
@@ -109,7 +109,7 @@ def test_split_projection_annihilates_basis(bundle_k2, basis_k2):
     h = GridField(bundle_k2.grid, rng.standard_normal(bundle_k2.grid.shape))
     h_perp, d = split_field(basis_k2, h)
     assert d.shape == (2,)
-    for phi in basis_k2.fields:
+    for phi in fields(basis_k2.grid, basis_k2.Phi):
         l2 = inner_products(h_perp, phi)[0]
         assert abs(l2) < 1e-10 * max(abs(inner_products(h, phi)[0]), 1.0)
 
@@ -120,9 +120,9 @@ def test_split_projection_keeps_inner_product_arithmetic(bundle_k2):
     frame = translation_frame(bundle_k2)
     h = GridField(bundle_k2.grid, np.random.default_rng(4).standard_normal(bundle_k2.grid.shape))
     _, d = frame.split(h.data)
-    fields = frame.fields
-    gram = np.array([[inner_products(a, b)[1] for b in fields] for a in fields])
-    expected = np.linalg.solve(gram, [inner_products(h, phi)[0] for phi in fields])
+    phis = fields(frame.grid, frame.Phi)
+    gram = np.array([[inner_products(a, b)[1] for b in phis] for a in phis])
+    expected = np.linalg.solve(gram, [inner_products(h, phi)[0] for phi in phis])
     assert np.linalg.norm(d - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
@@ -134,7 +134,7 @@ def test_split_projection_on_overlapping_frame(profile_n2):
     frame = translation_frame(bundle)
     h = GridField(bundle.grid, np.random.default_rng(8).standard_normal(bundle.grid.shape))
     h_perp, _ = split_field(frame, h)
-    for phi in frame.fields:
+    for phi in fields(frame.grid, frame.Phi):
         pairing = abs(inner_products(h_perp, phi)[0])
         assert pairing <= 1e-12 * np.sqrt(inner_products(h, h)[0] * inner_products(phi, phi)[0])
 
@@ -144,7 +144,7 @@ def pin_column(bundle):
     from multipeak.dancer import PIN
 
     grid = bundle.grid
-    return grid.weight * grid.helmholtz(bundle.translation_modes[PIN].data.ravel())
+    return grid.weight * grid.helmholtz(bundle.translation_modes[:, PIN])
 
 
 def test_pinned_solve_inhomogeneous_constraint(bundle_k2):
@@ -463,7 +463,7 @@ def test_correction_state_invariants(state_k2, basis_k2):
     assert state_k2.solve_residual < 1e-10
     assert state_k2.sup_norm == state_k2.correction.sup_norm()
     v = state_k2.correction
-    for phi in basis_k2.fields:
+    for phi in fields(basis_k2.grid, basis_k2.Phi):
         defect = abs(inner_products(v, phi)[1])
         assert defect < 1e-9 * max(state_k2.h1_norm, 1e-30)
 
@@ -499,16 +499,16 @@ def test_uniform_pair_coefficients_cancel(state_k2):
 def test_reduce_four_peaks(profile_n2):
     """Four equidistributed peaks feel no net pull: d_i ≈ 0."""
     state = reduce(uniform_configuration(0.2, 4), profile_n2, make_grid(0.2))
-    assert len(state.basis.fields) == 4
+    assert state.basis.Phi.shape == (state.bundle.grid.size, 4)
     assert np.max(np.abs(state.d_coeffs)) < 1e-9
 
 
 def test_translation_frame_is_the_scaled_translation_modes(bundle_k2):
     frame = translation_frame(bundle_k2)
-    for phi, z, alpha in zip(frame.fields, bundle_k2.translation_modes, frame.alphas):
-        assert alpha == 1.0 / z.sup_norm()
-        assert np.array_equal(phi.data, alpha * z.data)
-        assert phi.sup_norm() == pytest.approx(1.0, rel=1e-15)
+    for phi, z, alpha in zip(frame.Phi.T, bundle_k2.translation_modes.T, frame.alphas):
+        assert alpha == 1.0 / np.max(np.abs(z))
+        assert np.array_equal(phi, alpha * z)
+        assert np.max(np.abs(phi)) == pytest.approx(1.0, rel=1e-15)
     assert np.array_equal(frame.alignment_residuals, np.zeros(2))
 
 
@@ -615,3 +615,9 @@ def test_equilibrate_line_search_failure(trial, monkeypatch):
     with pytest.raises(RuntimeError, match="equilibrate line search failed"):
         equilibrate(initial, None, make_grid, tol=1e-9)
     assert len(runs) == 2 + 8
+
+
+def test_equilibrate_rejects_one_peak(profile_n2):
+    """One peak has no relative position to equilibrate."""
+    with pytest.raises(ValueError, match="equilibrate requires k >= 2"):
+        equilibrate(uniform_configuration(0.3, 1), profile_n2, make_grid, tol=1e-9)

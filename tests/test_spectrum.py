@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from conftest import helmholtz_csr, linearized_csr
+from conftest import fields, helmholtz_csr, linearized_csr
 
 from multipeak import spectrum
 from multipeak.ansatz import PeakConfiguration, build_ansatz, uniform_configuration
@@ -42,7 +42,7 @@ def test_lowest_eigenvalue_near_minus_two(spectral_k1):
 
 
 def test_eigenvectors_b_orthonormal(spectral_k2):
-    vecs = spectral_k2.eigenvectors
+    vecs = fields(spectral_k2.bundle.grid, spectral_k2.eigenvectors)
     for i, vi in enumerate(vecs):
         for j, vj in enumerate(vecs):
             h1 = inner_products(vi, vj)[1]
@@ -60,14 +60,15 @@ def test_near_kernel_count_and_gap(spectral_k2):
 
 
 def test_near_kernel_basis_alignment(spectral_k2, bundle_k2, basis_k2):
-    assert len(basis_k2.fields) == 2
+    phis = fields(basis_k2.grid, basis_k2.Phi)
+    assert len(phis) == 2
     assert np.all(basis_k2.alphas > 0)
     assert np.all(basis_k2.alignment_residuals < 0.2)
-    for phi in basis_k2.fields:
+    for phi in phis:
         assert phi.sup_norm() == pytest.approx(1.0, rel=1e-12)
     # pairwise H¹ orthogonality survives the rotation
-    cross = inner_products(basis_k2.fields[0], basis_k2.fields[1])[1]
-    norm0 = inner_products(basis_k2.fields[0], basis_k2.fields[0])[1]
+    cross = inner_products(phis[0], phis[1])[1]
+    norm0 = inner_products(phis[0], phis[0])[1]
     assert abs(cross) < 1e-7 * norm0
 
 
@@ -82,11 +83,8 @@ def test_principal_angles_small(spectral_k2, bundle_k2):
     def orthonormal(X):
         return X @ np.linalg.inv(np.linalg.cholesky(wgt * (X.T @ (B @ X)))).T
 
-    E = np.stack(
-        [spectral_k2.eigenvectors[m].data.ravel() for m in spectral_k2.near_kernel],
-        axis=1,
-    )
-    T = np.stack([t.data.ravel() for t in bundle_k2.translation_modes], axis=1)
+    E = spectral_k2.eigenvectors[:, spectral_k2.near_kernel]
+    T = bundle_k2.translation_modes
     s = np.linalg.svd(wgt * (orthonormal(E).T @ (B @ orthonormal(T))), compute_uv=False)
     assert angles == pytest.approx(np.arccos(np.clip(s, -1.0, 1.0)), abs=1e-10)
 
@@ -195,9 +193,9 @@ def test_eigenvector_sign_follows_start_vector(bundle_k2, monkeypatch):
     plain = lowest_eigenpairs(bundle_k2, count=6)
     monkeypatch.setattr(spectrum, "_block_lanczos", flipped)
     result = lowest_eigenpairs(bundle_k2, count=6)
-    for f, g in zip(result.eigenvectors, plain.eigenvectors):
-        assert f.data.ravel() @ starts[0][:, 0] > 0
-        assert np.array_equal(f.data, g.data)
+    for f, g in zip(result.eigenvectors.T, plain.eigenvectors.T):
+        assert f @ starts[0][:, 0] > 0
+        assert np.array_equal(f, g)
 
 
 def test_off_lattice_spectrum_matches_dense(profile_n2):
@@ -273,17 +271,19 @@ def test_block_products_match_pairwise(spectrum_case):
     scale; αᵢ and the alignment residuals to 1e-13 relative; the principal
     angles through their cosines (arccos near 1 amplifies roundoff) to 1e-13."""
     bundle, result = spectrum_case
-    modes = bundle.translation_modes
-    products, scale = pairwise(result.eigenvectors, modes)
+    grid = bundle.grid
+    modes = fields(grid, bundle.translation_modes)
+    products, scale = pairwise(fields(grid, result.eigenvectors), modes)
     assert np.all(np.abs(result.translation_products - products) <= 1e-13 * scale)
     tnorms = np.array([h1_norm(t) for t in modes])
     assert np.all(np.abs(result.overlap_matrix - products / tnorms) <= 1e-13 * scale / tnorms)
 
     basis = near_kernel_basis(result, bundle)
-    cross, _ = pairwise(basis.fields, modes)
+    cross, _ = pairwise(fields(grid, basis.Phi), modes)
     gram, _ = pairwise(modes, modes)
     assert basis.alphas == pytest.approx(np.diag(cross) / np.diag(gram), rel=1e-13, abs=0)
-    residuals = [h1_norm(phi - a * t) for phi, a, t in zip(basis.fields, basis.alphas, modes)]
+    R = basis.Phi - basis.alphas * bundle.translation_modes
+    residuals = [h1_norm(r) for r in fields(grid, R)]
     assert basis.alignment_residuals == pytest.approx(residuals, rel=1e-13, abs=0)
 
     whitened = products[result.near_kernel] @ np.linalg.inv(np.linalg.cholesky(gram)).T

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import fields
 
 from multipeak import weighted
 from multipeak.ansatz import residual
@@ -39,7 +40,7 @@ def test_weighted_sup_zero_field(bundle_k2):
 def test_solve_orthogonal_constraints(rhs_k2, bundle_k2, basis_k2):
     xi = solve_orthogonal(rhs_k2, bundle_k2, basis_k2)
     xi_h1 = np.sqrt(inner_products(xi, xi)[1])
-    for phi in basis_k2.fields:
+    for phi in fields(basis_k2.grid, basis_k2.Phi):
         phi_h1 = np.sqrt(inner_products(phi, phi)[1])
         assert abs(inner_products(xi, phi)[1]) < 1e-8 * xi_h1 * phi_h1
 
