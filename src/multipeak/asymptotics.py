@@ -6,7 +6,8 @@ scale like e^{−b|y₀|} |y₀|^{b(1−N)/2} in the separation y₀.  The adapt
 quadratures here provide independent numbers against which the reduction
 module's leading-order coefficients are validated, plus an empirical check
 of the Taylor-remainder bound |(a+b)₊^p − Σ_{m≤k} C(p,m) a^{p−m} b^m| ≤
-C |b|^p used throughout the expansion.
+C |b|^p used throughout the expansion.  The remainder, ``binomial_remainder``,
+is also the reduction's R(v) at k = 1.
 """
 
 from __future__ import annotations
@@ -150,40 +151,61 @@ def interaction_limit(spec: InteractionSpec, separations) -> LimitEstimate:
     return LimitEstimate(separations=ys, rescaled=vals, limit=float(limit))
 
 
-def _binomial(p: float, m: int) -> float:
-    out = 1.0
-    for j in range(m):
-        out *= (p - j) / (j + 1)
-    return out
+def binomial_remainder(a, b, p: float, k: int) -> np.ndarray:
+    """(a+b)₊^p − Σ_{m≤k} C(p,m) a^{p−m} b^m over arrays a ≥ 0 and b, signed.
+
+    At integer p and k ≥ p the sum is (a+b)^p itself, so the remainder is
+    −(a+b)^p where a+b < 0 and 0 elsewhere; at integer p and k < p it is the
+    tail Σ_{m>k} by Horner in b where a+b ≥ 0, and −Σ_{m≤k} elsewhere.  At
+    other p the terms C(p,m) a^{p−m} b^m come from one recurrence from a^p,
+    term·(p−m+1)/m·b/a, dividing by a at each step (a rounded b/a would shift
+    term m by m roundings of one sign).  Where |b| ≤ a/2 their tail Σ_{m>k}
+    is summed until every term is at most 1e-17 of its sum: past m = k+1 > p
+    the terms fall by half or more at each step, so those a sample adds after
+    its own first such term are below half an ulp of its sum and change no
+    bit.  Elsewhere the direct difference is taken, whose rounding error is
+    about ε((a+b)₊^p + Σ|terms|).  These two paths take powers by
+    ``np.float_power``, which calls libm's pow as Python's float ``**`` does,
+    so on them one sample and a block agree bit for bit.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    s = a + b
+    neg = s < 0
+    if float(p).is_integer():
+        ip = int(p)
+        if k >= ip:
+            out = np.zeros(s.shape)
+            out[neg] = -np.float_power(s[neg], p)
+            return out
+        acc = np.zeros_like(b)
+        for m in range(ip, k, -1):
+            acc = acc * b + math.comb(ip, m) * a ** (ip - m)
+        out = acc * b ** (k + 1)
+        if neg.any():
+            head = -(a ** float(ip))
+            for m in range(1, k + 1):
+                head = head - math.comb(ip, m) * a ** (ip - m) * b**m
+            out = np.where(neg, head, out)
+        return out
+    den = np.where(a > 0, a, 1.0)  # a = 0 (ū underflowed): every term is 0
+    smooth = np.abs(b) <= 0.5 * a
+    term = head = np.float_power(a, p)
+    for m in range(1, k + 1):
+        term = term * ((p - m + 1) / m) * b / den
+        head = head + term
+    term, tail = np.where(smooth, term, 0.0), np.zeros(s.shape)
+    for m in range(k + 1, k + 300):
+        term = term * ((p - m + 1) / m) * b / den
+        tail = tail + term
+        if np.all(np.abs(term) <= 1e-17 * np.abs(tail)):
+            break
+    return np.where(smooth, tail, np.float_power(np.maximum(s, 0.0), p) - head)
 
 
 def taylor_remainder(a: float, b: float, p: float) -> float:
-    """|−(a+b)₊^p + Σ_{m=0}^{k} C(p,m) a^{p−m} b^m| for k = floor(p).
-
-    For integer p the sum is (a+b)^p itself, so the remainder is |a+b|^p
-    where a+b < 0 and 0 elsewhere; otherwise the smooth regime |b| ≤ a/2
-    uses the binomial tail series to avoid the cancellation of the direct
-    difference, and the rest is evaluated directly.
-    """
-    k = math.floor(p)
-    s = a + b
-    if k == p:
-        return abs(s) ** p if s < 0 else 0.0
-    if b == 0:
-        return 0.0
-    if abs(b) <= 0.5 * a:
-        t = b / a
-        total, m, term = 0.0, k + 1, _binomial(p, k + 1) * (b / a) ** (k + 1)
-        while True:
-            total += term
-            m += 1
-            term *= (p - m + 1) / m * t
-            if abs(term) < 1e-18 * abs(total) or m > 300:
-                break
-        return abs(a**p * total)
-    head = math.fsum(_binomial(p, m) * a ** (p - m) * b**m for m in range(k + 1))
-    plus = s**p if s > 0 else 0.0
-    return abs(-plus + head)
+    """|binomial_remainder| of one sample at k = floor(p)."""
+    return abs(float(binomial_remainder(a, b, p, math.floor(p))))
 
 
 _BLOCK = 2048  # samples per vectorized block; bounds the temporaries
@@ -191,7 +213,7 @@ _BLOCK = 2048  # samples per vectorized block; bounds the temporaries
 # at most (a + |b|)^p ≤ (2·10³)^p, finite up to this exponent (93)
 _TAYLOR_MAX_EXPONENT = math.floor(_LOG_MAX / math.log(2e3))
 # 24 bytes of draws per sample; at the cap 240 MB, with seed 7 1.1 s at p = 3 and 1.0 s at
-# p = 93 (integer p in closed form), 10.3 s at p = 2.5 and 156 s at p = 92.5 (2-core Xeon)
+# p = 93 (integer p in closed form), 4.3 s at p = 2.5 and 6.0 s at p = 92.5 (2-core Xeon)
 _TAYLOR_MAX_SAMPLES = 10**7
 
 
@@ -207,49 +229,6 @@ def validate_taylor_check(samples: int, p: float) -> None:
         )
 
 
-def taylor_remainders(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
-    """taylor_remainder over arrays a > 0 and b, bit for bit, by regime masks.
-
-    Its domain is taylor_remainder_check's, a, |b| in [1e−3, 1e3] and p ≤ _TAYLOR_MAX_EXPONENT,
-    where no power overflows.  ``np.float_power`` calls libm's pow, as Python's float ``**``
-    does; ``np.power``'s vector loops differ in the last bit.
-    """
-    k = math.floor(p)
-    s = a + b
-    out = np.zeros(a.shape)
-    if k == p:
-        out[s < 0] = np.float_power(-s[s < 0], p)
-        return out
-    live = b != 0
-    smooth = live & (np.abs(b) <= 0.5 * a)
-    direct = live & ~smooth
-    with np.errstate(all="ignore"):
-        if smooth.any():
-            aa, t = a[smooth], b[smooth] / a[smooth]
-            total = np.zeros(t.shape)
-            m, term = k + 1, _binomial(p, k + 1) * np.float_power(t, k + 1)
-            active = np.ones(t.shape, dtype=bool)
-            while True:
-                total += np.where(active, term, 0.0)
-                m += 1
-                term *= (p - m + 1) / m * t
-                active &= ~(np.abs(term) < 1e-18 * np.abs(total))
-                if not active.any() or m > 300:
-                    break
-            out[smooth] = np.abs(np.float_power(aa, p) * total)
-        if direct.any():
-            aa, bb, sd = a[direct], b[direct], s[direct]
-            terms = np.stack([
-                _binomial(p, m) * np.float_power(aa, p - m) * np.float_power(bb, m)
-                for m in range(k + 1)
-            ], axis=1)
-            head = np.array([math.fsum(row) for row in terms.tolist()])
-            plus = np.zeros(sd.shape)
-            plus[sd > 0] = np.float_power(sd[sd > 0], p)
-            out[direct] = np.abs(-plus + head)
-    return out
-
-
 @dataclass
 class TaylorReport:
     max_ratio: float
@@ -262,20 +241,20 @@ def taylor_remainder_check(samples: int, p: float, seed: int) -> TaylorReport:
 
     a is log-uniform and b signed log-uniform on [1e−3, 1e3], covering both
     the smooth a ≫ |b| regime and the truncation regime a + b < 0.  The
-    samples are evaluated by ``taylor_remainders`` in blocks; the result is
-    bit for bit that of ``taylor_remainder`` sample by sample, the first
-    sample attaining the maximum included.
+    samples are evaluated by ``binomial_remainder`` at k = floor(p) in
+    blocks; the result is bit for bit that of ``taylor_remainder`` sample by
+    sample, the first sample attaining the maximum included.
     """
     validate_taylor_check(samples, p)
     rng = np.random.default_rng(seed)
     a = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), samples))
     b = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), samples))
     b *= rng.choice((-1.0, 1.0), samples)
-    best, arg = 0.0, (0.0, 0.0)
+    best, arg, k = 0.0, (0.0, 0.0), math.floor(p)
     for lo in range(0, samples, _BLOCK):
         ab, bb = a[lo:lo + _BLOCK], b[lo:lo + _BLOCK]
         with np.errstate(all="ignore"):
-            ratio = taylor_remainders(ab, bb, p) / np.float_power(np.abs(bb), p)
+            ratio = np.abs(binomial_remainder(ab, bb, p, k)) / np.float_power(np.abs(bb), p)
         ratio[np.isnan(ratio)] = -math.inf  # never above the running best
         i = int(np.argmax(ratio))
         if ratio[i] > best:

@@ -299,11 +299,12 @@ def cmd_equilibrate(args, cfg):
     eps, k = _require(cfg, "eps"), cfg["k"]
     grids = _strip_grids(cfg, [eps])  # equilibrate moves angles at fixed ε
     _check(k >= 2, f"equilibrate requires k >= 2 (got k = {k})")
-    angles = list(ans.uniform_configuration(eps, k).angles)
+    uniform = ans.uniform_configuration(eps, k)
+    angles = list(uniform.angles)
     angles[1] += cfg["perturb"] * 2 * np.pi / k
     initial = ans.PeakConfiguration(eps, tuple(angles))
-    if cfg["tol"] is None:
-        cfg["tol"] = 1e-2 * ans.residual_rate(initial.sigma_min, 2)
+    if cfg["tol"] is None:  # the size of d at the equilibrium sought, not at the start
+        cfg["tol"] = 1e-2 * ans.residual_rate(uniform.sigma_min, 2)
     _check_tol(cfg["tol"])
 
     def compute():
@@ -450,6 +451,7 @@ def main(argv=None) -> int:
         for path in (args.out, getattr(args, "profile_out", None)):
             _check(not path or os.path.isdir(os.path.dirname(path) or "."),
                    f"the directory of {path} exists")
+            _check(not path or not os.path.isdir(path), f"{path} is not a directory")
         cfg = _resolve(args, args.command)
         compute = args.func(args, cfg)
     except SystemExit:  # --help, printed by argparse

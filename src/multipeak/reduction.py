@@ -31,6 +31,7 @@ from math import sqrt
 import numpy as np
 
 from .ansatz import AnsatzBundle, PeakConfiguration, build_ansatz, residual
+from .asymptotics import binomial_remainder
 from .domain import GridField, StripGrid, check_resolution, h1_norm
 from .groundstate import GroundStateProfile
 from .spectrum import NearKernelBasis, linearized
@@ -38,44 +39,6 @@ from .spectrum import NearKernelBasis, linearized
 
 class ContractionError(RuntimeError):
     """Fixed-point divergence: the separation is too small to contract."""
-
-
-def power_remainder(ubar: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
-    """R(v) = (ū+v)₊^p − ū^p − p ū^{p−1} v without catastrophic cancellation.
-
-    For integer p the smooth branch is the exact binomial tail (quadratic
-    and higher in v), which keeps R accurate when |v| ≪ ū; the truncation
-    branch ū+v < 0 is evaluated directly.  For other p the tail
-    ū^p Σ_{m≥2} C(p,m)(v/ū)^m is summed where |v| ≤ ū/2; elsewhere the
-    direct difference cancels at most mildly, and it is used there.
-    """
-    ubar = np.asarray(ubar, dtype=float)
-    v = np.asarray(v, dtype=float)
-    s = ubar + v
-    neg = s < 0
-    if float(p).is_integer() and p >= 2:
-        from math import comb
-
-        ip = int(p)
-        # Σ_{m=2}^{p} C(p,m) ū^{p−m} v^m = v² · Horner polynomial in v
-        acc = np.zeros_like(v)
-        for m in range(ip, 1, -1):
-            acc = acc * v + comb(ip, m) * ubar ** (ip - m)
-        out = acc * v**2
-        if neg.any():
-            out = np.where(neg, -(ubar ** float(ip)) - ip * ubar ** (ip - 1) * v, out)
-        return out
-    smooth = (ubar > 0) & (np.abs(v) <= 0.5 * ubar)
-    t = np.divide(v, ubar, out=np.zeros(s.shape), where=smooth)
-    term = tail = 0.5 * p * (p - 1) * t**2
-    for m in range(2, 61):
-        # term m+1 = term m·(p−m)/(m+1)·t: the factor falls with m up to p and
-        # stays below |t| ≤ ½ after, so once every term is negligible all later ones are
-        term = term * ((p - m) / (m + 1)) * t
-        tail = tail + term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(tail)):
-            break
-    return np.where(smooth, ubar**p * tail, np.maximum(s, 0.0) ** p - ubar**p - p * ubar ** (p - 1) * v)
 
 
 @dataclass
@@ -254,7 +217,8 @@ def solve_correction(
     v = np.zeros(grid.size)
     increments = []
     for it in range(1, 31):
-        h_perp, d = basis.split(minus_M + power_remainder(bundle.ubar.data, v.reshape(grid.shape), p))
+        h_perp, d = basis.split(
+            minus_M + binomial_remainder(bundle.ubar.data, v.reshape(grid.shape), p, 1))
         rhs = h_perp - L(v)
         size = np.linalg.norm(basis.project_t(rhs))  # the right side MINRES sees
         if size == 0:  # v solves it, as when M(ū) underflows: no MINRES, no 0/0 rtol
@@ -278,7 +242,7 @@ def solve_correction(
                 f"sigma_min = {bundle.config.sigma_min:.3f} is too small, or tol is below v's roundoff"
             )
     field = GridField(grid, v.reshape(grid.shape))
-    h_perp, d = basis.split(minus_M + power_remainder(bundle.ubar.data, field.data, p))
+    h_perp, d = basis.split(minus_M + binomial_remainder(bundle.ubar.data, field.data, p, 1))
     res = float(np.linalg.norm(L(v) + basis.C @ mu - h_perp))
     return ReductionState(
         bundle=bundle,

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from multipeak import asymptotics
 from multipeak.asymptotics import (
     InteractionSpec,
+    binomial_remainder,
     interaction_limit,
     interaction_quadrature,
     mass_constant,
     rescale,
     taylor_remainder,
     taylor_remainder_check,
-    taylor_remainders,
 )
 
 
@@ -138,30 +138,53 @@ def test_taylor_check_validates_p():
             taylor_remainder_check(n, 3.0, seed=0)
 
 
-@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.7])
-def test_vectorized_remainder_matches_scalar(p):
-    """Every regime of taylor_remainder, including its boundaries, bit for bit."""
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.7, 10.5])
+def test_remainder_matches_mpmath(p):
+    """binomial_remainder at k = ⌊p⌋ against mpmath, on draws and at b = 0,
+    b = ±a/2, a+b < 0 and |b| ≫ a: within 1e-13 relative where |b| ≤ a/2 (the
+    tail series, or 0 at integer p), and within 4(k+2)ε((a+b)₊^p + Σ|terms|)
+    elsewhere (the direct difference, or the closed form at integer p); the
+    scalar taylor_remainder is its absolute value bit for bit.  The reference
+    keeps 50 digits beyond the cancellation of (a+b)^p against its Taylor
+    polynomial, down to (|b|/a)^{k+1} ≥ 10^{−6(k+1)}."""
+    mpmath = pytest.importorskip("mpmath")
+    k, eps = math.floor(p), np.finfo(float).eps
     rng = np.random.default_rng(5)
-    a = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 3000))
-    b = rng.choice((-1.0, 1.0), 3000) * np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 3000))
-    a = np.concatenate([a, a[:100], a[:100], a[:100], a[:100]])
-    b = np.concatenate([b, 0 * a[:100], -a[:100], 0.5 * a[:100], -0.5 * a[:100]])
-    scalar = [taylor_remainder(x, y, p) for x, y in zip(a.tolist(), b.tolist())]
-    assert np.array_equal(taylor_remainders(a, b, p), scalar)
+    a = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 300))
+    b = rng.choice((-1.0, 1.0), 300) * np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 300))
+    edge = a[:20]
+    a = np.concatenate([a] + [edge] * 5)
+    b = np.concatenate([b, 0 * edge, 0.5 * edge, -0.5 * edge, -3 * edge, 1e3 * edge])
+    got = binomial_remainder(a, b, p, k)
+    with mpmath.workdps(50 + 6 * (k + 1)):
+        for x, y, g in zip(a.tolist(), b.tolist(), got.tolist()):
+            s = mpmath.mpf(x) + y
+            plus = s**p if s > 0 else 0
+            terms = [mpmath.binomial(p, m) * mpmath.mpf(x) ** (p - m) * mpmath.mpf(y) ** m
+                     for m in range(k + 1)]
+            error = abs(g - (plus - mpmath.fsum(terms)))
+            if abs(y) <= 0.5 * x:
+                assert error <= 1e-13 * abs(plus - mpmath.fsum(terms)), (x, y)
+            else:
+                assert error <= 4 * (k + 2) * eps * (plus + mpmath.fsum(map(abs, terms))), (x, y)
+            assert taylor_remainder(x, y, p) == abs(g)
 
 
 @pytest.mark.parametrize("p", [2, 3.0, 6.0, 93.0])
 def test_integer_exponent_remainder_in_closed_form(p):
     """At integer p the Taylor polynomial of degree p is (a+b)^p itself: the
-    remainder is |a+b|^p where a+b < 0 and 0 elsewhere, scalar and vector bit
-    for bit, and within a few ulps of the exact value on the draws."""
+    remainder is −(a+b)^p where a+b < 0 and 0 elsewhere, its absolute value
+    |a+b|^p scalar and vector bit for bit, and within a few ulps of the exact
+    value on the draws."""
     rng = np.random.default_rng(8)
     a = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 2000))
     b = rng.choice((-1.0, 1.0), 2000) * np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 2000))
     b[:4] = (0.0, -a[1], -a[2] * (1 + 2**-40), -2 * a[3])
     s = a + b
     closed = np.where(s < 0, np.float_power(np.abs(s), p), 0.0)
-    vector = taylor_remainders(a, b, p)
+    signed = binomial_remainder(a, b, p, math.floor(p))
+    assert np.array_equal(signed, -np.sign(s) ** int(p) * closed)
+    vector = np.abs(signed)
     assert np.array_equal(vector, closed)
     assert np.array_equal(vector, [taylor_remainder(x, y, p) for x, y in zip(a.tolist(), b.tolist())])
     for x, y, got in zip(a[:200].tolist(), b[:200].tolist(), vector[:200].tolist()):

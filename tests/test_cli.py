@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import multipeak
-from multipeak import asymptotics, reduction
-from multipeak.ansatz import residual_rate
+from multipeak import asymptotics, groundstate, reduction
+from multipeak.ansatz import residual_rate, uniform_configuration
 from multipeak.cli import (
     EXIT_CONFIG, EXIT_NUMERICAL, PARAMS, _render, _resolve, build_parser, main,
 )
@@ -276,6 +276,36 @@ def test_equilibrate_line_search_failure_exits_numerical(monkeypatch, capsys):
     assert "Traceback" not in err
     assert json.loads(err) == {"error": "numerical", "detail": "equilibrate line search failed"}
     assert len(runs) == 2 + 8
+
+
+def test_equilibrate_default_tol_from_the_uniform_configuration(tmp_path):
+    """The default tol is 1e-2 of the residual rate at the uniform half-gap, the
+    equilibrium sought: from the perturbed start's smaller half-gap it was 1.05e-4
+    at --perturb -0.6, met with the gaps still 9.7 % apart."""
+    code, out = run(tmp_path, "e.json", ["equilibrate", "--eps", "0.3", "--k", "2",
+                                         "--perturb", "-0.6"])
+    doc = json.loads(out.read_text())
+    assert code == 0
+    assert doc["config"]["tol"] == 1e-2 * residual_rate(uniform_configuration(0.3, 2).sigma_min, 2)
+    assert doc["results"]["gap_relative_spread"] < 1e-3
+
+
+@pytest.mark.parametrize("args, computes", [
+    (["oracle", "taylor", "--out"], (asymptotics, "taylor_remainder_check")),
+    (["groundstate", "--profile-out"], (groundstate, "solve_ground_state")),
+], ids=["out", "profile-out"])
+def test_output_path_that_is_a_directory_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                           args, computes):
+    """An existing directory given as an output path exits 2 before computing,
+    not 3 at the write after the whole computation."""
+
+    def computing(*args, **kwargs):
+        raise AssertionError("computed before the output path was checked")
+
+    monkeypatch.setattr(*computes, computing)
+    assert main(args + [str(tmp_path)]) == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config" and "is not a directory" in error["detail"]
 
 
 def test_oracle_taylor_deterministic(tmp_path):

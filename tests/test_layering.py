@@ -112,6 +112,21 @@ def test_one_h1_pairing():
     assert {module for module, _ in callers("h1_gram")} == {"spectrum"}
 
 
+def test_one_binomial_remainder():
+    """R(v) of the correction (k = 1) and the Taylor check (k = ⌊p⌋) are one
+    routine, asymptotics.binomial_remainder, which only reduction and
+    asymptotics call: no second remainder, no per-row binomial coefficient and
+    no math.fsum in the package."""
+    defined = [(path.stem, node.name) for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)]
+    assert [d for d in defined if d[1] == "binomial_remainder"] == [
+        ("asymptotics", "binomial_remainder")]
+    assert not {"power_remainder", "taylor_remainders", "_binomial"} & {n for _, n in defined}
+    assert {module for module, _ in callers("binomial_remainder")} == {"reduction", "asymptotics"}
+    assert not list(callers("fsum"))
+
+
 def test_one_block_per_field_set(bundle_k2):
     """Each per-peak set of fields (the peak fields and translation modes, the
     eigenvectors, the frame) is one (n, k) block whose column i is field i

@@ -20,6 +20,7 @@ from multipeak.ansatz import (
     residual_rate,
     uniform_configuration,
 )
+from multipeak.asymptotics import binomial_remainder
 from multipeak.cli import main
 from multipeak.domain import GridField, inner_products, make_grid
 from multipeak.reduction import (
@@ -28,7 +29,6 @@ from multipeak.reduction import (
     equilibrate,
     interaction_d,
     pinned_solve,
-    power_remainder,
     reduce,
     translation_frame,
 )
@@ -41,7 +41,7 @@ finite = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
 @given(u=finite, v=st.floats(-1e3, 1e3, allow_nan=False))
 def test_power_remainder_matches_direct_formula(u, v):
     direct = max(u + v, 0.0) ** 3 - u**3 - 3 * u**2 * v
-    got = float(power_remainder(np.array([u]), np.array([v]), 3.0)[0])
+    got = float(binomial_remainder(np.array([u]), np.array([v]), 3.0, 1)[0])
     scale = max(abs(direct), u**3, abs(v) ** 3, 1e-300)
     assert abs(got - direct) < 1e-9 * scale
 
@@ -57,8 +57,8 @@ def test_power_remainder_quadratic_smallness(u, v):
     """
     if u + v <= 0:
         return
-    r1 = float(power_remainder(np.array([u]), np.array([v]), 3.0)[0])
-    r2 = float(power_remainder(np.array([u]), np.array([v / 2]), 3.0)[0])
+    r1 = float(binomial_remainder(np.array([u]), np.array([v]), 3.0, 1)[0])
+    r2 = float(binomial_remainder(np.array([u]), np.array([v / 2]), 3.0, 1)[0])
     if abs(r1) > 1e-12 * u**3:
         s = v / u
         assert r1 / r2 == pytest.approx(8 * (3 + s) / (6 + s), rel=1e-12)
@@ -67,25 +67,28 @@ def test_power_remainder_quadratic_smallness(u, v):
 def test_power_remainder_cancellation_free():
     """Tiny v against O(1) ū stays accurate where the naive form loses digits."""
     u, v = 1.0, 1e-9
-    got = float(power_remainder(np.array([u]), np.array([v]), 3.0)[0])
+    got = float(binomial_remainder(np.array([u]), np.array([v]), 3.0, 1)[0])
     exact = 3 * u * v**2 + v**3
     assert got == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [2.5, 3.5, 4.7, 7.3])
 def test_power_remainder_non_integer_p_matches_mpmath(p):
-    """Within 1e-14 relative of R at 50 digits for |v|/ū from 1e-13 to 3, either
-    sign, ū + v < 0 included; the direct difference lost up to ten digits."""
+    """R(v) = binomial_remainder(ū, v, p, 1) within 1e-14 relative of R at 50
+    digits for |v|/ū from 1e-13 to 3, either sign, ū + v < 0 included; the
+    direct difference lost up to ten digits."""
     mpmath = pytest.importorskip("mpmath")
     ratios = np.logspace(-13, np.log10(3.0), 60)
     for u in (1e-3, 1.0, 3.0):
         v = u * np.concatenate([ratios, -ratios])
-        got = power_remainder(np.full(v.size, u), v, p)
+        got = binomial_remainder(np.full(v.size, u), v, p, 1)
         with mpmath.workdps(50):
             for g, x in zip(got.tolist(), v.tolist()):
                 s = mpmath.mpf(u) + x
                 exact = (s**p if s > 0 else 0) - mpmath.mpf(u) ** p - p * mpmath.mpf(u) ** (p - 1) * x
                 assert abs(g - exact) <= 1e-14 * abs(exact), (u, x)
+    # where ū underflows to 0, far out in x₂ on a wide strip, R is v₊^p
+    assert binomial_remainder(np.zeros(2), np.array([-1.0, 2.0]), p, 1).tolist() == [0.0, 2.0**p]
 
 
 def L_of(bundle):
