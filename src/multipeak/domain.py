@@ -170,10 +170,12 @@ MAX_MESH_WIDTH = 0.5
 MIN_TRANSVERSE = 4.0
 
 # Largest admissible unknown count.  It bounds a command's memory and time.
-# Nothing is factored or assembled, so memory grows linearly with the unknowns
-# (the mesh-limit benchmark, whose finest grid is 592×195 = 115k, peaks near
-# 100 MiB; one `reduce` at 1184×391 = 462,944 near 185 MiB; one BLAS thread).
-# 500k still admits that next level of the ladder.
+# Nothing is factored or assembled, so memory grows linearly with the unknowns.
+# Peak RSS (getrusage) of one Python process solving N = 2, p = 3 with one
+# BLAS thread on a 2-core Xeon: criterion 07's σ = 8 `d_mesh_limit`, whose
+# finest grid is 592×195 = 115k, 63.6 MiB (perfbench `mesh_limit`, with its
+# harness and Helmholtz solves, about 70 MiB); one `reduce` of that pair at
+# 1184×391 = 462,944, 141 MiB.  500k still admits that next level of the ladder.
 MAX_UNKNOWNS = 500_000
 
 # Coarsest mesh width, in core lengths ℓ = (p U(0)^{p−1})^{−1/2}, that

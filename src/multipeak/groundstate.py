@@ -65,7 +65,9 @@ def far_field(dimension: int, r, derivative: bool = False):
     """The far-field shape T(r), or T'(r), for r > 0.
 
     Scalars and arrays take the same numpy operations in the same order, so
-    a single point gives the vector path's value bit for bit.
+    a single point gives the vector path's value bit for bit.  `radial_pair`
+    takes these operations for T and T' at once, forming r^α e^{−r}, 1/r and
+    the series a single time for both.
     """
     a0, a1, a2, a3 = _series(dimension)
     alpha = (1 - dimension) / 2
@@ -253,14 +255,15 @@ _POINT_LIMIT = 700.0
 def _radial(profile: GroundStateProfile, r, derivative: bool):
     """U(r) or U'(r): the cell's cubic up to the matching radius, L0·T past it.
 
-    The cell is i = ⌊r/h⌋, clamped to the cells.  A single point (each
-    quadrature integrand call) takes the same operations on Python floats,
-    skipping the array machinery, so it gives the vector path's value bit for bit.
+    An array takes both from one `radial_pair` evaluation and keeps the one
+    asked for.  A single point (each quadrature integrand call) takes the
+    same operations on Python floats for the one function only, skipping the
+    array machinery, so it gives the vector path's value bit for bit.
     """
     r = np.asarray(r, dtype=float)
-    h, coeffs, rows = profile._cells[derivative]
     if r.size == 1 and abs(x := r.item()) < _POINT_LIMIT:
         if x <= profile.tail_match_radius:
+            h, _, rows = profile._cells[derivative]
             i = min(max(math.floor(x / h), 0), len(rows) - 1)
             c0, c1, c2, c3 = rows[i]
             s = x - i * h
@@ -268,16 +271,36 @@ def _radial(profile: GroundStateProfile, r, derivative: bool):
         else:
             value = profile.tail_L0 * far_field(profile.dimension, x, derivative)
         return np.asarray(value).reshape(r.shape)
-    out = np.empty_like(r)
+    return radial_pair(profile, r)[derivative].reshape(r.shape)
+
+
+def radial_pair(profile: GroundStateProfile, r):
+    """(U(r), U'(r)) for an array r, from one evaluation; a 0-d r gives shape (1,).
+
+    Both take L0·T and L0·T' everywhere, sharing r^α e^{−r}, 1/r and the
+    series of `far_field` in its order of operations, then the cubics of the
+    cell i = ⌊r/h⌋ (clamped to the cells) and s = r − ih, both formed once,
+    up to the matching radius.
+    """
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    (h, cu, _), (_, cdu, _) = profile._cells
+    a0, a1, a2, a3 = _series(profile.dimension)
+    alpha = (1 - profile.dimension) / 2
+    with np.errstate(all="ignore"):  # r ≤ r_m, where the far field may not be finite, is overwritten
+        q = 1 / r
+        t = a0 + q * (a1 + q * (a2 + q * a3))
+        dt = (alpha * q - 1) * t - q * q * (a1 + q * (2 * a2 + q * 3 * a3))
+        w = np.power(r, alpha) * np.exp(-r)
+        u = profile.tail_L0 * (w * t)
+        du = profile.tail_L0 * (w * dt)
     inner = r <= profile.tail_match_radius
     x = r[inner]
-    i = np.clip(np.floor(x / h), 0, len(rows) - 1).astype(int)
+    i = np.clip(np.floor(x / h), 0, len(cu) - 1).astype(int)
     s = x - i * h
-    c0, c1, c2, c3 = coeffs[i].T
-    out[inner] = c0 + s * (c1 + s * (c2 + s * c3))
-    with np.errstate(under="ignore"):
-        out[~inner] = profile.tail_L0 * far_field(profile.dimension, r[~inner], derivative)
-    return out
+    for out, coeffs in ((u, cu), (du, cdu)):
+        c0, c1, c2, c3 = coeffs[i].T
+        out[inner] = c0 + s * (c1 + s * (c2 + s * c3))
+    return u, du
 
 
 def eval_radial(profile: GroundStateProfile, r):

@@ -5,16 +5,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multipeak import ansatz
 from multipeak.ansatz import (
     PeakConfiguration,
     build_ansatz,
+    image_sums,
     nonlinear_residual,
     residual,
     residual_l2,
     residual_rate,
     uniform_configuration,
 )
-from multipeak.domain import make_grid, shift_x1
+from multipeak.domain import StripGrid, make_grid, shift_x1
+from multipeak.groundstate import eval_radial, eval_radial_derivative
 
 
 def test_configuration_validation():
@@ -80,6 +83,40 @@ def test_translation_mode_is_x1_derivative(bundle_k1):
     k = 2j * np.pi * np.fft.rfftfreq(n, d=bundle_k1.grid.h1)
     g1 = np.fft.irfft(k[:, None] * np.fft.rfft(v, axis=0), n=n, axis=0)
     assert np.max(np.abs(g1 - t)) < 1e-4  # band-limit truncation
+
+
+def _image_sums_on_whole_fields(profile, grid, centres):
+    """(Σ U_c, Σ ∂U_c/∂x₁, Σ U_c^p), one centre at a time on the whole grid."""
+    X1, X2 = grid.meshes()
+    v, dv, vp = (np.zeros(grid.shape) for _ in range(3))
+    for pos in centres:
+        r = np.hypot(X1 - pos, X2)
+        u = eval_radial(profile, r)
+        v += u
+        vp += u**profile.exponent
+        with np.errstate(invalid="ignore", divide="ignore"):
+            dv += np.where(r > 0, eval_radial_derivative(profile, r) * (X1 - pos) / r, 0.0)
+    return v, dv, vp
+
+
+@pytest.mark.parametrize("rows", ["many", "one"])
+def test_blocked_image_sums_match_whole_fields(profile_n2, rows):
+    """Row blocks give the whole-field sums bit for bit: on a grid of several
+    blocks whose n₁ is not a multiple of the block's rows, and on one whose
+    n₂ exceeds the block, so each block is a single row.  The centres sit on
+    a node column (x₁ − c = 0 there; the x₂ nodes are offset by h₂/2, so
+    r > 0), between nodes, and wholly beyond the matching radius, up to
+    where U underflows."""
+    n2 = 48 if rows == "many" else ansatz._BLOCK + 5
+    per_block = max(1, ansatz._BLOCK // n2)
+    n1 = 2 * per_block + 7 if rows == "many" else 8
+    grid = StripGrid(0.3, 12.0, n1, n2)
+    assert grid.size > ansatz._BLOCK and (n1 % per_block if rows == "many" else per_block == 1)
+    half = grid.period / 2
+    centres = [grid.x1[5], 0.123, -half - 40.0, half + 100.0, half + 760.0]
+    for blocked, whole in zip(image_sums(profile_n2, grid, centres),
+                              _image_sums_on_whole_fields(profile_n2, grid, centres)):
+        assert np.array_equal(blocked, whole)
 
 
 def test_residual_dual_route_converges(profile_n2):

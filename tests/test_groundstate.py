@@ -13,6 +13,7 @@ from multipeak.groundstate import (
     eval_radial_derivative,
     far_field,
     ode_residual,
+    radial_pair,
     solve_ground_state,
 )
 
@@ -177,7 +178,7 @@ def profile_n2_p5():
 
 @pytest.mark.parametrize("fixture", ["profile_n1", "profile_n2", "profile_n2_p5"])
 def test_single_point_matches_vector_path(fixture, request):
-    """One point at a time gives the vector path's U and U' bit for bit."""
+    """One point at a time gives the vector path's U and U', and radial_pair's, bit for bit."""
     profile = request.getfixturevalue(fixture)
     knots = profile.radial_grid
     rm = profile.tail_match_radius
@@ -188,9 +189,10 @@ def test_single_point_matches_vector_path(fixture, request):
         [0.0, 25.0, 30.0, 800.0, -3.0, np.inf, -np.inf, np.nan],
         np.random.default_rng(0).uniform(0.0, 40.0, 10_000),
     ])
-    for evaluate in (eval_radial, eval_radial_derivative):
+    for evaluate, paired in zip((eval_radial, eval_radial_derivative), radial_pair(profile, r)):
         one_by_one = np.array([evaluate(profile, np.asarray([x]))[0] for x in r])
         assert np.array_equal(one_by_one, evaluate(profile, r), equal_nan=True)
+        assert np.array_equal(one_by_one, paired, equal_nan=True)
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
