@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import GridField, StripGrid, l2_norm, wrap
+from .domain import GridField, StripGrid, wrap
 from .groundstate import GroundStateProfile, radial_pair
 
 
@@ -159,8 +159,7 @@ def image_sums(profile: GroundStateProfile, grid: StripGrid, centres):
             u, du = radial_pair(profile, r)
             v[a:a + rows] += u
             vp[a:a + rows] += u**p
-            with np.errstate(invalid="ignore", divide="ignore"):
-                dv[a:a + rows] += np.where(r > 0, du * (x1 - pos) / r, 0.0)
+            dv[a:a + rows] += du * (x1 - pos) / r
     return v, dv, vp
 
 
@@ -225,11 +224,6 @@ def nonlinear_residual(u: GridField, p: float) -> GridField:
     agrees with :func:`residual` to discretization tolerance.
     """
     return GridField(u.grid, u.grid.helmholtz(u.data) - np.maximum(u.data, 0.0) ** p)
-
-
-def residual_l2(bundle: AnsatzBundle) -> float:
-    """Quadrature L² norm of the algebraic residual."""
-    return l2_norm(residual(bundle))
 
 
 def residual_rate(sigma_min: float, dimension: int) -> float:

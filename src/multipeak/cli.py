@@ -229,13 +229,14 @@ def cmd_ansatz(args, cfg):
     def compute():
         bundle = ans.build_ansatz(config, _profile(cfg["p"]), grid)
         res = ans.residual(bundle)
+        sup = res.sup_norm()
         return {
             "sigma_min": bundle.config.sigma_min,
             "half_gaps": list(bundle.config.half_gaps),
-            "residual_sup": res.sup_norm(),
-            "residual_l2": ans.residual_l2(bundle),
+            "residual_sup": sup,
+            "residual_l2": dom.l2_norm(res),
             "rate_scale": rate,
-            "sup_over_rate": res.sup_norm() / rate,
+            "sup_over_rate": sup / rate,
         }
 
     return compute

@@ -212,12 +212,13 @@ def make_grid(eps: float, R: float = 12.0, h: float = 0.25) -> StripGrid:
         raise ValueError(f"h = {h} is above the maximum mesh width {MAX_MESH_WIDTH}")
     if R < MIN_TRANSVERSE:
         raise ValueError(f"R = {R} is below the minimum transverse extent {MIN_TRANSVERSE}")
-    # node counts in floating point, so a count that overflows is rejected, not rounded
-    n1 = max(8.0, 4 * np.rint(2 * np.pi / eps / (4 * h)))
-    n2 = max(4.0, np.rint(R / h))
+    # node counts as Python floats, so a count that overflows is inf, without a
+    # numpy warning, and rejected, not rounded
+    n1 = max(8.0, 4 * float(np.rint(2 * np.pi / eps / (4 * h))))
+    n2 = max(4.0, float(np.rint(R / h)))
     if not n1 * n2 <= MAX_UNKNOWNS:
-        raise ValueError(f"the {n1:.0f}x{n2:.0f} grid of eps = {eps:g}, R = {R:g}, h = {h:g} "
-                         f"has {n1 * n2:.0f} unknowns, above the cap {MAX_UNKNOWNS}")
+        raise ValueError(f"the {n1:.9g}x{n2:.9g} grid of eps = {eps:g}, R = {R:g}, h = {h:g} "
+                         f"has {n1 * n2:.9g} unknowns, above the cap {MAX_UNKNOWNS}")
     return StripGrid(eps, R, int(n1), int(n2))
 
 

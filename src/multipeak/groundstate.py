@@ -61,21 +61,20 @@ def _series(dimension: int) -> tuple[float, ...]:
     return tuple(a)
 
 
-def far_field(dimension: int, r, derivative: bool = False):
-    """The far-field shape T(r), or T'(r), for r > 0.
+def far_field(dimension: int, r):
+    """The far-field shape (T(r), T'(r)) for r > 0, from one evaluation.
 
-    Scalars and arrays take the same numpy operations in the same order, so
-    a single point gives the vector path's value bit for bit.  `radial_pair`
-    takes these operations for T and T' at once, forming r^α e^{−r}, 1/r and
-    the series a single time for both.
+    r^α e^{−r}, 1/r and the series are formed once for both.  Scalars and
+    arrays take the same numpy operations in the same order, so a single
+    point gives the vector path's values bit for bit.
     """
     a0, a1, a2, a3 = _series(dimension)
     alpha = (1 - dimension) / 2
     q = 1 / r
     s = a0 + q * (a1 + q * (a2 + q * a3))
-    if derivative:
-        s = (alpha * q - 1) * s - q * q * (a1 + q * (2 * a2 + q * 3 * a3))
-    return np.power(r, alpha) * np.exp(-r) * s
+    ds = (alpha * q - 1) * s - q * q * (a1 + q * (2 * a2 + q * 3 * a3))
+    w = np.power(r, alpha) * np.exp(-r)
+    return w * s, w * ds
 
 
 def _hermite(f, df, h):
@@ -106,13 +105,14 @@ class GroundStateProfile:
 
     @cached_property
     def _cells(self) -> tuple:
-        """(h, cell coefficients, the same as float lists) for U, then for U'."""
+        """(h, the cell coefficients of U, those of U', U's as float lists)."""
         r, u, du = self.radial_grid, self.values, self.derivatives
         N, h = self.dimension, float(r[1] - r[0])
         # U'' = U − U^p − (N−1)U'/r, and (U − U^p)/N at the center
         d2u = u - u**self.exponent - (N - 1) * np.divide(du, r, out=0 * r, where=r > 0)
         d2u[0] /= N
-        return tuple((h, c, c.tolist()) for c in (_hermite(u, du, h), _hermite(du, d2u, h)))
+        cu = _hermite(u, du, h)
+        return h, cu, _hermite(du, d2u, h), cu.tolist()
 
     @property
     def core_length(self) -> float:
@@ -188,7 +188,8 @@ def solve_ground_state(dimension: int, p: float) -> GroundStateProfile:
     linear[1:] += ((N - 1) / r[1:])[:, None] * d1[1:]
     linear[0] = d1[0]
     linear[-1] = d1[-1]
-    linear[-1, -1] -= far_field(N, _R_MATCH, True) / far_field(N, _R_MATCH)
+    tail, dtail = far_field(N, _R_MATCH)
+    linear[-1, -1] -= dtail / tail
     ode = np.ones(_NODES)
     ode[[0, -1]] = 0.0
     weight = cc * dr * r ** (N - 1)  # ∫_0^{r_m} f r^{N−1} dr = weight @ f
@@ -242,57 +243,24 @@ def solve_ground_state(dimension: int, p: float) -> GroundStateProfile:
         values=values,
         derivatives=derivatives,
         center_value=float(values[0]),
-        tail_L0=float(values[-1] / far_field(N, x[-1])),
+        tail_L0=float(values[-1] / far_field(N, x[-1])[0]),
         tail_match_radius=float(x[-1]),
     )
-
-
-# e^{-r} stays normal below it; larger |r|, ±inf and NaN take the vector
-# path, which guards underflow
-_POINT_LIMIT = 700.0
-
-
-def _radial(profile: GroundStateProfile, r, derivative: bool):
-    """U(r) or U'(r): the cell's cubic up to the matching radius, L0·T past it.
-
-    An array takes both from one `radial_pair` evaluation and keeps the one
-    asked for.  A single point (each quadrature integrand call) takes the
-    same operations on Python floats for the one function only, skipping the
-    array machinery, so it gives the vector path's value bit for bit.
-    """
-    r = np.asarray(r, dtype=float)
-    if r.size == 1 and abs(x := r.item()) < _POINT_LIMIT:
-        if x <= profile.tail_match_radius:
-            h, _, rows = profile._cells[derivative]
-            i = min(max(math.floor(x / h), 0), len(rows) - 1)
-            c0, c1, c2, c3 = rows[i]
-            s = x - i * h
-            value = c0 + s * (c1 + s * (c2 + s * c3))
-        else:
-            value = profile.tail_L0 * far_field(profile.dimension, x, derivative)
-        return np.asarray(value).reshape(r.shape)
-    return radial_pair(profile, r)[derivative].reshape(r.shape)
 
 
 def radial_pair(profile: GroundStateProfile, r):
     """(U(r), U'(r)) for an array r, from one evaluation; a 0-d r gives shape (1,).
 
-    Both take L0·T and L0·T' everywhere, sharing r^α e^{−r}, 1/r and the
-    series of `far_field` in its order of operations, then the cubics of the
-    cell i = ⌊r/h⌋ (clamped to the cells) and s = r − ih, both formed once,
-    up to the matching radius.
+    Both take L0·(T, T') from one `far_field` everywhere, then, up to the
+    matching radius, the cubics of the cell i = ⌊r/h⌋ (clamped to the cells)
+    with s = r − ih, both formed once.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    (h, cu, _), (_, cdu, _) = profile._cells
-    a0, a1, a2, a3 = _series(profile.dimension)
-    alpha = (1 - profile.dimension) / 2
+    h, cu, cdu, _ = profile._cells
     with np.errstate(all="ignore"):  # r ≤ r_m, where the far field may not be finite, is overwritten
-        q = 1 / r
-        t = a0 + q * (a1 + q * (a2 + q * a3))
-        dt = (alpha * q - 1) * t - q * q * (a1 + q * (2 * a2 + q * 3 * a3))
-        w = np.power(r, alpha) * np.exp(-r)
-        u = profile.tail_L0 * (w * t)
-        du = profile.tail_L0 * (w * dt)
+        tail, dtail = far_field(profile.dimension, r)
+        u = profile.tail_L0 * tail
+        du = profile.tail_L0 * dtail
     inner = r <= profile.tail_match_radius
     x = r[inner]
     i = np.clip(np.floor(x / h), 0, len(cu) - 1).astype(int)
@@ -303,14 +271,30 @@ def radial_pair(profile: GroundStateProfile, r):
     return u, du
 
 
+# e^{-r} stays normal below it; larger |r|, ±inf and NaN take the vector
+# path, which guards underflow
+_POINT_LIMIT = 700.0
+
+
 def eval_radial(profile: GroundStateProfile, r):
-    """U(r), vectorized; far-field branch beyond the matching radius."""
-    return _radial(profile, r, False)
+    """U(r): the cell's cubic up to the matching radius, L0·T past it.
 
-
-def eval_radial_derivative(profile: GroundStateProfile, r):
-    """U'(r), vectorized; far-field branch beyond the matching radius."""
-    return _radial(profile, r, True)
+    An array takes U from `radial_pair`.  A single point (each quadrature
+    integrand call) takes the same operations on Python floats, skipping the
+    array machinery, so it gives the vector path's value bit for bit.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.size == 1 and abs(x := r.item()) < _POINT_LIMIT:
+        if x <= profile.tail_match_radius:
+            h, _, _, rows = profile._cells
+            i = min(max(math.floor(x / h), 0), len(rows) - 1)
+            c0, c1, c2, c3 = rows[i]
+            s = x - i * h
+            value = c0 + s * (c1 + s * (c2 + s * c3))
+        else:
+            value = profile.tail_L0 * far_field(profile.dimension, x)[0]
+        return np.asarray(value).reshape(r.shape)
+    return radial_pair(profile, r)[0].reshape(r.shape)
 
 
 def ode_residual(profile: GroundStateProfile):

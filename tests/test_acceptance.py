@@ -15,7 +15,6 @@ from multipeak.ansatz import (
     PeakConfiguration,
     build_ansatz,
     residual,
-    residual_l2,
     residual_rate,
     uniform_configuration,
 )
@@ -34,7 +33,7 @@ from multipeak.dancer import (
     psi_decay_fit,
     verify_evenness,
 )
-from multipeak.domain import GridField, make_grid, solve_helmholtz
+from multipeak.domain import GridField, l2_norm, make_grid, solve_helmholtz
 from multipeak.groundstate import eval_radial, solve_ground_state
 from multipeak.reduction import d_mesh_limit, equilibrate
 from multipeak.spectrum import lowest_eigenpairs, principal_angles
@@ -109,7 +108,7 @@ def test_criterion_05_residual_rate(sigma_sweep):
     for sigma, (bundle, _, _) in sigma_sweep.items():
         rate = residual_rate(bundle.config.sigma_min, 2)
         sup_ratios.append(residual(bundle).sup_norm() / rate)
-        l2_ratios.append(residual_l2(bundle) / rate)
+        l2_ratios.append(l2_norm(residual(bundle)) / rate)
     band_sup = max(sup_ratios) / min(sup_ratios)
     band_l2 = max(l2_ratios) / min(l2_ratios)
     ok = band_sup < 3.0 and band_l2 < 3.0

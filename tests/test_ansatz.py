@@ -12,12 +12,11 @@ from multipeak.ansatz import (
     image_sums,
     nonlinear_residual,
     residual,
-    residual_l2,
     residual_rate,
     uniform_configuration,
 )
-from multipeak.domain import StripGrid, make_grid, shift_x1
-from multipeak.groundstate import eval_radial, eval_radial_derivative
+from multipeak.domain import StripGrid, l2_norm, make_grid, shift_x1
+from multipeak.groundstate import radial_pair
 
 
 def test_configuration_validation():
@@ -91,11 +90,11 @@ def _image_sums_on_whole_fields(profile, grid, centres):
     v, dv, vp = (np.zeros(grid.shape) for _ in range(3))
     for pos in centres:
         r = np.hypot(X1 - pos, X2)
-        u = eval_radial(profile, r)
+        u, du = radial_pair(profile, r)
         v += u
         vp += u**profile.exponent
         with np.errstate(invalid="ignore", divide="ignore"):
-            dv += np.where(r > 0, eval_radial_derivative(profile, r) * (X1 - pos) / r, 0.0)
+            dv += np.where(r > 0, du * (X1 - pos) / r, 0.0)
     return v, dv, vp
 
 
@@ -143,7 +142,7 @@ def test_residual_scale(bundle_k2):
     res = residual(bundle_k2)
     rate = residual_rate(bundle_k2.config.sigma_min, 2)
     assert 1.0 < res.sup_norm() / rate < 1e3
-    assert residual_l2(bundle_k2) > res.sup_norm() / bundle_k2.grid.size
+    assert l2_norm(residual(bundle_k2)) > res.sup_norm() / bundle_k2.grid.size
 
 
 def test_lattice_cutoff_covers_period():

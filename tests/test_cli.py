@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +396,21 @@ def test_invalid_input_is_a_config_error(args, deadline, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err.splitlines()[-1])["error"] == "config"
+
+
+@pytest.mark.parametrize("args", [["ansatz", "--eps", "0.3", "--h", "1e-300"],
+                                  ["ansatz", "--eps", "1e-300", "--k", "1"]], ids=" ".join)
+def test_huge_finite_node_count_is_one_short_error(args, capsys):
+    """A finite node count far above the cap is rejected with no numpy overflow
+    warning (under warnings as errors it would escape main) and a short detail:
+    one stderr line, the error JSON."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "config" and "unknowns, above the cap" in error["detail"]
+    assert len(error["detail"]) < 200
 
 
 def test_linalg_failure_after_validation_is_numerical(monkeypatch, capsys):

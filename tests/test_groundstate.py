@@ -10,7 +10,6 @@ from multipeak import groundstate
 from multipeak.groundstate import (
     SupercriticalError,
     eval_radial,
-    eval_radial_derivative,
     far_field,
     ode_residual,
     radial_pair,
@@ -54,14 +53,14 @@ def test_n1_p3_between_nodes(profile_n1):
     r = np.linspace(0.0, 12.0, 100_001)
     exact = np.sqrt(2.0) / np.cosh(r)
     assert np.max(np.abs(eval_radial(profile_n1, r) - exact)) < 3e-11
-    assert np.max(np.abs(eval_radial_derivative(profile_n1, r) + exact * np.tanh(r))) < 1e-10
+    assert np.max(np.abs(radial_pair(profile_n1, r)[1] + exact * np.tanh(r))) < 1e-10
 
 
 def test_n1_p3_tail_constants(profile_n1):
     """√2 sech(x) → 2√2 e^{−x}, and U' → −U in the tail."""
     assert profile_n1.tail_L0 == pytest.approx(2 * np.sqrt(2.0), rel=1e-3)
     r = np.linspace(12.5, 20.0, 50)
-    ratio = eval_radial_derivative(profile_n1, r) / eval_radial(profile_n1, r)
+    ratio = radial_pair(profile_n1, r)[1] / eval_radial(profile_n1, r)
     assert np.allclose(ratio, -1.0, rtol=0, atol=1e-12)
 
 
@@ -70,7 +69,7 @@ def test_n2_tail_spread_small(profile_n2):
     equals L0 at the matching radius."""
     r = profile_n2.radial_grid
     mask = r >= 8.0
-    w = profile_n2.values[mask] / far_field(2, r[mask])
+    w = profile_n2.values[mask] / far_field(2, r[mask])[0]
     assert (w.max() - w.min()) / w[-1] < 1e-4
     assert w[-1] == profile_n2.tail_L0
 
@@ -165,9 +164,7 @@ def test_tail_branch_continuous(profile_n2):
     rm = profile_n2.tail_match_radius
     below, above = eval_radial(profile_n2, np.array([rm, np.nextafter(rm, np.inf)]))
     assert abs(above - below) < 1e-8 * abs(below)
-    dbelow, dabove = eval_radial_derivative(
-        profile_n2, np.array([rm, np.nextafter(rm, np.inf)])
-    )
+    dbelow, dabove = radial_pair(profile_n2, np.array([rm, np.nextafter(rm, np.inf)]))[1]
     assert abs(dabove - dbelow) < 1e-8 * abs(dbelow)
 
 
@@ -178,7 +175,8 @@ def profile_n2_p5():
 
 @pytest.mark.parametrize("fixture", ["profile_n1", "profile_n2", "profile_n2_p5"])
 def test_single_point_matches_vector_path(fixture, request):
-    """One point at a time gives the vector path's U and U', and radial_pair's, bit for bit."""
+    """One point at a time, U gives the vector path's value and radial_pair's bit
+    for bit, and radial_pair's U' its whole-array value."""
     profile = request.getfixturevalue(fixture)
     knots = profile.radial_grid
     rm = profile.tail_match_radius
@@ -189,10 +187,12 @@ def test_single_point_matches_vector_path(fixture, request):
         [0.0, 25.0, 30.0, 800.0, -3.0, np.inf, -np.inf, np.nan],
         np.random.default_rng(0).uniform(0.0, 40.0, 10_000),
     ])
-    for evaluate, paired in zip((eval_radial, eval_radial_derivative), radial_pair(profile, r)):
-        one_by_one = np.array([evaluate(profile, np.asarray([x]))[0] for x in r])
-        assert np.array_equal(one_by_one, evaluate(profile, r), equal_nan=True)
-        assert np.array_equal(one_by_one, paired, equal_nan=True)
+    u, du = radial_pair(profile, r)
+    one_by_one = np.array([eval_radial(profile, np.asarray([x]))[0] for x in r])
+    assert np.array_equal(one_by_one, eval_radial(profile, r), equal_nan=True)
+    assert np.array_equal(one_by_one, u, equal_nan=True)
+    one_by_one = np.array([radial_pair(profile, x)[1][0] for x in r])
+    assert np.array_equal(one_by_one, du, equal_nan=True)
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])

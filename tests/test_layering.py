@@ -7,6 +7,7 @@ import argparse
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +156,25 @@ def test_no_projection_of_krylov_vectors():
 
     assert not list(callers("project"))
     assert not hasattr(NearKernelBasis, "project")
+
+
+def test_one_radial_kernel():
+    """The far-field series is formed in one place, far_field(dimension, r), which
+    returns (T, T′) with no switch; U′ comes only from radial_pair, the one array
+    evaluator, whose package callers are the image sums and eval_radial, and there
+    is no second evaluator of U or U′ beside them."""
+    readers = {(path.stem, getattr(top, "name", None))
+               for path in MODULES for top in ast.parse(path.read_text()).body
+               for node in ast.walk(top) if isinstance(node, ast.Name) and node.id == "_series"}
+    assert readers == {("groundstate", "far_field")}
+    (far,) = [node for node in ast.walk(ast.parse((SRC / "groundstate.py").read_text()))
+              if isinstance(node, ast.FunctionDef) and node.name == "far_field"]
+    assert [a.arg for a in far.args.args] == ["dimension", "r"]
+    assert not (far.args.kwonlyargs or far.args.vararg or far.args.kwarg or far.args.defaults)
+    text = "".join(path.read_text() for path in MODULES)
+    assert "eval_radial_derivative" not in text
+    assert not re.search(r"\b_radial\b", text)
+    assert set(callers("radial_pair")) == {("ansatz", "image_sums"), ("groundstate", "eval_radial")}
 
 
 def scipy_imports(path):
