@@ -24,7 +24,7 @@ _LOG_MAX = math.log(np.finfo(float).max)  # 709.78: e^x overflows above it
 
 @dataclass(frozen=True)
 class InteractionSpec:
-    """Two localized radial factors with exponents a > b > 0 at distance y₀."""
+    """Two localized radial factors, exponents a > b > 0, |y₀| apart; b·max(|y₀|, R₀) ≤ 709.78."""
 
     f: Callable[[float], float]
     g: Callable[[float], float]
@@ -38,9 +38,10 @@ class InteractionSpec:
             raise ValueError("need finite a > b > 0")
         if not math.inf > abs(self.y0) > 2:
             raise ValueError("separation |y0| must be finite and large compared to 1")
-        if not self.b * abs(self.y0) <= _LOG_MAX:
-            raise ValueError(f"need b|y0| <= {_LOG_MAX:.2f}, where e^(b|y0|) in rescale "
-                             f"overflows (got {self.b * abs(self.y0):g})")
+        reach = self.b * max(abs(self.y0), self.radius)
+        if not reach <= _LOG_MAX:
+            raise ValueError(f"need b*max(|y0|, R0) <= {_LOG_MAX:.2f}, R0 = 40/min(1, a-b), where "
+                             f"e^(b r) in rescale or the mass constant overflows (got {reach:g})")
         if self.dimension not in (1, 2):
             raise ValueError("only line and strip integrals are provided")
 
@@ -50,18 +51,28 @@ class InteractionSpec:
         half = abs(self.y0) / 2
         return (-half, half)
 
+    @property
+    def radius(self) -> float:
+        """R₀ = 40/min(1, a − b): beyond it f^a e^{br} ~ e^{−(a−b)r} is below e^{−40}."""
+        return 40 / min(1.0, self.a - self.b)
 
-def _transverse(integrand: Callable[[float], float]) -> float:
-    """2∫₀^{X2_CUTOFF} integrand(t) dt: the strip's x₂ integral, the integrand being even."""
-    from scipy.integrate import quad
-    return 2 * quad(integrand, 0.0, X2_CUTOFF, epsabs=1e-300, epsrel=1e-9, limit=200)[0]
+
+def _checked(val: float, err: float) -> float:
+    if val == 0:
+        raise RuntimeError("the integral underflows to 0")
+    if not err <= 0.01 * abs(val):
+        raise RuntimeError(f"quadrature error {err:.3e} above 1% of {val:.3e}")
+    return val
 
 
 def _x1_integrand(spec: InteractionSpec):
     if spec.dimension == 1:
         return lambda x: spec.f(abs(x)) ** spec.a * spec.g(abs(x - spec.y0)) ** spec.b
-    return lambda x: _transverse(lambda t: spec.f(math.hypot(x, t)) ** spec.a
-                                 * spec.g(math.hypot(x - spec.y0, t)) ** spec.b)
+    from scipy.integrate import quad
+    # the strip's x₂ integral: 2∫₀^{X2_CUTOFF}, the integrand being even in x₂
+    return lambda x: 2 * quad(lambda t: spec.f(math.hypot(x, t)) ** spec.a
+                              * spec.g(math.hypot(x - spec.y0, t)) ** spec.b,
+                              0.0, X2_CUTOFF, epsabs=1e-300, epsrel=1e-9, limit=200)[0]
 
 
 def interaction_quadrature(spec: InteractionSpec) -> float:
@@ -73,22 +84,11 @@ def interaction_quadrature(spec: InteractionSpec) -> float:
     Raises
     ------
     RuntimeError
-        If the estimated quadrature error exceeds 1% of the value.
+        If the value underflows to 0 or its estimated error exceeds 1% of it.
     """
     from scipy.integrate import quad
-    lo, hi = spec.cell
-    val, err = quad(
-        _x1_integrand(spec),
-        lo,
-        hi,
-        points=[0.0],
-        epsabs=1e-300,
-        epsrel=1e-8,
-        limit=400,
-    )
-    if err > 0.01 * abs(val):
-        raise RuntimeError(f"quadrature error {err:.3e} above 1% of {val:.3e}")
-    return val
+    return _checked(*quad(_x1_integrand(spec), *spec.cell, points=[0.0], epsabs=1e-300,
+                          epsrel=1e-8, limit=400))
 
 
 def rescale(spec: InteractionSpec, value: float) -> float:
@@ -98,24 +98,20 @@ def rescale(spec: InteractionSpec, value: float) -> float:
 
 
 def mass_constant(spec: InteractionSpec) -> float:
-    """C₀ = ∫_{ℝ^N} f^a(x) e^{x·ω} dx with ω the unit vector toward y₀.
+    """C₀ = ∫_{ℝ^N} f^a(|x|) e^{b x·ω} dx for any unit ω: the neighbour's tail scaled out.
 
-    The exponential tilt is the surviving factor of the neighbor's tail
-    once e^{−b|y₀|} |y₀|^{b(1−N)/2} has been scaled out; it converges
-    because a > b ≥ the tail rate.
+    f being radial, the tilt's angular integral is 2cosh(br) for N = 1 and 2πr I₀(br)
+    for N = 2 (DLMF 10.32.1), so C₀ is one quadrature over [0, R₀] (``spec.radius``).
+    f^a multiplies cosh or I₀ before r, so near R₀ the product is 0 where f^a
+    underflows, not 0·∞.  Raises RuntimeError as ``interaction_quadrature`` does.
     """
     from scipy.integrate import quad
-
-    def integrand(x):
-        if spec.dimension == 1:
-            peak = spec.f(abs(x)) ** spec.a
-        else:
-            peak = _transverse(lambda t: spec.f(math.hypot(x, t)) ** spec.a)
-        return peak * math.exp(math.copysign(spec.b, spec.y0) * x)
-
-    val, _ = quad(integrand, -40.0, 40.0, points=[0.0], epsabs=1e-300,
-                  epsrel=1e-10 if spec.dimension == 1 else 1e-8, limit=400)
-    return val
+    if spec.dimension == 1:
+        scale, integrand = 2.0, lambda r: spec.f(r) ** spec.a * math.cosh(spec.b * r)
+    else:
+        scale, integrand = 2 * math.pi, lambda r: spec.f(r) ** spec.a * np.i0(spec.b * r) * r
+    val, err = quad(integrand, 0.0, spec.radius, epsabs=1e-300, epsrel=1e-10, limit=400)
+    return scale * _checked(val, err)
 
 
 @dataclass

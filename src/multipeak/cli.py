@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import functools
 import hashlib
 import json
@@ -116,6 +117,8 @@ PARAMS = {
     "oracle-taylor": dict(p=(float, 3.0), n=(int, 100000), seed=(int, 7)),
     "oracle-interactions": dict(a=(float, 2.0), b=(float, 1.0), y0=(float, 12.0), dim=(int, 1)),
 }
+_LIST_FLAGS = {f"--{name.replace('_', '-')}" for params in PARAMS.values()
+               for name, (parse, _) in params.items() if parse is _float_list}
 
 
 def _load_config(path: str | None, command: str) -> dict:
@@ -447,8 +450,14 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
+    tokens = []  # `--peaks -3.1,0.2` as `--peaks=-3.1,0.2`, which argparse reads as two flags
+    for token in sys.argv[1:] if argv is None else argv:
+        with contextlib.suppress(ConfigError):
+            if tokens and tokens[-1] in _LIST_FLAGS and _float_list(token):
+                token = tokens.pop() + "=" + token
+        tokens.append(token)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(tokens)
         for path in (args.out, getattr(args, "profile_out", None)):
             _check(not path or os.path.isdir(os.path.dirname(path) or "."),
                    f"the directory of {path} exists")

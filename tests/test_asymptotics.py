@@ -1,6 +1,7 @@
 """Interaction-integral and Taylor-remainder oracles."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,64 @@ def test_quadrature_negative_separation_symmetry():
 def test_mass_constant_closed_form():
     """∫ e^{−2|x|} e^{x} dx = 1/3 + 1 = 4/3 for the tilted exponential."""
     assert mass_constant(exp_spec()) == pytest.approx(4.0 / 3.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("a, b", [(2, 1), (3, 1), (1.5, 1), (1.1, 1), (1.5, 1.4)])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_mass_constant_matches_laplace_transforms(a, b, dimension):
+    """For f = e^{−r}, C₀ = ∫₀^∞ e^{−ar} 2cosh(br) dr = 1/(a−b) + 1/(a+b) on the line
+    and ∫₀^∞ e^{−ar} 2πr I₀(br) dr = 2πa/(a²−b²)^{3/2} on the plane, also where
+    a − b < 1 puts most of the mass far from the peak."""
+    decay = lambda r: math.exp(-r)
+    spec = InteractionSpec(decay, decay, a=a, b=b, y0=12.0, dimension=dimension)
+    exact = 1 / (a - b) + 1 / (a + b) if dimension == 1 else 2 * math.pi * a / (a * a - b * b) ** 1.5
+    assert mass_constant(spec) == pytest.approx(exact, rel=1e-10, abs=0)
+
+
+def test_mass_constant_of_the_profile_is_one_radial_quadrature(profile_n2):
+    """The N = 2 profile is evaluated a few hundred times, not once per point of a
+    nested transverse quadrature (46,746 times)."""
+    from multipeak.groundstate import eval_radial
+    calls = []
+
+    def radial(r):
+        calls.append(r)
+        return float(eval_radial(profile_n2, np.asarray([r]))[0])
+
+    value = mass_constant(InteractionSpec(radial, radial, a=2.0, b=1.0, y0=12.0, dimension=2))
+    assert len(calls) <= 1000
+    assert value == pytest.approx(16.19415315267128, rel=1e-12)  # Gauss-Legendre reference
+
+
+def test_mass_constant_admission_boundary():
+    """b·R₀ ≤ log(max double) with R₀ = 40/min(1, a − b): at the smallest admitted
+    a for b = 1 both dimensions give a finite C₀ with no numpy warning, while
+    the next smaller a is rejected."""
+    edge = 1 + 40 / asymptotics._LOG_MAX
+    admitted = [a for a in (math.nextafter(edge, 0), edge, math.nextafter(edge, 2))
+                if 40 / (a - 1) <= asymptotics._LOG_MAX]  # b·R₀ at b = 1
+    a, past = admitted[0], math.nextafter(admitted[0], 0)
+    decay = lambda r: np.exp(-r)
+    for dimension in (1, 2):
+        spec = InteractionSpec(decay, decay, a=a, b=1.0, y0=12.0, dimension=dimension)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value = mass_constant(spec)
+        exact = 1 / (a - 1) + 1 / (a + 1) if dimension == 1 else 2 * math.pi * a / (a * a - 1) ** 1.5
+        assert value == pytest.approx(exact, rel=1e-10)
+        with pytest.raises(ValueError, match=r"R0 = 40/min\(1, a-b\)"):
+            InteractionSpec(decay, decay, a=past, b=1.0, y0=12.0, dimension=dimension)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_an_integral_that_underflows_to_zero_is_an_error(dimension):
+    """At a = 1e300 f^a is 0 off the peak's centre: both quadratures raise
+    instead of returning 0."""
+    decay = lambda r: math.exp(-r)
+    spec = InteractionSpec(decay, decay, a=1e300, b=1.0, y0=12.0, dimension=dimension)
+    for quadrature in (interaction_quadrature, mass_constant):
+        with pytest.raises(RuntimeError, match="underflows to 0"):
+            quadrature(spec)
 
 
 def test_rescale_strips_leading_order():

@@ -144,6 +144,11 @@ def test_equal_resolved_runs_hash_alike(tmp_path):
         assert code == 0
         outs.append(f.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+    # a list value may start with "-" with or without "="
+    peaks = [run(tmp_path, f"p{i}.json", ["ansatz", "--eps", "0.3", *flag])
+             for i, flag in enumerate((["--peaks=-3.14,0"], ["--peaks", "-3.14,0"]))]
+    assert [code for code, _ in peaks] == [0, 0]
+    assert peaks[0][1].read_bytes() == peaks[1][1].read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -411,6 +416,25 @@ def test_huge_finite_node_count_is_one_short_error(args, capsys):
     error = json.loads(line)
     assert error["error"] == "config" and "unknowns, above the cap" in error["detail"]
     assert len(error["detail"]) < 200
+
+
+def test_oracle_interactions_mass_constant_where_a_minus_b_is_small(tmp_path):
+    """At a − b = 0.1 most of C₀ lies beyond |x| = 40: 2πa/(a²−b²)^{3/2} on the plane."""
+    code, f = run(tmp_path, "i.json", ["oracle", "interactions", "--a", "1.1", "--b", "1",
+                                       "--y0", "12", "--dim", "2"])
+    assert code == 0
+    c0 = json.loads(f.read_text())["results"]["mass_constant"]
+    assert c0 == pytest.approx(71.81970408876022, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("a, code, detail", [("1.05", EXIT_CONFIG, "b*max(|y0|, R0) <="),
+                                             ("1e300", EXIT_NUMERICAL, "underflows to 0")])
+def test_oracle_interactions_out_of_range_exits(a, code, detail, capsys):
+    """a − b too small for e^(b r) to stay finite on the mass constant's range is
+    rejected; an integral that underflows to 0 fails and prints no result."""
+    assert main(["oracle", "interactions", "--a", a, "--b", "1", "--y0", "12"]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and detail in json.loads(err)["detail"]
 
 
 def test_linalg_failure_after_validation_is_numerical(monkeypatch, capsys):
