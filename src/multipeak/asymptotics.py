@@ -2,12 +2,12 @@
 
 Two-peak interaction integrals ∫ f^a(x − p_i) g^b(x − p_j) dx with
 exponentially localized factors concentrate near peak i when a > b, and
-scale like e^{−b|y₀|} |y₀|^{b(1−N)/2} in the separation y₀.  The adaptive
-quadratures here provide independent numbers against which the reduction
-module's leading-order coefficients are validated, plus an empirical check
-of the Taylor-remainder bound |(a+b)₊^p − Σ_{m≤k} C(p,m) a^{p−m} b^m| ≤
-C |b|^p used throughout the expansion.  The remainder, ``binomial_remainder``,
-is also the reduction's R(v) at k = 1.
+scale like e^{−b|y₀|} |y₀|^{b(1−N)/2} in the separation y₀.  The integral and
+the tilted mass constant C₀ are each one adaptive radial quadrature about peak i,
+independent numbers against which the reduction module's leading-order
+coefficients are validated, plus an empirical check of the Taylor-remainder bound
+|(a+b)₊^p − Σ_{m≤k} C(p,m) a^{p−m} b^m| ≤ C |b|^p used throughout the expansion.
+The remainder, ``binomial_remainder``, is also the reduction's R(v) at k = 1.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 
-X2_CUTOFF = 30.0  # transverse truncation; integrands decay like e^{-(a+...)r}
 _LOG_MAX = math.log(np.finfo(float).max)  # 709.78: e^x overflows above it
 
 
@@ -46,14 +45,8 @@ class InteractionSpec:
             raise ValueError("only line and strip integrals are provided")
 
     @property
-    def cell(self) -> tuple[float, float]:
-        """Ω_i around peak i at the origin, neighbor at y₀."""
-        half = abs(self.y0) / 2
-        return (-half, half)
-
-    @property
     def radius(self) -> float:
-        """R₀ = 40/min(1, a − b): beyond it f^a e^{br} ~ e^{−(a−b)r} is below e^{−40}."""
+        """R₀ = 40/min(1, a − b), both oracles' range in r: past it f^a e^{br} ~ e^{−(a−b)r} < e^{−40}."""
         return 40 / min(1.0, self.a - self.b)
 
 
@@ -65,21 +58,15 @@ def _checked(val: float, err: float) -> float:
     return val
 
 
-def _x1_integrand(spec: InteractionSpec):
-    if spec.dimension == 1:
-        return lambda x: spec.f(abs(x)) ** spec.a * spec.g(abs(x - spec.y0)) ** spec.b
-    from scipy.integrate import quad
-    # the strip's x₂ integral: 2∫₀^{X2_CUTOFF}, the integrand being even in x₂
-    return lambda x: 2 * quad(lambda t: spec.f(math.hypot(x, t)) ** spec.a
-                              * spec.g(math.hypot(x - spec.y0, t)) ** spec.b,
-                              0.0, X2_CUTOFF, epsabs=1e-300, epsrel=1e-9, limit=200)[0]
-
-
 def interaction_quadrature(spec: InteractionSpec) -> float:
-    """Adaptive quadrature of ∫_Ω f^a(x − p_i) g^b(x − p_j) dx.
+    """Adaptive quadrature of ∫_Ω f^a(|x|) g^b(|x − y₀e₁|) dx over the cell Ω = {|x₁| ≤ |y₀|/2}.
 
-    The peak at the origin, where f^a is sharp, is a break point of the
-    subdivision; the neighbour at y₀ lies outside the cell Ω.
+    In polar coordinates about the sharp peak it is one quadrature over r ∈ [0, R₀]
+    (``spec.radius``) of f^a(r)·S(r), S(r) being g^b over the sphere |x| = r within Ω:
+    g^b(|y₀| − r) + g^b(|y₀| + r) for r ≤ |y₀|/2 on the line, and on the strip
+    2r∫ g^b(√(r² + y₀² − 2r|y₀|cos θ)) dθ over [θ₀, π − θ₀], cos θ₀ = min(1, |y₀|/2r).
+    |x − y₀e₁| ≥ |x| in Ω, so past R₀ the integrand is below f^a(r)g^b(r).  Ω starts
+    to cut the sphere at r = |y₀|/2, a break point.  Only |y₀| enters, so ±y₀ agree.
 
     Raises
     ------
@@ -87,8 +74,16 @@ def interaction_quadrature(spec: InteractionSpec) -> float:
         If the value underflows to 0 or its estimated error exceeds 1% of it.
     """
     from scipy.integrate import quad
-    return _checked(*quad(_x1_integrand(spec), *spec.cell, points=[0.0], epsabs=1e-300,
-                          epsrel=1e-8, limit=400))
+    f, g, a, b, y = spec.f, spec.g, spec.a, spec.b, abs(spec.y0)
+    if spec.dimension == 1:
+        sphere = lambda r: g(y - r) ** b + g(y + r) ** b if 2 * r <= y else 0.0
+    else:
+        def sphere(r):
+            lo = math.acos(y / (2 * r)) if 2 * r > y else 0.0
+            return 2 * r * quad(lambda t: g(math.sqrt(r * r + y * y - 2 * r * y * math.cos(t))) ** b,
+                                lo, math.pi - lo, epsabs=1e-300, epsrel=1e-9, limit=200)[0]
+    return _checked(*quad(lambda r: f(r) ** a * sphere(r), 0.0, spec.radius, points=[y / 2],
+                          epsabs=1e-300, epsrel=1e-8, limit=400))
 
 
 def rescale(spec: InteractionSpec, value: float) -> float:

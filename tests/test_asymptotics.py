@@ -60,9 +60,55 @@ def test_quadrature_matches_closed_form(y0):
 
 
 def test_quadrature_negative_separation_symmetry():
-    a = interaction_quadrature(exp_spec(y0=12.0))
-    b = interaction_quadrature(exp_spec(y0=-12.0))
-    assert a == pytest.approx(b, rel=1e-9)
+    """Only |y₀| enters the radial quadrature, so ±y₀ agree bit for bit."""
+    for dimension in (1, 2):
+        a = interaction_quadrature(exp_spec(y0=12.0, dimension=dimension))
+        b = interaction_quadrature(exp_spec(y0=-12.0, dimension=dimension))
+        assert a == b
+
+
+@pytest.mark.parametrize("a, b, y0, reference", [
+    (0.1, 0.01, 12.0, 183.9785991660589),
+    (0.5, 0.1, 8.0, 8.62539047421566),
+])
+def test_strip_quadrature_has_no_transverse_cutoff(a, b, y0, reference):
+    """At small a + b the strip's integrand is far from 0 at |x₂| = 30, where a
+    transverse cutoff cut it (176.214 and 8.6253901 here).  The references come
+    from a nested x₁/x₂ quadrature of the same cell with x₂ ≤ 400."""
+    decay = lambda r: math.exp(-r)
+    spec = InteractionSpec(decay, decay, a=a, b=b, y0=y0, dimension=2)
+    assert interaction_quadrature(spec) == pytest.approx(reference, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("y0, reference", [(12.0, 9.990095374585888e-05),
+                                           (8.0, 0.006576050752109704)])
+def test_strip_quadrature_of_the_profile_is_one_radial_quadrature(profile_n2, y0, reference):
+    """The N = 2 profile takes at most 20,000 evaluations of f and g together, an
+    arc quadrature at each radial node, not a transverse one at each x₁ node
+    (69,384 at y₀ = 12)."""
+    from multipeak.groundstate import eval_radial
+    calls = []
+
+    def radial(r):
+        calls.append(r)
+        return float(eval_radial(profile_n2, np.asarray([r]))[0])
+
+    value = interaction_quadrature(InteractionSpec(radial, radial, a=2.0, b=1.0, y0=y0,
+                                                   dimension=2))
+    assert len(calls) <= 20_000
+    assert value == pytest.approx(reference, rel=1e-9)  # Gauss-Legendre reference
+
+
+def test_quadrature_whose_break_point_lies_past_the_radius():
+    """At y₀ = 200 the break point |y₀|/2 = 100 lies past R₀ = 40, where quad
+    drops it: the line still meets its closed form, and the strip gives a
+    finite positive value with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        line = interaction_quadrature(exp_spec(y0=200.0))
+        strip = interaction_quadrature(exp_spec(y0=200.0, dimension=2))
+    assert line == pytest.approx(closed_form_cell_integral(200.0), rel=1e-7)
+    assert math.isfinite(strip) and strip > 0
 
 
 def test_mass_constant_closed_form():
