@@ -169,7 +169,6 @@ class PsiDecayReport:
     weighted_sups: np.ndarray
     abscissa: np.ndarray  # π/(kε)
     slope: float
-    intercept: float
 
 
 def psi_decay_fit(
@@ -203,11 +202,10 @@ def psi_decay_fit(
     if np.any(np.diff(sups) >= 0):
         raise RuntimeError(f"weighted sups not monotone along sweep: {sups}")
     x = np.pi / (k * eps)
-    slope, intercept = np.polyfit(x, np.log(sups), 1)
+    slope = np.polyfit(x, np.log(sups), 1)[0]
     return PsiDecayReport(
         epsilons=eps,
         weighted_sups=sups,
         abscissa=x,
         slope=float(slope),
-        intercept=float(intercept),
     )

@@ -135,20 +135,19 @@ def _minres(matvec, precond, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, 
 
 
 def complement_solve(L, frame: NearKernelBasis, rhs: np.ndarray, rtol: float = RTOL):
-    """(x, μ, MINRES iterations) with 𝕃x + Cμ = rhs and Cᵀx = 0, C = BΦ.
+    """(x, MINRES iterations) with Πᵀ𝕃x = Πᵀrhs and Cᵀx = 0, C = BΦ.
 
-    The frame (:class:`~multipeak.spectrum.NearKernelBasis`) holds Φ, C, the
-    Gram inverse G⁻¹ and Πᵀ.  MINRES solves Πᵀ𝕃x = Πᵀrhs preconditioned by the
-    grid's B⁻¹, which maps range Πᵀ onto {Cᵀx = 0}, so each iterate from x₀ = 0
-    lies there without a projection; μ = G⁻¹Φᵀ(rhs − 𝕃x).  The
+    The frame (:class:`~multipeak.spectrum.NearKernelBasis`) holds Φ, C and
+    the split, whose first output is Πᵀ; rhs is projected here.  MINRES, one 𝕃
+    product per iteration, is preconditioned by the grid's B⁻¹, which maps
+    range Πᵀ onto {Cᵀx = 0}, so each iterate from x₀ = 0 lies there.  The
     preconditioned operator is B⁻¹𝕃 on the complement, whose spectrum (the k
     bottom eigenvalues near 1−p, then the gap up to 1) is bounded away from 0
     independently of the grid; it is indefinite, hence MINRES and not CG.
     """
-    x, its = _minres(
-        lambda x: frame.project_t(L(x)), frame.grid.helmholtz_inverse, frame.project_t(rhs), rtol
+    return _minres(
+        lambda x: frame.split(L(x))[0], frame.grid.helmholtz_inverse, frame.split(rhs)[0], rtol
     )
-    return x, frame.split(rhs - L(x))[1], its
 
 
 def pinned_solve(
@@ -164,11 +163,11 @@ def pinned_solve(
     (one translation, k − 1 relative motions, all near 0 at a Newton root)
     live in S, which |S|⁻¹ inverts exactly; on the complement B⁻¹𝕃 is
     bounded away from 0.
-    MINRES stops at the relative tolerance ``rtol``.  As in
-    :func:`complement_solve`, μ is read off the residual's frame components,
-    Φᵀ(rhs − 𝕃δ) = Φᵀc μ (by least squares), not off MINRES's own μ
-    coordinate: at Newton roots on the h = 0.125 grid that coordinate errs
-    by up to 2e-10 relative, the read-off μ by 4e-11.
+    MINRES stops at the relative tolerance ``rtol``.  The Newton multiplier μ
+    is read off the residual's frame components, Φᵀ(rhs − 𝕃δ) = Φᵀc μ (by
+    least squares), not off MINRES's own μ coordinate: at Newton roots on the
+    h = 0.125 grid that coordinate errs by up to 2e-10 relative, the read-off
+    μ by 4e-11.
     """
     Phi = frame.Phi
     n, k = Phi.shape
@@ -182,13 +181,13 @@ def pinned_solve(
     def matvec(z):
         Ld = L(z[:n] + Phi @ z[n:-1])
         return np.concatenate(
-            [frame.project_t(Ld), Phi.T @ Ld + phi_c * z[-1], [phi_c @ z[n:-1]]]
+            [frame.split(Ld)[0], Phi.T @ Ld + phi_c * z[-1], [phi_c @ z[n:-1]]]
         )
 
     z, its = _minres(
         matvec,
         lambda y: np.concatenate([frame.grid.helmholtz_inverse(y[:n]), S_abs_inv @ y[n:]]),
-        np.concatenate([frame.project_t(rhs), Phi.T @ rhs, [g]]), rtol,
+        np.concatenate([frame.split(rhs)[0], Phi.T @ rhs, [g]]), rtol,
     )
     delta = z[:n] + Phi @ z[n:-1]
     return delta, float(phi_c @ (Phi.T @ (rhs - L(delta))) / (phi_c @ phi_c)), its
@@ -220,13 +219,12 @@ def solve_correction(
         h_perp, d = basis.split(
             minus_M + binomial_remainder(bundle.ubar.data, v.reshape(grid.shape), p, 1))
         rhs = h_perp - L(v)
-        size = np.linalg.norm(basis.project_t(rhs))  # the right side MINRES sees
+        size = np.linalg.norm(basis.split(rhs)[0])  # the right side MINRES sees
         if size == 0:  # v solves it, as when M(ū) underflows: no MINRES, no 0/0 rtol
-            mu = basis.split(rhs)[1]
             break
         if it == 1:
             first = size
-        step, mu, _ = complement_solve(L, basis, rhs, rtol=RTOL * first / size)
+        step, _ = complement_solve(L, basis, rhs, rtol=RTOL * first / size)
         v = v + step
         increments.append(float(np.max(np.abs(step))))
         floor = 16 * np.finfo(float).eps * np.max(np.abs(v))
@@ -243,7 +241,7 @@ def solve_correction(
             )
     field = GridField(grid, v.reshape(grid.shape))
     h_perp, d = basis.split(minus_M + binomial_remainder(bundle.ubar.data, field.data, p, 1))
-    res = float(np.linalg.norm(L(v) + basis.C @ mu - h_perp))
+    res = float(np.linalg.norm(basis.split(h_perp - L(v))[0]))
     return ReductionState(
         bundle=bundle,
         basis=basis,

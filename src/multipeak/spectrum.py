@@ -191,10 +191,6 @@ class NearKernelBasis:
         d = self.Ginv @ (self.Phi.T @ flat)
         return flat - self.C @ d, d
 
-    def project_t(self, y: np.ndarray) -> np.ndarray:
-        """Πᵀy: the component of y that pairs to zero with every φ_i."""
-        return self.split(y)[0]
-
 
 def near_kernel_basis(result: SpectralResult, bundle: AnsatzBundle) -> NearKernelBasis:
     """Rotate the near-kernel eigenvectors into per-peak alignment (the `spectrum` diagnostic).

@@ -231,6 +231,24 @@ def test_reduce_where_the_eigen_count_failed(tmp_path):
     assert max(abs(d) for d in results["d_coeffs"]) <= 1e-9 * rate
 
 
+def test_reduce_weighted_report(tmp_path):
+    """--weighted-report adds sup |v| e^{ηd} for each η of DEFAULT_ETAS, in order:
+    each at least sup |v| (e^{ηd} ≥ 1) and not decreasing in η; the other
+    results are those of the run without the flag."""
+    from multipeak.weighted import DEFAULT_ETAS
+
+    args = ["reduce", "--eps", "0.3", "--k", "2"]
+    code, f = run(tmp_path, "w.json", args + ["--weighted-report"])
+    assert code == 0
+    results = json.loads(f.read_text())["results"]
+    report = results.pop("weighted_correction")
+    assert [entry["eta"] for entry in report] == list(DEFAULT_ETAS)
+    norms = [entry["norm"] for entry in report]
+    assert norms[0] >= results["sup_norm"] and norms == sorted(norms)
+    code, f = run(tmp_path, "r.json", args)
+    assert code == 0 and results == json.loads(f.read_text())["results"]
+
+
 @pytest.mark.parametrize(
     "args, reason",
     [

@@ -251,15 +251,29 @@ def eigen_frame(bundle):
     pytest.param(0.2, 3, eigen_frame, id="eigen-0.2-3"),
 ])
 def test_complement_solver_matches_bordered_factorization(profile_n2, eps, k, frame):
-    """MINRES on the complement gives the bordered system's (x, μ) to 1e-10."""
+    """MINRES on the complement gives the bordered system's x to 1e-10, and the
+    solve projects its own right side: rhs and Πᵀrhs give x to 1e-12 relative."""
     bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, make_grid(eps))
     L, basis = L_of(bundle), frame(bundle)
     rhs = np.random.default_rng(5).standard_normal(bundle.grid.size)
-    x, mu, _ = complement_solve(L, basis, rhs)
-    x_ref, mu_ref = bordered_reference(L_reference(bundle), basis.C)(rhs)
-    assert mu.shape == (k,)
+    x, _ = complement_solve(L, basis, rhs)
+    x_ref, _ = bordered_reference(L_reference(bundle), basis.C)(rhs)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
-    assert np.linalg.norm(mu - mu_ref) <= 1e-10 * np.linalg.norm(mu_ref)
+    x_perp, _ = complement_solve(L, basis, basis.split(rhs)[0])
+    assert np.linalg.norm(x_perp - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_complement_solver_makes_one_product_per_iteration(bundle_k2):
+    """One 𝕃 product per MINRES iteration and none besides: no read-off after the run."""
+    L, products = L_of(bundle_k2), []
+
+    def counted(x):
+        products.append(1)
+        return L(x)
+
+    rhs = np.random.default_rng(7).standard_normal(bundle_k2.grid.size)
+    _, its = complement_solve(counted, translation_frame(bundle_k2), rhs)
+    assert its > 0 and len(products) == its
 
 
 # the translation frame and the eigen frame at k = 2 and 3
@@ -278,7 +292,7 @@ def test_helmholtz_inverse_maps_range_pi_t_onto_the_complement(profile_n2, eps, 
     bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, make_grid(eps))
     basis = frame(bundle)
     for y in np.random.default_rng(6).standard_normal((3, bundle.grid.size)):
-        x = bundle.grid.helmholtz_inverse(basis.project_t(y))
+        x = bundle.grid.helmholtz_inverse(basis.split(y)[0])
         assert np.linalg.norm(basis.C.T @ x) <= 1e-13 * np.linalg.norm(basis.C, 2) * np.linalg.norm(x)
 
 
@@ -298,7 +312,7 @@ def test_solutions_lie_on_the_complement_unprojected(profile_n2, eps, k, frame, 
         return runs[-1]
 
     monkeypatch.setattr(reduction, "_minres", recorded)
-    x, _, _ = complement_solve(L, basis, rhs)
+    x, _ = complement_solve(L, basis, rhs)
     delta, _, _ = pinned_solve(L, basis, C[:, 0], rhs, 0.3)
     z = runs[-1][0]
     assert np.array_equal(delta, z[:n] + basis.Phi @ z[n:-1])
@@ -330,7 +344,7 @@ def test_complement_solver_iterations_do_not_grow_with_grid(profile_n2, refineme
     assert bundle.grid.shape == shape
     basis = frame(bundle)
     h_perp, _ = basis.split(-residual(bundle).data)
-    _, _, its = complement_solve(L_of(bundle), basis, h_perp)
+    _, its = complement_solve(L_of(bundle), basis, h_perp)
     assert 0 < its <= 30
 
 

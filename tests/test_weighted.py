@@ -61,22 +61,22 @@ def test_ratio_of_zero_input(bundle_k2):
 
 
 def test_solve_orthogonal_rejects_a_bad_solution(rhs_k2, bundle_k2, basis_k2, monkeypatch):
-    """Both gates fire: a perturbed multiplier breaks 𝕃ξ + Cμ = h⊥ (residual),
-    and a frame component returned for h⊥ = 0, which no residual sees, breaks
-    the H¹-orthogonality to the frame (defect 1 for φ₀)."""
+    """Both gates fire: a step 1e-6·B⁻¹h⊥ on the complement breaks Πᵀ𝕃ξ = h⊥
+    (residual), and a frame component returned for h⊥ = 0, which no residual
+    sees, breaks the H¹-orthogonality to the frame (defect 1 for φ₀)."""
     solve = weighted.complement_solve
 
-    def perturbed_mu(L, frame, rhs):
-        xi, mu, its = solve(L, frame, rhs)
-        # each Cᵢδμᵢ of norm 1e-8‖h⊥‖, a hundred times the 1e-10 gate
-        return xi, mu + 1e-8 * np.linalg.norm(rhs) / np.linalg.norm(frame.C, axis=0), its
+    def perturbed(L, frame, rhs):
+        xi, its = solve(L, frame, rhs)
+        # B⁻¹h⊥ lies on {Cᵀx = 0}: the defect gate stays quiet, the residual one fires
+        return xi + 1e-6 * frame.grid.helmholtz_inverse(rhs), its
 
-    monkeypatch.setattr(weighted, "complement_solve", perturbed_mu)
+    monkeypatch.setattr(weighted, "complement_solve", perturbed)
     with pytest.raises(RuntimeError, match="residual .* too large"):
         solve_orthogonal(rhs_k2, bundle_k2, basis_k2)
 
     monkeypatch.setattr(weighted, "complement_solve",
-                        lambda L, frame, rhs: (frame.Phi[:, 0].copy(), np.zeros(2), 0))
+                        lambda L, frame, rhs: (frame.Phi[:, 0].copy(), 0))
     zero = GridField(bundle_k2.grid, np.zeros(bundle_k2.grid.shape))
     with pytest.raises(RuntimeError, match="orthogonality defect 1.000e\\+00 too large"):
         solve_orthogonal(zero, bundle_k2, basis_k2)
