@@ -111,15 +111,12 @@ def sigma_sweep(profile_n2):
     return rows
 
 
-@pytest.fixture(scope="session")
-def equilibrated(profile_n2):
-    """Criterion 08's perturbed equilibrations, shared with the Newton chain test.
-
-    Seed 7 draws the perturbation of k = 2 at ε = 0.3 first, then k = 3 at
-    ε = 0.2.  Maps k to (uniform configuration, tolerance, result).
-    """
+def criterion_08_starts():
+    """Criterion 08's perturbed starts: seed 7 draws the perturbation of k = 2
+    at ε = 0.3 first, then k = 3 at ε = 0.2.  Maps k to (uniform configuration,
+    tolerance, perturbed configuration)."""
     rng = np.random.default_rng(7)
-    runs = {}
+    starts = {}
     for k, eps in ((2, 0.3), (3, 0.2)):
         uniform = uniform_configuration(eps, k)
         gap_angle = 2 * np.pi / k
@@ -130,6 +127,16 @@ def equilibrated(profile_n2):
                 for a, s in zip(uniform.angles, rng.uniform(-1, 1, k))
             ),
         )
-        tol = 1e-2 * residual_rate(uniform.sigma_min, 2)
-        runs[k] = (uniform, tol, equilibrate(perturbed, profile_n2, make_grid, tol=tol))
-    return runs
+        starts[k] = (uniform, 1e-2 * residual_rate(uniform.sigma_min, 2), perturbed)
+    return starts
+
+
+@pytest.fixture(scope="session")
+def equilibrated(profile_n2):
+    """Criterion 08's equilibrations from :func:`criterion_08_starts`, shared with
+    the Newton chain test.  Maps k to (uniform configuration, tolerance, result).
+    """
+    return {
+        k: (uniform, tol, equilibrate(perturbed, profile_n2, make_grid, tol=tol))
+        for k, (uniform, tol, perturbed) in criterion_08_starts().items()
+    }

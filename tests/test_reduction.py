@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import fields, linearized_csr
+from conftest import criterion_08_starts, fields, linearized_csr
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
@@ -30,6 +30,7 @@ from multipeak.reduction import (
     interaction_d,
     pinned_solve,
     reduce,
+    reduced_jacobian,
     translation_frame,
 )
 from multipeak.spectrum import linearized, lowest_eigenpairs, near_kernel_basis
@@ -433,8 +434,8 @@ def test_equilibrate_propagates_a_minres_breakdown(profile_n2, monkeypatch):
     """The line search halves a trial step that leaves the separation regime
     (ValueError) or does not contract; a MINRES breakdown in the trial is a
     solver fault, so it reaches the caller instead of ending as a failed line
-    search.  At k = 2 the first two `reduce` runs are the start and the Jacobian's
-    one column; every later run, a trial, gets the preconditioner y ↦ −P y."""
+    search.  The first `reduce` run is the start; every later run, a trial,
+    gets the preconditioner y ↦ −P y."""
     own, reduces = reduction._minres, []
     real_reduce = reduction.reduce
 
@@ -443,7 +444,7 @@ def test_equilibrate_propagates_a_minres_breakdown(profile_n2, monkeypatch):
         return real_reduce(*args, **kwargs)
 
     def broken(matvec, precond, rhs, rtol):
-        if len(reduces) > 2:
+        if len(reduces) > 1:
             return own(matvec, lambda y: -precond(y), rhs, rtol)
         return own(matvec, precond, rhs, rtol)
 
@@ -454,7 +455,7 @@ def test_equilibrate_propagates_a_minres_breakdown(profile_n2, monkeypatch):
     tol = 1e-2 * residual_rate(uniform.sigma_min, 2)
     with pytest.raises(RuntimeError, match="MINRES breakdown: indefinite preconditioner"):
         equilibrate(initial, profile_n2, make_grid, tol=tol)
-    assert len(reduces) == 3
+    assert len(reduces) == 2
 
 
 def test_pinned_solve_at_nearly_singular_newton_jacobian(profile_n2):
@@ -508,6 +509,42 @@ def test_interaction_d_requires_pair(bundle_k1, spectral_k1):
         interaction_d(bundle_k1, basis1, 0)
 
 
+@pytest.mark.parametrize("eps, k", [(0.3, 2), (0.2, 3)])
+def test_reduced_jacobian_matches_differences_of_reduce(profile_n2, eps, k):
+    """At uniform spacing the interaction integrals' Jacobian is that of
+    `reduce`'s projection d to 1 % (Frobenius, relative; 0.15 % measured)
+    against forward differences of step 1e-4, and every row sums to 0, as a
+    rigid rotation leaves d unchanged."""
+    config, grid = uniform_configuration(eps, k), make_grid(eps)
+    state = reduce(config, profile_n2, grid)
+    J = reduced_jacobian(state.bundle, state.basis)
+    assert np.max(np.abs(J.sum(axis=1))) <= 1e-14 * np.max(np.abs(J))
+    differences = np.empty((k, k))
+    for j in range(k):
+        angles = np.array(config.angles)
+        angles[j] += 1e-4
+        moved = reduce(PeakConfiguration(eps, tuple(angles)), profile_n2, grid)
+        differences[:, j] = (moved.d_coeffs - state.d_coeffs) / 1e-4
+    assert np.linalg.norm(J - differences) < 0.01 * np.linalg.norm(differences)
+
+
+def test_reduced_jacobian_ring_law(profile_n2):
+    """Peaks couple to their nearest neighbours alone, with a strength c set by
+    the gap, so the Jacobian per unit x₁, εJ, is c times the ring Laplacian: at
+    k = 2 each peak meets the other on both sides, one eigenvalue −4c; at k = 3
+    two eigenvalues −3c.  At equal σ̲ = 5.236 the two k = 3 eigenvalues agree
+    to 3 % and their mean over k = 2's is 3/4 to 3 % (−1.110e-4 and −1.089e-4
+    against −1.445e-4, a ratio of 0.761)."""
+    nonzero = {}
+    for eps, k in ((0.3, 2), (0.2, 3)):
+        state = reduce(uniform_configuration(eps, k), profile_n2, make_grid(eps))
+        eigenvalues = np.linalg.eigvals(eps * reduced_jacobian(state.bundle, state.basis))
+        nonzero[k] = np.sort(eigenvalues.real)[:-1]  # the rotation's 0 is the largest
+    pair = nonzero[3]
+    assert abs(pair[0] - pair[1]) < 0.03 * np.max(np.abs(pair))
+    assert np.mean(pair) / nonzero[2][0] == pytest.approx(0.75, rel=0.03)
+
+
 def test_uniform_pair_coefficients_cancel(state_k2):
     """Equidistributed peaks feel equal and opposite pulls: d_i ≈ 0."""
     assert np.max(np.abs(state_k2.d_coeffs)) < 1e-9
@@ -541,6 +578,29 @@ def test_reduce_and_equilibrate_reach_no_eigensolver(profile_n2, monkeypatch):
     perturbed = PeakConfiguration(0.3, (uniform.angles[0], uniform.angles[1] + 0.05 * np.pi))
     tol = 1e-2 * residual_rate(uniform.sigma_min, 2)
     assert equilibrate(perturbed, profile_n2, make_grid, tol=tol).newton_steps >= 1
+
+
+@pytest.mark.parametrize("case", ["readme", "criterion-08-k3"])
+def test_equilibrate_runs_reduce_once_per_step(profile_n2, monkeypatch, case):
+    """With no halved trial, each Newton step's one `reduce` is its trial: the
+    Jacobian comes from the state in hand.  `equilibrate --eps 0.3 --k 2
+    --perturb 0.05` takes 3 runs in 2 steps, criterion 08's k = 3 start 4 in 3."""
+    runs, real_reduce = [], reduction.reduce
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real_reduce(*args, **kwargs)
+
+    if case == "readme":
+        uniform = uniform_configuration(0.3, 2)
+        initial = PeakConfiguration(0.3, (uniform.angles[0], uniform.angles[1] + 0.05 * np.pi))
+        tol, expected = 1e-2 * residual_rate(uniform.sigma_min, 2), 3
+    else:
+        _, tol, initial = criterion_08_starts()[3]
+        expected = 4
+    monkeypatch.setattr(reduction, "reduce", counted)
+    result = equilibrate(initial, profile_n2, make_grid, tol=tol)
+    assert len(runs) == result.newton_steps + 1 == expected
 
 
 def test_equilibrate_builds_its_grid_once(profile_n2, tmp_path):
@@ -587,24 +647,28 @@ def test_underflowed_residual_is_solved_without_minres(monkeypatch, capsys):
     assert results["sup_norm"] == 0 and results["iterations"] == 1
 
 
-def scripted_reduce(target, trials):
-    """A stand-in for `reduce` with d linear in the second angle, zero at `target`.
-    The first two runs (the start and the Jacobian's column at k = 2) are the
-    model's; each later run, a trial step, takes the next entry of `trials`:
-    "raise" raises ContractionError, "grow" doubles the start's d, None is the model."""
+def scripted_reduce(monkeypatch, target, trials):
+    """Stand-ins for `reduce` and `reduced_jacobian` with d linear in the second
+    angle, zero at `target`, and its exact Jacobian.  The first run, the start,
+    is the model's; each later run, a trial step, takes the next entry of
+    `trials`: "raise" raises ContractionError, "grow" doubles the start's d,
+    None is the model."""
     runs, queue = [], list(trials)
 
     def fake(config, profile, grid):
         runs.append(config.angles[1])
         d = (config.angles[1] - target) * np.array([1.0, -1.0])
-        action = queue.pop(0) if len(runs) > 2 and queue else None
+        action = queue.pop(0) if len(runs) > 1 and queue else None
         if action == "raise":
             raise ContractionError("scripted divergence")
         if action == "grow":
             d = 2 * (runs[0] - target) * np.array([1.0, -1.0])
-        return types.SimpleNamespace(d_coeffs=d)
+        return types.SimpleNamespace(d_coeffs=d, bundle=types.SimpleNamespace(config=config), basis=None)
 
-    return fake, runs
+    monkeypatch.setattr(reduction, "reduce", fake)
+    jacobian = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    monkeypatch.setattr(reduction, "reduced_jacobian", lambda bundle, basis: jacobian)
+    return runs
 
 
 def test_equilibrate_halves_a_diverging_or_growing_trial(monkeypatch):
@@ -613,11 +677,10 @@ def test_equilibrate_halves_a_diverging_or_growing_trial(monkeypatch):
     uniform = uniform_configuration(0.3, 2)
     target = uniform.angles[1]
     initial = PeakConfiguration(0.3, (uniform.angles[0], target + 0.1))
-    fake, runs = scripted_reduce(target, ["raise", "grow"])
-    monkeypatch.setattr(reduction, "reduce", fake)
+    runs = scripted_reduce(monkeypatch, target, ["raise", "grow"])
     result = equilibrate(initial, None, make_grid, tol=1e-9)
     assert result.newton_steps == 2
-    assert runs[2:5] == pytest.approx([target, target + 0.05, target + 0.075], abs=1e-9)
+    assert runs[1:4] == pytest.approx([target, target + 0.05, target + 0.075], abs=1e-9)
     assert np.max(np.abs(result.d_history[1])) == pytest.approx(0.075, rel=1e-6)
     assert np.max(np.abs(result.d_history[-1])) < 1e-9
 
@@ -627,11 +690,10 @@ def test_equilibrate_line_search_failure(trial, monkeypatch):
     """Eight halvings that all diverge, or all fail to reduce max|d|, end the run."""
     uniform = uniform_configuration(0.3, 2)
     initial = PeakConfiguration(0.3, (uniform.angles[0], uniform.angles[1] + 0.1))
-    fake, runs = scripted_reduce(uniform.angles[1], [trial] * 8)
-    monkeypatch.setattr(reduction, "reduce", fake)
+    runs = scripted_reduce(monkeypatch, uniform.angles[1], [trial] * 8)
     with pytest.raises(RuntimeError, match="equilibrate line search failed"):
         equilibrate(initial, None, make_grid, tol=1e-9)
-    assert len(runs) == 2 + 8
+    assert len(runs) == 1 + 8
 
 
 def test_equilibrate_rejects_one_peak(profile_n2):
