@@ -83,9 +83,11 @@ def test_strip_quadrature_has_no_transverse_cutoff(a, b, y0, reference):
 @pytest.mark.parametrize("y0, reference", [(12.0, 9.990095374585888e-05),
                                            (8.0, 0.006576050752109704)])
 def test_strip_quadrature_of_the_profile_is_one_radial_quadrature(profile_n2, y0, reference):
-    """The N = 2 profile takes at most 20,000 evaluations of f and g together, an
+    """The N = 2 profile takes at most 12,000 evaluations of f and g together, an
     arc quadrature at each radial node, not a transverse one at each x₁ node
-    (69,384 at y₀ = 12)."""
+    (69,384 at y₀ = 12); past the break point the radial rule runs in s with
+    r = |y₀|/2 + s², where θ₀'s square-root kink is gone (8,610 and 7,266 here;
+    16,548 and 15,750 by scipy's quad in r)."""
     from multipeak.groundstate import eval_radial
     calls = []
 
@@ -95,13 +97,13 @@ def test_strip_quadrature_of_the_profile_is_one_radial_quadrature(profile_n2, y0
 
     value = interaction_quadrature(InteractionSpec(radial, radial, a=2.0, b=1.0, y0=y0,
                                                    dimension=2))
-    assert len(calls) <= 20_000
+    assert len(calls) <= 12_000
     assert value == pytest.approx(reference, rel=1e-9)  # Gauss-Legendre reference
 
 
 def test_quadrature_whose_break_point_lies_past_the_radius():
-    """At y₀ = 200 the break point |y₀|/2 = 100 lies past R₀ = 40, where quad
-    drops it: the line still meets its closed form, and the strip gives a
+    """At y₀ = 200 the break point |y₀|/2 = 100 lies past R₀ = 40, so neither rule
+    has one: the line still meets its closed form, and the strip gives a
     finite positive value with no numpy warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -144,23 +146,40 @@ def test_mass_constant_of_the_profile_is_one_radial_quadrature(profile_n2):
 
 
 def test_mass_constant_admission_boundary():
-    """b·R₀ ≤ log(max double) with R₀ = 40/min(1, a − b): at the smallest admitted
-    a for b = 1 both dimensions give a finite C₀ with no numpy warning, while
-    the next smaller a is rejected."""
-    edge = 1 + 40 / asymptotics._LOG_MAX
-    admitted = [a for a in (math.nextafter(edge, 0), edge, math.nextafter(edge, 2))
-                if 40 / (a - 1) <= asymptotics._LOG_MAX]  # b·R₀ at b = 1
-    a, past = admitted[0], math.nextafter(admitted[0], 0)
+    """Admission asks b(|y₀| + (N−1)/2·log|y₀|) ≤ log(max double), for the factor
+    e^{b|y₀|}|y₀|^{b(N−1)/2} of ``rescale``, and R₀ = 40/min(1, a − b) ≤ log(max
+    double), past which e^{−r} underflows where f^a e^{br} is not negligible; b·R₀
+    is not bounded, the mass constant's integrand being e^{a log f + br} times
+    (1 + e^{−2br}) or I₀(br)e^{−br}·r.  At both edges and at b·R₀ = 800 (a = 30,
+    b = 20) or 40,000 (b = 100, a − b = 0.1) C₀ meets its closed form and the
+    rescaling is finite, with no numpy warning; just past either edge the spec is
+    rejected."""
     decay = lambda r: np.exp(-r)
+    log_max = asymptotics._LOG_MAX
+    edge_a = 1 + 40 / log_max
+    edge_a = next(a for a in (math.nextafter(edge_a, 0), edge_a, math.nextafter(edge_a, 2))
+                  if 40 / (a - 1) <= log_max)
     for dimension in (1, 2):
-        spec = InteractionSpec(decay, decay, a=a, b=1.0, y0=12.0, dimension=dimension)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            value = mass_constant(spec)
-        exact = 1 / (a - 1) + 1 / (a + 1) if dimension == 1 else 2 * math.pi * a / (a * a - 1) ** 1.5
-        assert value == pytest.approx(exact, rel=1e-10)
-        with pytest.raises(ValueError, match=r"R0 = 40/min\(1, a-b\)"):
-            InteractionSpec(decay, decay, a=past, b=1.0, y0=12.0, dimension=dimension)
+        growth = 12.0 + (dimension - 1) / 2 * math.log(12.0)  # b(...) at b = 1, y₀ = 12
+        edge_b = next(b for b in (math.nextafter(log_max / growth, 0), log_max / growth)
+                      if b * growth <= log_max)
+        cases = [(edge_b + 2.0, edge_b, 12.0), (edge_a, 1.0, 12.0), (30.0, 20.0, 12.0),
+                 (100.1, 100.0, 3.0)]
+        for a, b, y0 in cases:
+            spec = InteractionSpec(decay, decay, a=a, b=b, y0=y0, dimension=dimension)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                value = mass_constant(spec)
+                assert math.isfinite(rescale(spec, 1.0))
+            exact = (1 / (a - b) + 1 / (a + b) if dimension == 1
+                     else 2 * math.pi * a / (a * a - b * b) ** 1.5)
+            assert value == pytest.approx(exact, rel=1e-10), (a, b, dimension)
+        with pytest.raises(ValueError, match="in rescale overflows"):
+            InteractionSpec(decay, decay, a=edge_b + 2.0, b=edge_b * (1 + 1e-12),
+                            y0=12.0, dimension=dimension)
+        with pytest.raises(ValueError, match=r"R0 = 40/min\(1, a-b\) <= 709\.78"):
+            InteractionSpec(decay, decay, a=math.nextafter(edge_a, 0), b=1.0, y0=12.0,
+                            dimension=dimension)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -318,14 +337,63 @@ def test_blocked_check_matches_sample_loop(p, seed):
     assert (report.max_ratio, report.argmax) == _taylor_check_by_sample(20_000, p, seed)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_interaction_quadrature_rejects_an_unresolved_integrand():
-    """f switches between 1 and 1e-300 every π/1000: quad exhausts its 400
-    subintervals with an error estimate above 1 % of the value (1.492e-04 of
-    1.220e-03 with scipy 1.17)."""
+    """f switches between 1 and 1e-300 every π/1000: the radial rule reaches its
+    400 subintervals with an error estimate above 1 % of the value."""
     spec = InteractionSpec(
         f=lambda r: 1.0 if math.sin(1000 * r) > 0 else 1e-300,
         g=lambda r: math.exp(-r), a=2.0, b=1.0, y0=12.0, dimension=1,
     )
     with pytest.raises(RuntimeError, match=r"quadrature error \S+ above 1% of \S+"):
         interaction_quadrature(spec)
+
+
+def _polynomial(degree, seed):
+    """A polynomial with random integer coefficients and its exact integral over [−1, 2]."""
+    coeffs = np.random.default_rng(seed).integers(-5, 6, degree + 1)
+    exact = sum(Fraction(int(c), m + 1) * (2 ** (m + 1) - (-1) ** (m + 1))
+                for m, c in enumerate(coeffs))
+    return np.polynomial.Polynomial(coeffs.astype(float)), exact
+
+
+def test_gauss_kronrod_is_exact_to_degree_31():
+    """One 21-point Kronrod panel (limit 1, no bisection) integrates a degree-31
+    polynomial to roundoff."""
+    poly, exact = _polynomial(31, 3)
+    value, error = asymptotics._gauss_kronrod(lambda x, _: poly(x), [[-1.0, 2.0]], 1e-12, 1)
+    scale = float(sum(abs(Fraction(int(c))) for c in poly.coef)) * 2**32
+    assert abs(value[0] - float(exact)) <= 64 * np.finfo(float).eps * scale
+    assert value.shape == error.shape == (1,)
+
+
+def test_gauss_kronrod_meets_its_tolerance_on_a_square_root():
+    """∫₀¹ √x dx = 2/3: the endpoint singularity in the derivative is bisected
+    until the error estimate, and the value, are within epsrel."""
+    value, error = asymptotics._gauss_kronrod(lambda x, _: np.sqrt(x), [[0.0, 1.0]], 1e-10, 400)
+    assert error[0] <= 1e-10 * value[0]
+    assert value[0] == pytest.approx(2 / 3, rel=1e-10, abs=0)
+
+
+def test_gauss_kronrod_batch_matches_each_problem_alone():
+    """Problems with their own break points and integrands get bit for bit the
+    value and error they get when integrated alone."""
+    edges = np.array([[0.0, 0.5, 1.0], [0.0, 2.0, 7.0], [-3.0, 0.0, 3.0]])
+    rates = np.array([1.0, 0.3, 5.0])
+
+    def fun(x, problem):
+        return np.sqrt(np.abs(x)) * np.exp(-rates[problem] * x * x)
+
+    values, errors = asymptotics._gauss_kronrod(fun, edges, 1e-11, 200)
+    for p in range(len(edges)):
+        alone = asymptotics._gauss_kronrod(lambda x, _: fun(x, np.full(x.size, p)), edges[p:p + 1],
+                                           1e-11, 200)
+        assert (values[p], errors[p]) == (alone[0][0], alone[1][0])
+
+
+def test_gauss_kronrod_at_its_limit_reports_the_error():
+    """A step function switching every π/1000 is not resolved in 10
+    subintervals: the rule stops there and returns an error estimate above the
+    tolerance instead of looping."""
+    step = lambda x, _: np.where(np.sin(1000 * x) > 0, 1.0, 0.0)
+    value, error = asymptotics._gauss_kronrod(step, [[0.0, 1.0]], 1e-8, 10)
+    assert math.isfinite(value[0]) and error[0] > 1e-8 * abs(value[0])

@@ -445,11 +445,12 @@ def test_oracle_interactions_mass_constant_where_a_minus_b_is_small(tmp_path):
     assert c0 == pytest.approx(71.81970408876022, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("a, code, detail", [("1.05", EXIT_CONFIG, "b*max(|y0|, R0) <="),
+@pytest.mark.parametrize("a, code, detail", [("1.05", EXIT_CONFIG, "R0 = 40/min(1, a-b) <="),
                                              ("1e300", EXIT_NUMERICAL, "underflows to 0")])
 def test_oracle_interactions_out_of_range_exits(a, code, detail, capsys):
-    """a − b too small for e^(b r) to stay finite on the mass constant's range is
-    rejected; an integral that underflows to 0 fails and prints no result."""
+    """a − b so small that the mass constant's range R₀ = 40/(a − b) reaches past
+    where e^{−r} underflows is rejected; an integral that underflows to 0 fails
+    and prints no result."""
     assert main(["oracle", "interactions", "--a", a, "--b", "1", "--y0", "12"]) == code
     out, err = capsys.readouterr()
     assert out == "" and detail in json.loads(err)["detail"]

@@ -203,13 +203,13 @@ def test_no_scipy_at_module_level():
 def test_krylov_solvers_imported_where_called():
     """The Krylov solvers are the package's own: MINRES in reduction and the
     block Lanczos in spectrum, so no module imports scipy's `eigsh` or `minres`
-    or names `eigsh` or `LinearOperator`, and only the quadratures of
-    asymptotics import scipy at all."""
+    or names `eigsh` or `LinearOperator`; the quadratures of asymptotics are
+    its own Gauss–Kronrod rule, so no module imports scipy at all."""
     assert not [path.stem for path in MODULES for _, names in scipy_imports(path)
                 if {"eigsh", "minres"} & set(names)]
     assert not [path.stem for path in MODULES
                 if "eigsh" in path.read_text() or "LinearOperator" in path.read_text()]
-    assert {path.stem for path in MODULES if list(scipy_imports(path))} == {"asymptotics"}
+    assert not [path.stem for path in MODULES if list(scipy_imports(path))]
 
 
 def test_groundstate_imports_no_scipy():
@@ -222,15 +222,17 @@ def test_groundstate_imports_no_scipy():
 
 
 def test_cli_import_loads_no_interpolation(tmp_path):
-    """The profile interpolates itself, the grid applies −Δ+1 as a stencil and
-    MINRES and the block Lanczos are the package's own, so the front end loads
-    no scipy at all, and neither does any command that takes no quadrature:
-    each run is a fresh process."""
+    """The profile interpolates itself, the grid applies −Δ+1 as a stencil, and
+    MINRES, the block Lanczos and the Gauss–Kronrod rule are the package's own,
+    so the front end loads no scipy at all, and neither does any command, the
+    interaction oracle on the line and on the strip included: each run is a
+    fresh process."""
     out = str(tmp_path / "summary.json")
     runs = [None, ["groundstate"], ["ansatz", "--eps", "0.3", "--k", "2"],
             ["spectrum", "--eps", "0.3", "--k", "2", "--weighted-report"],
             ["oracle", "taylor", "--n", "1000"], ["reduce", "--eps", "0.3", "--k", "2"],
-            ["equilibrate", "--eps", "0.3", "--k", "2"], ["dancer", "--eps", "0.3", "--k", "1"]]
+            ["equilibrate", "--eps", "0.3", "--k", "2"], ["dancer", "--eps", "0.3", "--k", "1"],
+            ["oracle", "interactions", "--dim", "1"], ["oracle", "interactions", "--dim", "2"]]
     for argv in runs:
         command = "" if argv is None else f"assert main({[*argv, '--out', out]!r}) == 0; "
         loaded = subprocess.run(
