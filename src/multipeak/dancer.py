@@ -14,7 +14,8 @@ Near a k-peak solution the Jacobian is degenerate only along the peaks'
 translations span{∂U_i/∂x₁}, and the one pin removes only one of them.
 Each Newton step deflates all k with the reduction's translation frame and
 solves the bordered system by the reduction's `pinned_solve` of the
-Jacobian and that frame, one preconditioned MINRES run; nothing is factored.
+Jacobian's potential and that frame, one preconditioned MINRES run; nothing
+is factored.
 
 The deviation ψ of the solution from the periodized sum of ground-state
 translates is exponentially small in the separation — far below the mesh
@@ -35,7 +36,7 @@ from .ansatz import AnsatzBundle, nonlinear_residual, uniform_configuration
 from .domain import GridField, align_shift, reflect_x1, shift_x1
 from .groundstate import GroundStateProfile
 from .reduction import RTOL, pinned_solve, reduce, translation_frame
-from .spectrum import linearized
+from .spectrum import potential
 from .weighted import weighted_sup
 
 
@@ -122,8 +123,8 @@ def newton_solve(
                 f"{len(history) - 1} of {MAX_ITER} iterations"
             )
         eta = max(RTOL * history[0] / history[-1], min(0.1, (history[-1] / history[0]) ** 2))
-        J = linearized(field, p)
-        step, dmu, its = pinned_solve(J, frame, c, -G, -float(c @ (u - u0)), rtol=eta)
+        step, dmu, its = pinned_solve(
+            potential(field, p), frame, c, -G, -float(c @ (u - u0)), rtol=eta)
         counts.append(its)
         u = u + step
         mu += dmu

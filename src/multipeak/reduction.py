@@ -13,7 +13,11 @@ problems, functions of 𝕃 and the frame, are MINRES runs preconditioned by the
 grid's fast B⁻¹ alone, which maps range Πᵀ, where every Krylov vector lies,
 onto the complement {Cᵀx = 0} (CᵀB⁻¹ = Φᵀ, ΦᵀΠᵀ = 0): :func:`complement_solve`
 (the correction and the weighted estimates) and :func:`pinned_solve` (the
-pinned Newton step).  Nothing is factored and no eigenproblem is solved.
+pinned Newton step).  Both take 𝕃 = B − P by its potential P
+(:func:`~multipeak.spectrum.potential`): the Lanczos vector is v = B⁻¹r/β, so
+each product 𝕃v = r/β − Pv reuses the preconditioner's input (Eisenstat, SIAM
+J. Sci. Stat. Comput. 2, 1981), and the stencil checks residuals only outside
+the loops.  Nothing is factored and no eigenproblem is solved.
 Setting every d_i to zero is the reduced equation for the peak positions;
 Newton on those scalars drives the configuration to uniform spacing.  The
 chain ansatz → frame → correction is the one pipeline step :func:`reduce`.
@@ -34,7 +38,7 @@ from .ansatz import AnsatzBundle, PeakConfiguration, build_ansatz, residual
 from .asymptotics import binomial_remainder
 from .domain import GridField, StripGrid, check_resolution, h1_norm
 from .groundstate import GroundStateProfile
-from .spectrum import NearKernelBasis, linearized
+from .spectrum import NearKernelBasis, potential
 
 
 class ContractionError(RuntimeError):
@@ -53,6 +57,7 @@ class ReductionState:
     h1_norm: float
     iterations: int
     solve_residual: float
+    minres_iterations: list[int]  # MINRES iterations of each fixed-point step
 
 
 # `_minres` stops at ‖r‖ ≤ rtol·‖A‖‖x‖: ‖r‖ is the recurrence's residual in the
@@ -65,9 +70,13 @@ def _minres(matvec, precond, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, 
     """(x, iterations) of the package's one MINRES run, on symmetric matvecs.
 
     Preconditioned MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975)
-    from x₀ = 0 for an SPD ``precond``: the loop of scipy 1.17.1's ``minres``
-    (scipy/sparse/linalg/_isolve/minres.py, BSD-3-Clause) for shift 0, with
-    its operation order and stop tests, so x and the iteration count are
+    from x₀ = 0 for an SPD ``precond`` = M⁻¹: the loop of scipy 1.17.1's
+    ``minres`` (scipy/sparse/linalg/_isolve/minres.py, BSD-3-Clause) for shift
+    0, with its operation order and stop tests.  The product is called as
+    ``matvec(v, Mv)``: the Lanczos vector v = M⁻¹r₂/β and the preconditioner's
+    input scaled like it, r₂/β, which is Mv in exact arithmetic, so an
+    operator M − P costs no product with M.  Given a ``matvec`` that forms Mv
+    itself and ignores its second argument, x and the iteration count are
     scipy's bit for bit.  A zero preconditioned right side (β₁ = 0) returns
     x = 0 after 0 iterations.
 
@@ -94,8 +103,9 @@ def _minres(matvec, precond, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, 
     r2 = r1
     for itn in range(1, MINRES_MAXITER + 1):
         # the Lanczos step
-        v = (1.0 / beta) * y
-        y = matvec(v)
+        s = 1.0 / beta
+        v = s * y
+        y = matvec(v, s * r2)
         if itn >= 2:
             y = y - (beta / oldb) * r1
         alfa = np.inner(v, y)
@@ -134,26 +144,28 @@ def _minres(matvec, precond, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, 
     raise RuntimeError(f"MINRES did not converge in {MINRES_MAXITER} iterations")
 
 
-def complement_solve(L, frame: NearKernelBasis, rhs: np.ndarray, rtol: float = RTOL):
-    """(x, MINRES iterations) with Πᵀ𝕃x = Πᵀrhs and Cᵀx = 0, C = BΦ.
+def complement_solve(P, frame: NearKernelBasis, rhs: np.ndarray, rtol: float = RTOL):
+    """(x, MINRES iterations) with Πᵀ𝕃x = rhs and Cᵀx = 0, 𝕃 = B − P, C = BΦ.
 
-    The frame (:class:`~multipeak.spectrum.NearKernelBasis`) holds Φ, C and
-    the split, whose first output is Πᵀ; rhs is projected here.  MINRES, one 𝕃
-    product per iteration, is preconditioned by the grid's B⁻¹, which maps
-    range Πᵀ onto {Cᵀx = 0}, so each iterate from x₀ = 0 lies there.  The
+    rhs must lie in range Πᵀ, as the first output of ``frame.split`` does (the
+    frame, :class:`~multipeak.spectrum.NearKernelBasis`, holds Φ, C and that
+    split).  MINRES is preconditioned by the grid's B⁻¹, which maps
+    range Πᵀ onto {Cᵀx = 0}, so each iterate from x₀ = 0 lies there.  Each
+    iteration costs one B⁻¹, one product with the potential P and one split:
+    𝕃v = Bv − Pv with Bv from the loop, and no stencil pass.  The
     preconditioned operator is B⁻¹𝕃 on the complement, whose spectrum (the k
     bottom eigenvalues near 1−p, then the gap up to 1) is bounded away from 0
     independently of the grid; it is indefinite, hence MINRES and not CG.
     """
     return _minres(
-        lambda x: frame.split(L(x))[0], frame.grid.helmholtz_inverse, frame.split(rhs)[0], rtol
+        lambda v, Bv: frame.split(Bv - P * v)[0], frame.grid.helmholtz_inverse, rhs, rtol
     )
 
 
 def pinned_solve(
-    L, frame: NearKernelBasis, c: np.ndarray, rhs: np.ndarray, g: float, rtol: float = RTOL
+    P, frame: NearKernelBasis, c: np.ndarray, rhs: np.ndarray, g: float, rtol: float = RTOL
 ) -> tuple[np.ndarray, float, int]:
-    """(δ, μ, MINRES iterations) with 𝕃δ + cμ = rhs, cᵀδ = g, c in the span of C.
+    """(δ, μ, MINRES iterations) with 𝕃δ + cμ = rhs, cᵀδ = g, c in the span of C, 𝕃 = B − P.
 
     The bordered system in frame coordinates δ = x + Φa, Cᵀx = 0: since Πᵀc = 0
     it is the symmetric [[Πᵀ𝕃, Πᵀ𝕃Φ, 0], [Φᵀ𝕃, Φᵀ𝕃Φ, Φᵀc], [0, cᵀΦ, 0]] in
@@ -162,35 +174,39 @@ def pinned_solve(
     :func:`complement_solve`.  The k small eigenvalues of 𝕃 along the frame
     (one translation, k − 1 relative motions, all near 0 at a Newton root)
     live in S, which |S|⁻¹ inverts exactly; on the complement B⁻¹𝕃 is
-    bounded away from 0.
+    bounded away from 0.  Each iteration costs one B⁻¹, one product with P,
+    one with the block 𝕃Φ (formed once, for S) and one split: 𝕃δ = Bx − Px +
+    (𝕃Φ)a with Bx from the loop, and no stencil pass.
     MINRES stops at the relative tolerance ``rtol``.  The Newton multiplier μ
     is read off the residual's frame components, Φᵀ(rhs − 𝕃δ) = Φᵀc μ (by
     least squares), not off MINRES's own μ coordinate: at Newton roots on the
     h = 0.125 grid that coordinate errs by up to 2e-10 relative, the read-off
     μ by 4e-11.
     """
-    Phi = frame.Phi
+    grid, Phi = frame.grid, frame.Phi
     n, k = Phi.shape
     phi_c = Phi.T @ c
+    L_Phi = grid.helmholtz(Phi, P)
     S = np.zeros((k + 1, k + 1))
-    S[:k, :k] = Phi.T @ L(Phi)
+    S[:k, :k] = Phi.T @ L_Phi
     S[:k, k] = S[k, :k] = phi_c
     w, V = np.linalg.eigh(S)
     S_abs_inv = (V / np.abs(w)) @ V.T
 
-    def matvec(z):
-        Ld = L(z[:n] + Phi @ z[n:-1])
+    def matvec(z, Mz):
+        Ld = Mz[:n] - P * z[:n] + L_Phi @ z[n:-1]
         return np.concatenate(
             [frame.split(Ld)[0], Phi.T @ Ld + phi_c * z[-1], [phi_c @ z[n:-1]]]
         )
 
     z, its = _minres(
         matvec,
-        lambda y: np.concatenate([frame.grid.helmholtz_inverse(y[:n]), S_abs_inv @ y[n:]]),
+        lambda y: np.concatenate([grid.helmholtz_inverse(y[:n]), S_abs_inv @ y[n:]]),
         np.concatenate([frame.split(rhs)[0], Phi.T @ rhs, [g]]), rtol,
     )
     delta = z[:n] + Phi @ z[n:-1]
-    return delta, float(phi_c @ (Phi.T @ (rhs - L(delta))) / (phi_c @ phi_c)), its
+    mu = phi_c @ (Phi.T @ (rhs - grid.helmholtz(delta, P))) / (phi_c @ phi_c)
+    return delta, float(mu), its
 
 
 def solve_correction(
@@ -206,25 +222,27 @@ def solve_correction(
     for the increment, 𝕃(v_{n+1} − v_n) = h(v_n)⊥ − 𝕃v_n, by one
     :func:`complement_solve` whose tolerance is relative to the first step's
     right side: the later, smaller right sides take fewer MINRES iterations,
-    and the Krylov error of v is about that of the last solve.
+    and the Krylov error of v is about that of the last solve.  The right
+    side's 𝕃v is one stencil pass per step, outside MINRES.
     """
     grid = bundle.grid
     p = bundle.profile.exponent
-    L = linearized(bundle.ubar, p)
+    P = potential(bundle.ubar, p)
     minus_M = -residual(bundle).data
 
     v = np.zeros(grid.size)
-    increments = []
+    increments, counts = [], []
     for it in range(1, 31):
         h_perp, d = basis.split(
             minus_M + binomial_remainder(bundle.ubar.data, v.reshape(grid.shape), p, 1))
-        rhs = h_perp - L(v)
-        size = np.linalg.norm(basis.split(rhs)[0])  # the right side MINRES sees
+        rhs = basis.split(h_perp - grid.helmholtz(v, P))[0]  # the right side MINRES sees
+        size = np.linalg.norm(rhs)
         if size == 0:  # v solves it, as when M(ū) underflows: no MINRES, no 0/0 rtol
             break
         if it == 1:
             first = size
-        step, _ = complement_solve(L, basis, rhs, rtol=RTOL * first / size)
+        step, its = complement_solve(P, basis, rhs, rtol=RTOL * first / size)
+        counts.append(its)
         v = v + step
         increments.append(float(np.max(np.abs(step))))
         floor = 16 * np.finfo(float).eps * np.max(np.abs(v))
@@ -241,7 +259,7 @@ def solve_correction(
             )
     field = GridField(grid, v.reshape(grid.shape))
     h_perp, d = basis.split(minus_M + binomial_remainder(bundle.ubar.data, field.data, p, 1))
-    res = float(np.linalg.norm(basis.split(h_perp - L(v))[0]))
+    res = float(np.linalg.norm(basis.split(h_perp - grid.helmholtz(v, P))[0]))
     return ReductionState(
         bundle=bundle,
         basis=basis,
@@ -251,6 +269,7 @@ def solve_correction(
         h1_norm=h1_norm(field),
         iterations=it,
         solve_residual=res,
+        minres_iterations=counts,
     )
 
 

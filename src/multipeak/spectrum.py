@@ -12,15 +12,14 @@ near-kernel cluster near 0 asymptotically spanned by the translation modes
 ∂v_i/∂x₁.  With 𝕃 = B − P, P = diag(p ū₊^{p−1}) ≥ 0, the pencil is
 Pξ = (1−λ)Bξ, so the lowest λ are the largest μ = 1−λ of (P, B): both
 clusters come from one regular-mode Lanczos run on B⁻¹P, with B⁻¹ the grid's
-fast exact inverse.  The module also holds F′(u) as one stencil callable
-(:func:`linearized`) and the frame every constrained solve is H¹-orthogonal
-to (:class:`NearKernelBasis`).
+fast exact inverse.  The module also holds the potential of F′(u) = B − P
+(:func:`potential`), from which every 𝕃 product in the package is formed, and
+the frame every constrained solve is H¹-orthogonal to (:class:`NearKernelBasis`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -61,10 +60,11 @@ class SpectralResult:
         return self.translation_products / np.sqrt(np.diag(h1_gram(self.bundle.grid, T, T)))
 
 
-def linearized(u: GridField, p: float):
-    """F′(u) = −Δ + 1 − p u₊^{p−1}, x ↦ F′(u)x on flattened fields or blocks: 𝕃 at
-    u = ū, Newton's Jacobian; one stencil pass with the potential on the diagonal."""
-    return partial(u.grid.helmholtz, potential=p * np.maximum(u.data, 0.0) ** (p - 1))
+def potential(u: GridField, p: float) -> np.ndarray:
+    """P = p u₊^{p−1}, flattened: F′(u) = −Δ + 1 − P is 𝕃 at u = ū and Newton's
+    Jacobian.  A stencil pass ``grid.helmholtz(x, P)`` applies it; the MINRES
+    loops form Bv − Pv from the Bv their preconditioner already holds."""
+    return p * np.maximum(u.data.ravel(), 0.0) ** (p - 1)
 
 
 # Lanczos steps of block size 2 before `lowest_eigenpairs` gives up; the desk
@@ -139,7 +139,7 @@ def lowest_eigenpairs(bundle: AnsatzBundle, count: int) -> SpectralResult:
         raise ValueError("count must be at least 2k + 1 to see the spectral gap")
     check_resolution(bundle.profile, bundle.grid)
     grid, p = bundle.grid, bundle.profile.exponent
-    pot = p * np.maximum(bundle.ubar.data.ravel(), 0.0) ** (p - 1)
+    pot = potential(bundle.ubar, p)
     root = np.sqrt(pot)[:, None]
     start = np.random.default_rng(0).standard_normal((2, grid.size)).T
     mu, z = _block_lanczos(lambda x: root * grid.helmholtz_inverse(root * x), start, count)

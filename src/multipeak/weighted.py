@@ -4,8 +4,9 @@ If h is orthogonal to the near-kernel and 𝕃ξ = h with ξ orthogonal as
 well, then ξ inherits the exponential weight of h: sup (|ξ|+|∇ξ|) e^{η d_x}
 is controlled by sup |h| e^{η d_x} for every η ∈ (0, 1), where d_x is the
 distance to the nearest peak image.  This module performs the constrained
-solve (the reduction's `complement_solve` of 𝕃 and the frame) and computes
-both weighted norms so the ratio can be tracked along parameter sweeps.
+solve (the reduction's `complement_solve` of 𝕃's potential and the frame)
+and computes both weighted norms so the ratio can be tracked along parameter
+sweeps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .ansatz import AnsatzBundle, PeakConfiguration, peak_distance_field
 from .domain import GridField, gradient_magnitude
 from .reduction import complement_solve
-from .spectrum import NearKernelBasis, linearized
+from .spectrum import NearKernelBasis, potential
 
 DEFAULT_ETAS = (0.3, 0.5, 0.7)
 
@@ -62,8 +63,8 @@ def solve_orthogonal(
     :func:`~multipeak.reduction.complement_solve` (MINRES on the near-kernel's
     complement, preconditioned by the fast B⁻¹).
 
-    h is projected onto the orthogonal complement first, so any near-kernel
-    component of the input is discarded rather than amplified.
+    h is projected onto the orthogonal complement once, before the solve, so
+    any near-kernel component of the input is discarded rather than amplified.
 
     Raises
     ------
@@ -71,11 +72,11 @@ def solve_orthogonal(
         If the relative projected residual ‖Πᵀ(h⊥ − 𝕃ξ)‖/‖h⊥‖ exceeds 1e-10 or the
         orthogonality defect exceeds 1e-8.
     """
-    L = linearized(bundle.ubar, bundle.profile.exponent)
+    P = potential(bundle.ubar, bundle.profile.exponent)
     h_perp, _ = basis.split(h.data)
-    xi, _ = complement_solve(L, basis, h_perp)
+    xi, _ = complement_solve(P, basis, h_perp)
     rhs_norm = np.linalg.norm(h_perp)
-    res = np.linalg.norm(basis.split(h_perp - L(xi))[0])
+    res = np.linalg.norm(basis.split(h_perp - h.grid.helmholtz(xi, P))[0])
     if rhs_norm > 0 and res > 1e-10 * rhs_norm:
         raise RuntimeError(f"constrained MINRES solve residual {res:.3e} too large")
     # ⟨ξ, φ_i⟩_{H¹} = w (Cᵀξ)_i and ‖φ_i‖²_{H¹} = w (ΦᵀC)_ii: the weight w cancels

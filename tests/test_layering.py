@@ -86,8 +86,9 @@ def test_one_frame():
     """The frame's algebra (Φ, C = BΦ, G⁻¹, the projectors and the split) is
     spectrum.NearKernelBasis, built once per frame, and the two solves are
     functions of 𝕃 and the frame: no class binds them, and nothing in the
-    reduction stores 𝕃 on an object.  F′(u) is built by spectrum.linearized
-    alone, for the correction, the weighted solve and the Newton step.
+    reduction stores 𝕃 on an object.  The potential P of F′(u) = B − P is
+    built by spectrum.potential alone, for the spectrum, the correction, the
+    weighted solve and the Newton step.
     The resolution check, a grid rule of the domain layer, guards the
     translation frame and the weighted spectrum, whose eigen frame needs the
     modes resolved too; the command line applies no grid rule by hand."""
@@ -100,7 +101,7 @@ def test_one_frame():
     fields = {node.target.id for cls in tree.body if isinstance(cls, ast.ClassDef)
               for node in cls.body if isinstance(node, ast.AnnAssign)}
     assert fields and "L" not in fields
-    assert {m for m, _ in callers("linearized")} == {"reduction", "weighted", "dancer"}
+    assert {m for m, _ in callers("potential")} == {"spectrum", "reduction", "weighted", "dancer"}
     assert set(callers("check_resolution")) == {
         ("reduction", "translation_frame"), ("spectrum", "lowest_eigenpairs")}
     assert "resolution" not in (SRC / "cli.py").read_text().lower()

@@ -22,7 +22,7 @@ from multipeak.ansatz import (
 )
 from multipeak.asymptotics import binomial_remainder
 from multipeak.cli import main
-from multipeak.domain import GridField, inner_products, make_grid
+from multipeak.domain import GridField, StripGrid, inner_products, make_grid
 from multipeak.reduction import (
     ContractionError,
     complement_solve,
@@ -33,7 +33,7 @@ from multipeak.reduction import (
     reduced_jacobian,
     translation_frame,
 )
-from multipeak.spectrum import linearized, lowest_eigenpairs, near_kernel_basis
+from multipeak.spectrum import lowest_eigenpairs, near_kernel_basis, potential
 
 finite = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
 
@@ -92,9 +92,9 @@ def test_power_remainder_non_integer_p_matches_mpmath(p):
     assert binomial_remainder(np.zeros(2), np.array([-1.0, 2.0]), p, 1).tolist() == [0.0, 2.0**p]
 
 
-def L_of(bundle):
-    """𝕃 = F′(ū) of the bundle."""
-    return linearized(bundle.ubar, bundle.profile.exponent)
+def P_of(bundle):
+    """The potential P of 𝕃 = F′(ū) = B − P, which the two solves take."""
+    return potential(bundle.ubar, bundle.profile.exponent)
 
 
 def L_reference(bundle):
@@ -153,10 +153,11 @@ def pin_column(bundle):
 
 def test_pinned_solve_inhomogeneous_constraint(bundle_k2):
     """𝕃δ + cμ = rhs and cᵀδ = g hold to roundoff on the k = 2 frame."""
-    L, c = L_of(bundle_k2), pin_column(bundle_k2)
+    P, c = P_of(bundle_k2), pin_column(bundle_k2)
     rhs = np.random.default_rng(3).standard_normal(c.size)
-    x, mu, its = pinned_solve(L, translation_frame(bundle_k2), c, rhs, 0.3)
-    assert np.linalg.norm(L(x) + c * mu - rhs) < 1e-12 * np.linalg.norm(rhs)
+    x, mu, its = pinned_solve(P, translation_frame(bundle_k2), c, rhs, 0.3)
+    defect = bundle_k2.grid.helmholtz(x, P) + c * mu - rhs
+    assert np.linalg.norm(defect) < 1e-12 * np.linalg.norm(rhs)
     assert c @ x == pytest.approx(0.3, abs=1e-12)
     assert 0 < its < reduction.MINRES_MAXITER
 
@@ -193,7 +194,7 @@ def exact_inner_newton(bundle, tol=1e-11):
         if np.linalg.norm(G) < tol:
             return u, mu
         step, dmu, _ = pinned_solve(
-            linearized(field, p), frame, c, -G, -float(c @ (u - u0)), rtol=reduction.RTOL
+            potential(field, p), frame, c, -G, -float(c @ (u - u0)), rtol=reduction.RTOL
         )
         u, mu = u + step, mu + dmu
     raise AssertionError(f"exact-inner Newton did not reach {tol}")
@@ -227,9 +228,9 @@ def test_inexact_newton_matches_exact_inner_reference(profile_n2, equilibrated, 
 @pytest.mark.parametrize("target", [0.0, 0.3], ids=["zero", "nonzero"])
 def test_pinned_solve_matches_bordered_factorization(bundle_k2, target):
     """MINRES in frame coordinates agrees with factoring [[𝕃, c], [cᵀ, 0]] whole."""
-    L, c = L_of(bundle_k2), pin_column(bundle_k2)
+    c = pin_column(bundle_k2)
     rhs = np.random.default_rng(5).standard_normal(c.size)
-    x, mu, _ = pinned_solve(L, translation_frame(bundle_k2), c, rhs, target)
+    x, mu, _ = pinned_solve(P_of(bundle_k2), translation_frame(bundle_k2), c, rhs, target)
     x_ref, mu_ref = bordered_reference(L_reference(bundle_k2), c[:, None])(rhs, target)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
     assert abs(mu - mu_ref[0]) <= 1e-10 * abs(mu_ref[0])
@@ -252,29 +253,34 @@ def eigen_frame(bundle):
     pytest.param(0.2, 3, eigen_frame, id="eigen-0.2-3"),
 ])
 def test_complement_solver_matches_bordered_factorization(profile_n2, eps, k, frame):
-    """MINRES on the complement gives the bordered system's x to 1e-10, and the
-    solve projects its own right side: rhs and Πᵀrhs give x to 1e-12 relative."""
+    """MINRES on the complement, given the projected right side Πᵀrhs, gives the
+    x of the bordered system for rhs to 1e-10."""
     bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, make_grid(eps))
-    L, basis = L_of(bundle), frame(bundle)
+    basis = frame(bundle)
     rhs = np.random.default_rng(5).standard_normal(bundle.grid.size)
-    x, _ = complement_solve(L, basis, rhs)
+    x, _ = complement_solve(P_of(bundle), basis, basis.split(rhs)[0])
     x_ref, _ = bordered_reference(L_reference(bundle), basis.C)(rhs)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
-    x_perp, _ = complement_solve(L, basis, basis.split(rhs)[0])
-    assert np.linalg.norm(x_perp - x) <= 1e-12 * np.linalg.norm(x)
 
 
-def test_complement_solver_makes_one_product_per_iteration(bundle_k2):
-    """One 𝕃 product per MINRES iteration and none besides: no read-off after the run."""
-    L, products = L_of(bundle_k2), []
+def test_no_stencil_inside_either_minres_loop(bundle_k2, monkeypatch):
+    """Each 𝕃 product inside MINRES is Bv − Pv with Bv from the loop: complement_solve
+    makes no stencil pass, pinned_solve only the two outside its loop (𝕃Φ for S and
+    𝕃δ for μ), and each applies B⁻¹ once per iteration and once to the right side."""
+    frame, P, c = translation_frame(bundle_k2), P_of(bundle_k2), pin_column(bundle_k2)
+    rhs = np.random.default_rng(7).standard_normal(c.size)
+    calls = dict.fromkeys(["helmholtz", "helmholtz_inverse"], 0)
+    for name in calls:
+        def counted(self, *args, _name=name, _original=getattr(StripGrid, name), **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
 
-    def counted(x):
-        products.append(1)
-        return L(x)
-
-    rhs = np.random.default_rng(7).standard_normal(bundle_k2.grid.size)
-    _, its = complement_solve(counted, translation_frame(bundle_k2), rhs)
-    assert its > 0 and len(products) == its
+        monkeypatch.setattr(StripGrid, name, counted)
+    _, its = complement_solve(P, frame, frame.split(rhs)[0])
+    assert its > 0 and calls == {"helmholtz": 0, "helmholtz_inverse": its + 1}
+    calls.update(helmholtz=0, helmholtz_inverse=0)
+    _, _, its = pinned_solve(P, frame, c, rhs, 0.3)
+    assert its > 0 and calls == {"helmholtz": 2, "helmholtz_inverse": its + 1}
 
 
 # the translation frame and the eigen frame at k = 2 and 3
@@ -303,7 +309,7 @@ def test_solutions_lie_on_the_complement_unprojected(profile_n2, eps, k, frame, 
     complement coordinate x = δ − Φa of pinned_solve's MINRES solution z = (x, a, μ)
     satisfy ‖Cᵀx‖ ≤ 1e-13‖C‖‖x‖ with no projection applied to them."""
     bundle = build_ansatz(uniform_configuration(eps, k), profile_n2, make_grid(eps))
-    L, basis = L_of(bundle), frame(bundle)
+    P, basis = P_of(bundle), frame(bundle)
     n, C = bundle.grid.size, basis.C
     rhs = np.random.default_rng(12).standard_normal(n)
     minres, runs = reduction._minres, []
@@ -313,8 +319,8 @@ def test_solutions_lie_on_the_complement_unprojected(profile_n2, eps, k, frame, 
         return runs[-1]
 
     monkeypatch.setattr(reduction, "_minres", recorded)
-    x, _ = complement_solve(L, basis, rhs)
-    delta, _, _ = pinned_solve(L, basis, C[:, 0], rhs, 0.3)
+    x, _ = complement_solve(P, basis, basis.split(rhs)[0])
+    delta, _, _ = pinned_solve(P, basis, C[:, 0], rhs, 0.3)
     z = runs[-1][0]
     assert np.array_equal(delta, z[:n] + basis.Phi @ z[n:-1])
     for v in (x, z[:n]):
@@ -345,7 +351,7 @@ def test_complement_solver_iterations_do_not_grow_with_grid(profile_n2, refineme
     assert bundle.grid.shape == shape
     basis = frame(bundle)
     h_perp, _ = basis.split(-residual(bundle).data)
-    _, its = complement_solve(L_of(bundle), basis, h_perp)
+    _, its = complement_solve(P_of(bundle), basis, h_perp)
     assert 0 < its <= 30
 
 
@@ -353,11 +359,11 @@ def test_complement_solver_raises_at_iteration_cap(bundle_k2, basis_k2, monkeypa
     monkeypatch.setattr(reduction, "MINRES_MAXITER", 3)
     rhs = np.random.default_rng(2).standard_normal(bundle_k2.grid.size)
     with pytest.raises(RuntimeError, match="MINRES did not converge in 3 iterations"):
-        complement_solve(L_of(bundle_k2), basis_k2, rhs)
+        complement_solve(P_of(bundle_k2), basis_k2, basis_k2.split(rhs)[0])
 
 
 def scipy_minres(matvec, precond, rhs, rtol):
-    """(x, iterations) of scipy's `minres` on the operators `_minres` receives: the reference."""
+    """(x, iterations) of scipy's `minres` on a one-argument product: the reference."""
     from scipy.sparse.linalg import LinearOperator, minres
 
     shape, steps = (rhs.size, rhs.size), []
@@ -370,40 +376,114 @@ def scipy_minres(matvec, precond, rhs, rtol):
     return x, len(steps)
 
 
-# every MINRES run of each case: complement_solve on the translation frame (each
-# correction step of `reduce`) and on the eigen frame of `weighted`, and pinned_solve
-# (each Newton step)
+def explicit_M(grid, precond, size):
+    """v ↦ Mv formed outright, M the inverse of a solve's preconditioner: the stencil
+    Bv, and on a pinned run's frame block |S|v, with |S| the inverse of the |S|⁻¹
+    that the preconditioner applies to the unit vectors of that block."""
+    n = grid.size
+    if size == n:
+        return grid.helmholtz
+    E = np.zeros((size, size - n))
+    E[n:] = np.eye(size - n)
+    S_abs = np.linalg.inv(precond(E)[n:])
+    return lambda v: np.concatenate([grid.helmholtz(v[:n]), S_abs @ v[n:]])
+
+
+# every MINRES run of each case, with the eps of its grid: complement_solve on the
+# translation frame (each correction step of `reduce`) and on the eigen frame of
+# `weighted`, and pinned_solve (each Newton step)
 MINRES_CASES = {
-    "complement-k2": lambda f: reduce(uniform_configuration(0.3, 2), f("profile_n2"), make_grid(0.3)),
-    "complement-k3": lambda f: reduce(uniform_configuration(0.2, 3), f("profile_n2"), make_grid(0.2)),
-    "complement-off-lattice": lambda f: reduce(
-        PeakConfiguration(0.3, (-3.1, 0.2)), f("profile_n2"), make_grid(0.3)),
-    "complement-eigen-frame": lambda f: weighted.solve_orthogonal(
-        residual(f("bundle_k2")), f("bundle_k2"), f("basis_k2")),
-    "pinned-k1": lambda f: dancer.newton_solve(f("bundle_k1")),
-    "pinned-k2": lambda f: dancer.newton_solve(f("bundle_k2")),
+    "complement-k2": (0.3, lambda f: reduce(
+        uniform_configuration(0.3, 2), f("profile_n2"), make_grid(0.3))),
+    "complement-k3": (0.2, lambda f: reduce(
+        uniform_configuration(0.2, 3), f("profile_n2"), make_grid(0.2))),
+    "complement-off-lattice": (0.3, lambda f: reduce(
+        PeakConfiguration(0.3, (-3.1, 0.2)), f("profile_n2"), make_grid(0.3))),
+    "complement-eigen-frame": (0.3, lambda f: weighted.solve_orthogonal(
+        residual(f("bundle_k2")), f("bundle_k2"), f("basis_k2"))),
+    "pinned-k1": (0.3, lambda f: dancer.newton_solve(f("bundle_k1"))),
+    "pinned-k2": (0.3, lambda f: dancer.newton_solve(f("bundle_k2"))),
 }
+
+
+def each_minres_run(case, request, monkeypatch, compare):
+    """Run `case` as the package runs it; each `_minres` call also passes its x,
+    its iteration count, the product with Mv formed outright (one argument) and
+    its own arguments to `compare`.  The list of what `compare` returns."""
+    eps, run = MINRES_CASES[case]
+    grid, own, runs = make_grid(eps), reduction._minres, []
+
+    def compared(matvec, precond, rhs, rtol):
+        x, its = own(matvec, precond, rhs, rtol)
+        M = explicit_M(grid, precond, rhs.size)
+        runs.append(compare(x, its, lambda v: matvec(v, M(v)), precond, rhs, rtol))
+        return x, its
+
+    monkeypatch.setattr(reduction, "_minres", compared)
+    run(request.getfixturevalue)
+    return runs
 
 
 @pytest.mark.parametrize("case", MINRES_CASES)
 def test_minres_matches_scipy_bit_for_bit(case, request, monkeypatch):
     """The package's MINRES is scipy's loop for x₀ = 0: on every run of the desk
-    solves it returns the same x, bit for bit, after the same number of iterations."""
-    own, runs = reduction._minres, []
+    solves, both given the product with Mv formed outright, it returns the same x,
+    bit for bit, after the same number of iterations."""
+    own = reduction._minres
 
-    def compared(matvec, precond, rhs, rtol):
-        x, its = own(matvec, precond, rhs, rtol)
-        x_ref, its_ref = scipy_minres(matvec, precond, rhs, rtol)
-        runs.append((np.array_equal(x, x_ref), its, its_ref))
-        return x, its
+    def same_as_scipy(_x, _its, product, precond, rhs, rtol):
+        x, its = own(lambda v, _: product(v), precond, rhs, rtol)
+        x_ref, its_ref = scipy_minres(product, precond, rhs, rtol)
+        return np.array_equal(x, x_ref), its, its_ref
 
-    monkeypatch.setattr(reduction, "_minres", compared)
-    MINRES_CASES[case](request.getfixturevalue)
+    runs = each_minres_run(case, request, monkeypatch, same_as_scipy)
     assert runs and all(same and its == its_ref for same, its, its_ref in runs), runs
 
 
+@pytest.mark.parametrize("case", MINRES_CASES)
+def test_minres_with_the_loops_Mv_matches_the_explicit_product(case, request, monkeypatch):
+    """Each solve as it runs, with Mv = r₂/β from the loop, takes the iterations of
+    the run whose product forms Mv outright, and its x agrees to 1e-10 relative."""
+    own = reduction._minres
+
+    def against_explicit(x, its, product, precond, rhs, rtol):
+        x_ref, its_ref = own(lambda v, _: product(v), precond, rhs, rtol)
+        return np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref), its, its_ref
+
+    runs = each_minres_run(case, request, monkeypatch, against_explicit)
+    assert runs and all(close and its == its_ref for close, its, its_ref in runs), runs
+
+
+def test_reduce_on_a_fine_grid_matches_the_explicit_product(profile_n2, monkeypatch):
+    """At h = 0.0625, where ‖B‖ and the rounding of r₂/β against the stencil's Bv are
+    16 times the desk grid's, `reduce` on (0.3, 2) takes the fixed-point steps and
+    MINRES iterations of the run whose product forms Bv outright, and d agrees to
+    1e-12 relative."""
+    config, grid = uniform_configuration(0.3, 2), make_grid(0.3, h=0.0625)
+    state = reduce(config, profile_n2, grid)
+    own = reduction._minres
+    monkeypatch.setattr(reduction, "_minres", lambda matvec, precond, rhs, rtol: own(
+        lambda v, _: matvec(v, grid.helmholtz(v)), precond, rhs, rtol))
+    ref = reduce(config, profile_n2, grid)
+    assert state.iterations == ref.iterations
+    assert state.minres_iterations == ref.minres_iterations
+    assert np.linalg.norm(state.d_coeffs - ref.d_coeffs) <= 1e-12 * np.linalg.norm(ref.d_coeffs)
+
+
+@pytest.mark.parametrize("config, counts", [
+    pytest.param(uniform_configuration(0.3, 2), [17, 12, 8, 4], id="0.3-2"),
+    pytest.param(uniform_configuration(0.2, 3), [20, 14, 9, 4], id="0.2-3"),
+    pytest.param(PeakConfiguration(0.3, (-3.1, 0.2)), [20, 14, 10, 5], id="off-lattice"),
+])
+def test_reduction_state_keeps_each_steps_minres_iterations(profile_n2, config, counts):
+    """`ReductionState.minres_iterations` holds one MINRES count per fixed-point step:
+    the counts that the stencil product gave."""
+    state = reduce(config, profile_n2, make_grid(config.epsilon))
+    assert state.minres_iterations == counts and state.iterations == len(counts)
+
+
 def test_minres_zero_right_side_takes_no_step():
-    def no_matvec(v):
+    def no_matvec(v, Mv):
         raise AssertionError("matvec called on a zero right side")
 
     x, its = reduction._minres(no_matvec, lambda y: y, np.zeros(7), reduction.RTOL)
@@ -412,15 +492,16 @@ def test_minres_zero_right_side_takes_no_step():
 
 def test_minres_raises_at_iteration_cap(bundle_k2, monkeypatch):
     monkeypatch.setattr(reduction, "MINRES_MAXITER", 2)
-    L, c = L_of(bundle_k2), pin_column(bundle_k2)
+    c = pin_column(bundle_k2)
     rhs = np.random.default_rng(3).standard_normal(c.size)
     with pytest.raises(RuntimeError, match="MINRES did not converge in 2 iterations"):
-        pinned_solve(L, translation_frame(bundle_k2), c, rhs, 0.3)
+        pinned_solve(P_of(bundle_k2), translation_frame(bundle_k2), c, rhs, 0.3)
 
 
 @pytest.mark.parametrize("matvec, precond, rhs, message", [
-    pytest.param(lambda v: v, lambda y: -y, np.ones(3), "indefinite preconditioner", id="negated"),
-    pytest.param(lambda v: v[::-1], lambda y: y * [1.0, -1.0], np.array([1.0, 0.0]),
+    pytest.param(lambda v, Mv: v, lambda y: -y, np.ones(3), "indefinite preconditioner",
+                 id="negated"),
+    pytest.param(lambda v, Mv: v[::-1], lambda y: y * [1.0, -1.0], np.array([1.0, 0.0]),
                  "non-symmetric operator", id="non-symmetric"),
 ])
 def test_minres_breakdown_is_a_solver_error(matvec, precond, rhs, message):
@@ -470,7 +551,7 @@ def test_pinned_solve_at_nearly_singular_newton_jacobian(profile_n2):
     field = GridField(grid, u.reshape(grid.shape))
     c = pin_column(bundle)
     rhs = np.random.default_rng(9).standard_normal(u.size)
-    x, mu, _ = pinned_solve(linearized(field, 3.0), translation_frame(bundle), c, rhs, 0.25)
+    x, mu, _ = pinned_solve(potential(field, 3.0), translation_frame(bundle), c, rhs, 0.25)
     x_ref, mu_ref = bordered_reference(linearized_csr(field, 3.0), c[:, None])(rhs, 0.25)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
     assert abs(mu - mu_ref[0]) <= 1e-10 * abs(mu_ref[0])

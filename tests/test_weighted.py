@@ -66,8 +66,8 @@ def test_solve_orthogonal_rejects_a_bad_solution(rhs_k2, bundle_k2, basis_k2, mo
     sees, breaks the H¹-orthogonality to the frame (defect 1 for φ₀)."""
     solve = weighted.complement_solve
 
-    def perturbed(L, frame, rhs):
-        xi, its = solve(L, frame, rhs)
+    def perturbed(P, frame, rhs):
+        xi, its = solve(P, frame, rhs)
         # B⁻¹h⊥ lies on {Cᵀx = 0}: the defect gate stays quiet, the residual one fires
         return xi + 1e-6 * frame.grid.helmholtz_inverse(rhs), its
 
@@ -76,7 +76,7 @@ def test_solve_orthogonal_rejects_a_bad_solution(rhs_k2, bundle_k2, basis_k2, mo
         solve_orthogonal(rhs_k2, bundle_k2, basis_k2)
 
     monkeypatch.setattr(weighted, "complement_solve",
-                        lambda L, frame, rhs: (frame.Phi[:, 0].copy(), 0))
+                        lambda P, frame, rhs: (frame.Phi[:, 0].copy(), 0))
     zero = GridField(bundle_k2.grid, np.zeros(bundle_k2.grid.shape))
     with pytest.raises(RuntimeError, match="orthogonality defect 1.000e\\+00 too large"):
         solve_orthogonal(zero, bundle_k2, basis_k2)
