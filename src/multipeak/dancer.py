@@ -35,7 +35,7 @@ import numpy as np
 from .ansatz import AnsatzBundle, nonlinear_residual, uniform_configuration
 from .domain import GridField, align_shift, reflect_x1, shift_x1
 from .groundstate import GroundStateProfile
-from .reduction import RTOL, pinned_solve, reduce, translation_frame
+from .reduction import forcing_term, pinned_solve, reduce, translation_frame
 from .spectrum import potential
 from .weighted import weighted_sup
 
@@ -81,11 +81,10 @@ def newton_solve(
     (:func:`~multipeak.reduction.translation_frame`), solves the bordered
     system in that frame's coordinates by one preconditioned MINRES run
     (:func:`~multipeak.reduction.pinned_solve`) and updates u and μ
-    together.  The run is inexact: step k stops at the forcing term
-    η_k = max(RTOL·‖G₀‖/‖G_k‖, min(0.1, (‖G_k‖/‖G₀‖)²)),
-    ‖G_k‖ = ‖F(u_k) + μ_k c‖, which keeps Newton's quadratic convergence
-    (Dembo, Eisenstat & Steihaug 1982; Eisenstat & Walker 1996) and never
-    asks for more absolute accuracy than RTOL on the first right side.
+    together.  The run is inexact: step k stops at the reduction's
+    :func:`~multipeak.reduction.forcing_term` of ‖G_k‖ = ‖F(u_k) + μ_k c‖,
+    which keeps Newton's quadratic convergence and never asks for more
+    absolute accuracy than RTOL on the first right side.
 
     Parameters
     ----------
@@ -122,9 +121,8 @@ def newton_solve(
                 f"no convergence: residual {history[-1]:.3e} after "
                 f"{len(history) - 1} of {MAX_ITER} iterations"
             )
-        eta = max(RTOL * history[0] / history[-1], min(0.1, (history[-1] / history[0]) ** 2))
-        step, dmu, its = pinned_solve(
-            potential(field, p), frame, c, -G, -float(c @ (u - u0)), rtol=eta)
+        step, dmu, its = pinned_solve(potential(field, p), frame, c, -G, -float(c @ (u - u0)),
+                                      rtol=forcing_term(history[0], history[-1]))
         counts.append(its)
         u = u + step
         mu += dmu

@@ -18,6 +18,8 @@ pinned Newton step).  Both take 𝕃 = B − P by its potential P
 each product 𝕃v = r/β − Pv reuses the preconditioner's input (Eisenstat, SIAM
 J. Sci. Stat. Comput. 2, 1981), and the stencil checks residuals only outside
 the loops.  Nothing is factored and no eigenproblem is solved.
+The correction solves Πᵀ(−M(ū) + R(v) − 𝕃v) = 0 by inexact Newton, each step
+one :func:`complement_solve` of the potential P(ū + v) (:func:`solve_correction`).
 Setting every d_i to zero is the reduced equation for the peak positions;
 Newton on those scalars drives the configuration to uniform spacing.  The
 chain ansatz → frame → correction is the one pipeline step :func:`reduce`.
@@ -42,7 +44,7 @@ from .spectrum import NearKernelBasis, potential
 
 
 class ContractionError(RuntimeError):
-    """Fixed-point divergence: the separation is too small to contract."""
+    """The correction's Newton steps grow or stall: the separation is too small."""
 
 
 @dataclass
@@ -56,8 +58,8 @@ class ReductionState:
     sup_norm: float
     h1_norm: float
     iterations: int
-    solve_residual: float
-    minres_iterations: list[int]  # MINRES iterations of each fixed-point step
+    residual_history: list[float]  # ‖F(v)‖ before each Newton step, then at the returned v
+    minres_iterations: list[int]  # MINRES iterations of each Newton step
 
 
 # `_minres` stops at ‖r‖ ≤ rtol·‖A‖‖x‖: ‖r‖ is the recurrence's residual in the
@@ -209,57 +211,76 @@ def pinned_solve(
     return delta, float(mu), its
 
 
+def forcing_term(first: float, size: float) -> float:
+    """Inexact Newton's MINRES rtol η = max(RTOL·first/size, min(0.1, (size/first)²)).
+
+    ``first`` and ``size`` are the first and the current residual norms.  η keeps
+    Newton quadratic (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982;
+    Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996), and its floor term asks
+    no more absolute accuracy than RTOL on the first right side.
+    """
+    return max(RTOL * first / size, min(0.1, (size / first) ** 2))
+
+
 def solve_correction(
     bundle: AnsatzBundle, basis: NearKernelBasis, tol: float = 1e-13
 ) -> ReductionState:
-    """Fixed-point solve of 𝕃v = h(v)⊥, ⟨v, φ_i⟩_{H¹} = 0, with δ_i ≡ 0.
+    """Inexact Newton on F(v) = Πᵀ(−M(ū) + R(v) − 𝕃v) = 0, Cᵀv = 0, from v = 0.
 
-    Iterates v ↦ 𝕃⁻¹[(−M(ū) + R(v))⊥] until the sup-norm increment drops
-    below tol (absolute); three growing increments in a row, or 30 iterations
-    without one below tol, raise :class:`ContractionError`.  Increments below
-    16 ε_mach‖v‖∞, the rounding of v, are noise: they neither meet a tol under
-    that floor nor count as growth.  Each step solves
-    for the increment, 𝕃(v_{n+1} − v_n) = h(v_n)⊥ − 𝕃v_n, by one
-    :func:`complement_solve` whose tolerance is relative to the first step's
-    right side: the later, smaller right sides take fewer MINRES iterations,
-    and the Krylov error of v is about that of the last solve.  The right
-    side's 𝕃v is one stencil pass per step, outside MINRES.
+    F′(v) = −Πᵀ(B − P(ū + v)), so each step δ is one :func:`complement_solve`
+    of Newton's potential P(ū + v) for the right side F(v), at the relative
+    tolerance :func:`forcing_term`.  The loop stops when |δ|∞ < tol (absolute)
+    on a step solved at the floor term; an inexact step never ends it.  A step
+    no smaller than the one before raises :class:`ContractionError`: v has
+    left Newton's region, and from v = 0 at small separation Newton would
+    otherwise reach a different, O(1) solution with falling residuals.  So
+    does the 30th step without convergence.  Steps below 16 ε_mach‖v‖∞, the
+    rounding of v, are noise: they neither meet a tol under that floor nor
+    count as growth.  F(v)'s 𝕃v is one stencil pass per step, outside MINRES.
     """
     grid = bundle.grid
     p = bundle.profile.exponent
+    ubar = bundle.ubar.data
     P = potential(bundle.ubar, p)
     minus_M = -residual(bundle).data
 
+    def projected(v):
+        """(F(v), d): the right side MINRES sees and the frame coefficients of h(v)."""
+        h_perp, d = basis.split(minus_M + binomial_remainder(ubar, v.reshape(grid.shape), p, 1))
+        return basis.split(h_perp - grid.helmholtz(v, P))[0], d
+
     v = np.zeros(grid.size)
-    increments, counts = [], []
+    F, d = projected(v)
+    history, steps, counts = [float(np.linalg.norm(F))], [], []
     for it in range(1, 31):
-        h_perp, d = basis.split(
-            minus_M + binomial_remainder(bundle.ubar.data, v.reshape(grid.shape), p, 1))
-        rhs = basis.split(h_perp - grid.helmholtz(v, P))[0]  # the right side MINRES sees
-        size = np.linalg.norm(rhs)
-        if size == 0:  # v solves it, as when M(ū) underflows: no MINRES, no 0/0 rtol
+        if history[-1] == 0:  # v solves it, as when M(ū) underflows: no MINRES, no 0/0 rtol
             break
-        if it == 1:
-            first = size
-        step, its = complement_solve(P, basis, rhs, rtol=RTOL * first / size)
+        eta = forcing_term(history[0], history[-1])
+        exact = eta == RTOL * history[0] / history[-1]  # solved at the floor term
+        step, its = complement_solve(
+            potential(GridField(grid, ubar + v.reshape(grid.shape)), p), basis, F, rtol=eta)
         counts.append(its)
         v = v + step
-        increments.append(float(np.max(np.abs(step))))
-        floor = 16 * np.finfo(float).eps * np.max(np.abs(v))
-        if increments[-1] < tol and tol >= floor:
+        F, d = projected(v)
+        history.append(float(np.linalg.norm(F)))
+        steps.append(float(np.max(np.abs(step))))
+        roundoff = 16 * np.finfo(float).eps * np.max(np.abs(v))
+        if steps[-1] < tol and exact and tol >= roundoff:
             break
-        if it == 30 or increments[-1] > floor and len(increments) >= 4 and all(
-            increments[-m] > increments[-m - 1] for m in (1, 2, 3)
-        ):
+        if len(steps) >= 2 and steps[-1] >= steps[-2] and steps[-1] > roundoff:
             raise ContractionError(
-                f"fixed point diverging or stalled: increments "
-                f"{', '.join(f'{x:.3g}' for x in increments[-4:])} after {it} iterations, "
-                f"tol = {tol:.3g}, |v|_inf = {np.max(np.abs(v)):.3g}: either the separation "
-                f"sigma_min = {bundle.config.sigma_min:.3f} is too small, or tol is below v's roundoff"
+                f"Newton diverging: step {steps[-1]:.3g} after {steps[-2]:.3g} in iteration "
+                f"{it}, |v|_inf = {np.max(np.abs(v)):.3g}: the separation sigma_min = "
+                f"{bundle.config.sigma_min:.3f} is too small for a small correction"
+            )
+        if it == 30:
+            raise ContractionError(
+                f"Newton stalled: steps {', '.join(f'{x:.3g}' for x in steps[-4:])} after "
+                f"{it} iterations, tol = {tol:.3g}, |v|_inf = {np.max(np.abs(v)):.3g}: either "
+                f"the separation sigma_min = {bundle.config.sigma_min:.3f} is too small, or "
+                f"tol is below v's roundoff"
             )
     field = GridField(grid, v.reshape(grid.shape))
-    h_perp, d = basis.split(minus_M + binomial_remainder(bundle.ubar.data, field.data, p, 1))
-    res = float(np.linalg.norm(basis.split(h_perp - grid.helmholtz(v, P))[0]))
     return ReductionState(
         bundle=bundle,
         basis=basis,
@@ -268,7 +289,7 @@ def solve_correction(
         sup_norm=field.sup_norm(),
         h1_norm=h1_norm(field),
         iterations=it,
-        solve_residual=res,
+        residual_history=history,
         minres_iterations=counts,
     )
 

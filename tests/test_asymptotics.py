@@ -142,7 +142,9 @@ def test_mass_constant_of_the_profile_is_one_radial_quadrature(profile_n2):
 
     value = mass_constant(InteractionSpec(radial, radial, a=2.0, b=1.0, y0=12.0, dimension=2))
     assert len(calls) <= 1000
-    assert value == pytest.approx(16.19415315267128, rel=1e-12)  # Gauss-Legendre reference
+    # cell-exact reference: 12-point Gauss-Legendre on each stored cubic cell of
+    # [0, 12], then the far field to r = 80 at epsrel 2e-14
+    assert value == pytest.approx(16.194153152660284, rel=1e-12)
 
 
 def test_mass_constant_admission_boundary():

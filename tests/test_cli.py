@@ -252,7 +252,7 @@ def test_reduce_weighted_report(tmp_path):
 @pytest.mark.parametrize(
     "args, reason",
     [
-        (["--eps", "0.9"], "fixed point diverging"),
+        (["--eps", "0.9"], "Newton diverging: step"),
         (["--eps", "0.3", "--p", "7"], "core length is l = (p U(0)^(p-1))^(-1/2) = 0.05607, "
                                           "so h must be at most 2.5 l = 0.1402"),
         (["--eps", "0.4", "--tol", "2e-21"], "after 30 iterations, tol = 2e-21"),
@@ -261,10 +261,10 @@ def test_reduce_weighted_report(tmp_path):
     ids=["contraction", "unresolved-core", "unconverged", "roundoff-tol"],
 )
 def test_reduce_numerical_failures(args, reason, capsys):
-    """Too close a pair does not contract, at p = 7 the desk grid does not
-    resolve the core (h = 0.25 > 2.5ℓ), and a tol below the roundoff of v is
-    never reached (ε = 0.4 and 0.3), however the increments move below that
-    roundoff: all exit 3 and say why."""
+    """Too close a pair makes the correction's Newton steps grow, at p = 7 the
+    desk grid does not resolve the core (h = 0.25 > 2.5ℓ), and a tol below the
+    roundoff of v is never reached (ε = 0.4 and 0.3), however the steps move
+    below that roundoff: all exit 3 and say why."""
     assert main(["reduce", "--k", "2", *args]) == EXIT_NUMERICAL
     error = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert error["error"] == "numerical"

@@ -456,7 +456,7 @@ def test_minres_with_the_loops_Mv_matches_the_explicit_product(case, request, mo
 
 def test_reduce_on_a_fine_grid_matches_the_explicit_product(profile_n2, monkeypatch):
     """At h = 0.0625, where ‖B‖ and the rounding of r₂/β against the stencil's Bv are
-    16 times the desk grid's, `reduce` on (0.3, 2) takes the fixed-point steps and
+    16 times the desk grid's, `reduce` on (0.3, 2) takes the Newton steps and
     MINRES iterations of the run whose product forms Bv outright, and d agrees to
     1e-12 relative."""
     config, grid = uniform_configuration(0.3, 2), make_grid(0.3, h=0.0625)
@@ -471,15 +471,107 @@ def test_reduce_on_a_fine_grid_matches_the_explicit_product(profile_n2, monkeypa
 
 
 @pytest.mark.parametrize("config, counts", [
-    pytest.param(uniform_configuration(0.3, 2), [17, 12, 8, 4], id="0.3-2"),
-    pytest.param(uniform_configuration(0.2, 3), [20, 14, 9, 4], id="0.2-3"),
-    pytest.param(PeakConfiguration(0.3, (-3.1, 0.2)), [20, 14, 10, 5], id="off-lattice"),
+    pytest.param(uniform_configuration(0.3, 2), [3, 5, 9, 7], id="0.3-2"),
+    pytest.param(uniform_configuration(0.2, 3), [3, 5, 10, 9], id="0.2-3"),
+    pytest.param(PeakConfiguration(0.3, (-3.1, 0.2)), [3, 5, 11, 7], id="off-lattice"),
 ])
 def test_reduction_state_keeps_each_steps_minres_iterations(profile_n2, config, counts):
-    """`ReductionState.minres_iterations` holds one MINRES count per fixed-point step:
-    the counts that the stencil product gave."""
+    """`ReductionState.minres_iterations` holds one MINRES count per Newton step, and
+    `residual_history` the projected residual ‖F(v)‖ before each step and at the
+    returned v, falling at every step."""
     state = reduce(config, profile_n2, make_grid(config.epsilon))
     assert state.minres_iterations == counts and state.iterations == len(counts)
+    history = state.residual_history
+    assert len(history) == len(counts) + 1
+    assert all(later < earlier for earlier, later in zip(history, history[1:])), history
+
+
+# (sup_norm, h1_norm, d) of the fixed point v ↦ 𝕃⁻¹h(v)⊥ that Newton replaced, each
+# step solved to RTOL of the first right side, on the desk grid `make_grid(ε)`
+_SIGMA_8 = 2 * np.pi / (2 * 8.0 + 8 * 8.0 / 3)  # criterion 07's configuration at σ = 8
+FIXED_POINT = [
+    pytest.param(uniform_configuration(0.3, 2), 0.00024899588739394545, 0.0007674118671894984,
+                 [1.1925858388414782e-17, 2.4397687824947126e-19], id="0.3-2"),
+    pytest.param(uniform_configuration(0.2, 3), 0.00024928037527716335, 0.0009406891548443202,
+                 [-1.0059599680602724e-17, 5.522143673700083e-13, -5.522977523440509e-13],
+                 id="0.2-3"),
+    pytest.param(PeakConfiguration(0.3, (-3.1, 0.2)), 0.0002882920606019444,
+                 0.0009022559543977998, [4.1281821935779854e-05, -4.115902726901098e-05],
+                 id="off-lattice"),
+    pytest.param(uniform_configuration(np.pi / 8, 2), 0.0033824587206913027, 0.010493067924858407,
+                 [-4.081337139883381e-17, -4.0656506542305375e-17], id="sigma-4"),
+    pytest.param(uniform_configuration(np.pi / 10, 2), 0.0004084973306602485,
+                 0.0012597042504404903, [1.3121130446821088e-19, 1.1246968317961918e-19],
+                 id="sigma-5"),
+    pytest.param(uniform_configuration(np.pi / 12, 2), 5.052136809306224e-05,
+                 0.0001555090063410137, [-7.028686098057419e-21, -2.534638223556715e-22],
+                 id="sigma-6"),
+    pytest.param(uniform_configuration(np.pi / 14, 2), 6.337719717579872e-06,
+                 1.9490769963638327e-05, [4.39292707269767e-21, -1.3693174577168102e-22],
+                 id="sigma-7"),
+    pytest.param(uniform_configuration(np.pi / 16, 2), 8.031008645695379e-07,
+                 2.4683995683534724e-06, [2.562540962288403e-22, 4.722376121537404e-23],
+                 id="sigma-8"),
+    pytest.param(PeakConfiguration(_SIGMA_8, (-np.pi, -np.pi + 16 * _SIGMA_8)),
+                 4.098581916187397e-07, 1.3083506033985804e-06,
+                 [-1.0841727189917054e-07, 1.1167884319390979e-07], id="sigma-8-level-0"),
+    pytest.param(uniform_configuration(0.2, 1), 1.161334302246626e-13, 2.5184942555860405e-13,
+                 [7.201976156695911e-18], id="k1-0.2"),
+]
+
+
+@pytest.mark.parametrize("config, sup, h1, d", FIXED_POINT)
+def test_newton_correction_matches_the_fixed_point(profile_n2, config, sup, h1, d):
+    """Wherever the fixed point converged, Newton's v has its sup and H¹ norms to 1e-12
+    relative and its d to 1e-12 of max(|d|, rate), rate = e^{−2σ̲}σ̲^{−1/2}: the
+    desk cases, criterion 05 and 06's σ̲ = 4…8 sweep, criterion 07's σ = 8 on its
+    coarsest grid, and the one-peak ψ fit at ε = 0.2 (v ≈ 1e-13)."""
+    state = reduce(config, profile_n2, make_grid(config.epsilon))
+    assert state.sup_norm == pytest.approx(sup, rel=1e-12, abs=0)
+    assert state.h1_norm == pytest.approx(h1, rel=1e-12, abs=0)
+    scale = max(np.max(np.abs(d)), residual_rate(config.sigma_min, 2))
+    assert np.max(np.abs(state.d_coeffs - d)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_newton_correction_brackets_the_separation(profile_n2, k):
+    """k uniform peaks on `make_grid(π/(kσ̲))`: Newton takes at most 5 steps at
+    σ̲ = 2.2, converges at σ̲ = 1.95 (|v|∞ ≈ 0.44), and at σ̲ = 1.80 its steps grow,
+    so it raises there rather than follow falling residuals to an O(1) solution."""
+    def run(sigma):
+        eps = np.pi / (k * sigma)
+        return reduce(uniform_configuration(eps, k), profile_n2, make_grid(eps))
+
+    assert run(2.2).iterations <= 5
+    assert run(1.95).residual_history[-1] < 1e-10
+    with pytest.raises(ContractionError, match="Newton diverging: step"):
+        run(1.80)
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(uniform_configuration(0.2, 1), id="k1-0.2"),
+    pytest.param(uniform_configuration(0.3, 2), id="0.3-2"),
+    pytest.param(uniform_configuration(np.pi / (2 * 1.95), 2), id="sigma-1.95"),
+])
+def test_converged_correction_ends_on_a_floor_term_step(profile_n2, config, monkeypatch):
+    """The last MINRES run of a converged correction stops at the forcing term's
+    floor RTOL·‖F₀‖/‖F‖, never at an inexact η: at ε = 0.2 one peak's second step,
+    solved to η ≈ 0.0075, is already below tol, yet does not end the loop."""
+    own, rtols, steps = reduction.complement_solve, [], []
+
+    def spy(P, frame, rhs, rtol):
+        x, its = own(P, frame, rhs, rtol)
+        rtols.append(rtol)
+        steps.append(np.max(np.abs(x)))
+        return x, its
+
+    monkeypatch.setattr(reduction, "complement_solve", spy)
+    state = reduce(config, profile_n2, make_grid(config.epsilon))
+    history = state.residual_history
+    assert len(rtols) == state.iterations >= 2
+    assert rtols[-1] == reduction.RTOL * history[0] / history[-2]
+    if config.k == 1:
+        assert steps[1] < 1e-13 and rtols[1] > reduction.RTOL * history[0] / history[1]
 
 
 def test_minres_zero_right_side_takes_no_step():
@@ -559,7 +651,7 @@ def test_pinned_solve_at_nearly_singular_newton_jacobian(profile_n2):
 
 def test_correction_state_invariants(state_k2, basis_k2):
     assert state_k2.iterations <= 30
-    assert state_k2.solve_residual < 1e-10
+    assert state_k2.residual_history[-1] < 1e-10
     assert state_k2.sup_norm == state_k2.correction.sup_norm()
     v = state_k2.correction
     for phi in fields(basis_k2.grid, basis_k2.Phi):
@@ -705,10 +797,10 @@ def test_equilibrate_builds_its_grid_once(profile_n2, tmp_path):
 
 @pytest.mark.parametrize("scale", [1 - 3e-11, 1 - 1e-11, 1 + 1e-11, 1 + 3e-11])
 def test_tol_below_roundoff_fails_for_nearby_profiles(profile_n2, scale):
-    """At ε = 0.3, k = 2 the increments reach 1e-20 to 4e-20, below the rounding
-    16 ε_mach‖v‖∞ ≈ 8.8e-19 of v, so tol = 1e-20 fails for the profile scaled
-    by 1 ± 1e-11 and 1 ± 3e-11 as for the profile itself; counting such an
-    increment as converged let these four pass."""
+    """At ε = 0.3, k = 2 Newton's steps after the fourth are noise of 5e-24 to
+    1e-19, below the rounding 16 ε_mach‖v‖∞ ≈ 8.8e-19 of v, so tol = 1e-20 fails
+    for the profile scaled by 1 ± 1e-11 and 1 ± 3e-11 as for the profile itself;
+    counting such a step as converged would let these four pass."""
     nearby = dataclasses.replace(profile_n2, values=profile_n2.values * scale)
     with pytest.raises(reduction.ContractionError, match="or tol is below v's roundoff"):
         reduce(uniform_configuration(0.3, 2), nearby, make_grid(0.3), tol=1e-20)
