@@ -3,9 +3,10 @@
 A configuration places k peaks at angles a¹ < … < a^k on the circle; the
 approximate solution is the periodized sum of ground-state translates
 
-    ū(x) = Σ_{i=1}^k Σ_{l=-L}^{L} U(x₁ - a^i/ε - 2πl/ε, x₂),
+    ū(x) = Σ_{i=1}^k Σ_{l∈ℤ} U(x₁ - a^i/ε - 2πl/ε, x₂),
 
-with the lattice sum truncated once the omitted images are below 1e-12.
+with each image kept only on the x₁ rows within its reach (`image_sums`),
+beyond which it is below 2⁻⁶⁰ of the peak's nearest copy.
 The residual of ū in the equation reduces to the algebraic identity
 
     M(ū) = Σ_{i,l} U_{i,l}^p - (Σ_{i,l} U_{i,l})^p,
@@ -31,7 +32,7 @@ from .groundstate import GroundStateProfile, radial_pair
 
 @dataclass(frozen=True)
 class PeakConfiguration:
-    """Peak angles on the circle with derived gaps and lattice cutoff."""
+    """Peak angles on the circle with derived gaps."""
 
     epsilon: float
     angles: tuple[float, ...]
@@ -87,15 +88,6 @@ class PeakConfiguration:
     def sigma_min(self) -> float:
         return min(self.half_gaps)
 
-    @property
-    def lattice_cutoff(self) -> int:
-        return math.ceil(self.epsilon * (30 + max(self.gaps)) / (2 * np.pi)) + 1
-
-    def image_positions(self, i: int) -> np.ndarray:
-        """All lattice images of peak i within the cutoff."""
-        L = self.lattice_cutoff
-        return self.positions[i] + self.period * np.arange(-L, L + 1)
-
     def shifted(self, tau_angle: float) -> "PeakConfiguration":
         """Rotate every peak by the same angle (wrapped and re-sorted)."""
         a = wrap(np.asarray(self.angles) + tau_angle, 2 * np.pi)
@@ -130,36 +122,43 @@ class AnsatzBundle:
     power_sum: GridField  # Σ_{i,l} U_{i,l}^p, kept for the algebraic residual
 
 
-# Points per block of `image_sums`: each temporary is 128 KiB, so a block's
-# dozen of them stay in cache.  `build_ansatz` at 592×195 takes 82 ms in
-# blocks of 8k, 16k or 32k points and 102 ms on whole fields (fastest of 12,
-# one BLAS thread, 2-core Xeon).  84 rows at every level, 16k points there,
-# take 6.1 ms instead of 5.3 at 148×48: hence a budget in points, not rows.
+# Points per block of `image_sums`: each temporary is at most 128 KiB, so a
+# block's dozen of them stay in cache.  `build_ansatz` at 592×195 takes 39–43
+# ms in blocks of 8k, 16k or 32k points and 51 ms on whole fields (fastest of
+# 15, one BLAS thread, 2-core Xeon).  84 rows at every level, 16k points there,
+# take 2.5 ms instead of 2.1 at 148×48: hence a budget in points, not rows.
 _BLOCK = 16_384
 
 
-def image_sums(profile: GroundStateProfile, grid: StripGrid, centres):
-    """(Σ_c U_c, Σ_c ∂U_c/∂x₁, Σ_c U_c^p) with U_c = U(x₁ − c, x₂).
+def image_sums(profile: GroundStateProfile, grid: StripGrid, position: float):
+    """(Σ_c U_c, Σ_c ∂U_c/∂x₁, Σ_c U_c^p) with U_c = U(x₁ − c, x₂), c = position + lP.
 
-    The one sum over ground-state translates; `build_ansatz` passes the
-    lattice images of one peak within `PeakConfiguration.lattice_cutoff`.
-    It walks the grid in blocks of whole x₁ rows, at most `_BLOCK` points
-    each, and takes U and U' of every centre from one `radial_pair`.
+    Every node lies within D = hypot(P/2, R) of the nearest c, and U′/U ≤ −1
+    for r ≥ R ≥ `MIN_TRANSVERSE`, so an image is below 2⁻⁶⁰ of that copy's U
+    on the rows beyond its reach ρ = D + 60 ln 2 (at 54 ln 2, half an ulp,
+    they still moved the rounding of a few nodes by an ulp).  Each image is
+    evaluated only on the contiguous x₁ rows with |x₁ − c| < ρ; one that
+    reaches no row is skipped.  The grid is walked in blocks of whole x₁
+    rows, at most `_BLOCK` points each; within a block the images are added
+    in ascending c, U and U' of each from one `radial_pair`.
     """
     n1, n2 = grid.shape
-    p = profile.exponent
-    v = np.zeros(grid.shape)
-    dv = np.zeros(grid.shape)
-    vp = np.zeros(grid.shape)
+    p, x1, period = profile.exponent, grid.x1, grid.period
+    reach = math.hypot(period / 2, grid.transverse_extent) + 60 * math.log(2)
+    centres = position + period * np.arange(math.ceil((x1[0] - reach - position) / period),
+                                            math.floor((x1[-1] + reach - position) / period) + 1)
+    first, stop = np.searchsorted(x1, centres - reach, "right"), np.searchsorted(x1, centres + reach)
+    v, dv, vp = (np.zeros(grid.shape) for _ in range(3))
     rows = max(1, _BLOCK // n2)
     for a in range(0, n1, rows):
-        x1 = grid.x1[a:a + rows, None]
-        for pos in centres:
-            r = np.hypot(x1 - pos, grid.x2)
-            u, du = radial_pair(profile, r)
-            v[a:a + rows] += u
-            vp[a:a + rows] += u**p
-            dv[a:a + rows] += du * (x1 - pos) / r
+        for c, lo, hi in zip(centres, np.maximum(first, a), np.minimum(stop, a + rows)):
+            if lo < hi:
+                x = x1[lo:hi, None] - c
+                r = np.hypot(x, grid.x2)
+                u, du = radial_pair(profile, r)
+                v[lo:hi] += u
+                vp[lo:hi] += u**p
+                dv[lo:hi] += du * x / r
     return v, dv, vp
 
 
@@ -192,7 +191,7 @@ def build_ansatz(
     ubar = np.zeros(grid.shape)
     power_sum = np.zeros(grid.shape)
     for i in range(k):
-        v, dv, vp = image_sums(profile, grid, config.image_positions(i))
+        v, dv, vp = image_sums(profile, grid, config.positions[i])
         peak_fields[:, i], translation_modes[:, i] = v.ravel(), dv.ravel()
         ubar += v
         power_sum += vp

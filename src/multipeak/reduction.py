@@ -235,8 +235,9 @@ def solve_correction(
     left Newton's region, and from v = 0 at small separation Newton would
     otherwise reach a different, O(1) solution with falling residuals.  So
     does the 30th step without convergence.  Steps below 16 ε_mach‖v‖∞, the
-    rounding of v, are noise: they neither meet a tol under that floor nor
-    count as growth.  F(v)'s 𝕃v is one stencil pass per step, outside MINRES.
+    rounding of v, are noise: they never count as growth, and a tol under that
+    floor raises at the first floor-term step below it, not at the 30th.
+    F(v)'s 𝕃v is one stencil pass per step, outside MINRES.
     """
     grid = bundle.grid
     p = bundle.profile.exponent
@@ -273,12 +274,12 @@ def solve_correction(
                 f"{it}, |v|_inf = {np.max(np.abs(v)):.3g}: the separation sigma_min = "
                 f"{bundle.config.sigma_min:.3f} is too small for a small correction"
             )
-        if it == 30:
+        if it == 30 or (exact and steps[-1] < roundoff):  # the latter only when tol < roundoff
             raise ContractionError(
                 f"Newton stalled: steps {', '.join(f'{x:.3g}' for x in steps[-4:])} after "
                 f"{it} iterations, tol = {tol:.3g}, |v|_inf = {np.max(np.abs(v)):.3g}: either "
                 f"the separation sigma_min = {bundle.config.sigma_min:.3f} is too small, or "
-                f"tol is below v's roundoff"
+                f"tol is below v's roundoff {roundoff:.3g}"
             )
     field = GridField(grid, v.reshape(grid.shape))
     return ReductionState(

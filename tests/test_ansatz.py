@@ -15,8 +15,8 @@ from multipeak.ansatz import (
     residual_rate,
     uniform_configuration,
 )
-from multipeak.domain import StripGrid, l2_norm, make_grid, shift_x1
-from multipeak.groundstate import radial_pair
+from multipeak.domain import MIN_TRANSVERSE, StripGrid, l2_norm, make_grid, shift_x1
+from multipeak.groundstate import radial_pair, solve_ground_state
 
 
 def test_configuration_validation():
@@ -84,38 +84,91 @@ def test_translation_mode_is_x1_derivative(bundle_k1):
     assert np.max(np.abs(g1 - t)) < 1e-4  # band-limit truncation
 
 
-def _image_sums_on_whole_fields(profile, grid, centres):
-    """(Σ U_c, Σ ∂U_c/∂x₁, Σ U_c^p), one centre at a time on the whole grid."""
+def _image_sums_on_whole_fields(profile, grid, centres, reach=np.inf):
+    """(Σ U_c, Σ ∂U_c/∂x₁, Σ U_c^p), one centre at a time on the whole grid, in
+    the order given; a centre adds 0 on the rows with |x₁ − c| ≥ reach."""
     X1, X2 = grid.meshes()
     v, dv, vp = (np.zeros(grid.shape) for _ in range(3))
     for pos in centres:
         r = np.hypot(X1 - pos, X2)
         u, du = radial_pair(profile, r)
-        v += u
-        vp += u**profile.exponent
+        near = np.abs(X1 - pos) < reach
+        v += np.where(near, u, 0.0)
+        vp += np.where(near, u**profile.exponent, 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            dv += np.where(r > 0, du * (X1 - pos) / r, 0.0)
+            dv += np.where(near & (r > 0), du * (X1 - pos) / r, 0.0)
     return v, dv, vp
 
 
 @pytest.mark.parametrize("rows", ["many", "one"])
 def test_blocked_image_sums_match_whole_fields(profile_n2, rows):
-    """Row blocks give the whole-field sums bit for bit: on a grid of several
-    blocks whose n₁ is not a multiple of the block's rows, and on one whose
-    n₂ exceeds the block, so each block is a single row.  The centres sit on
-    a node column (x₁ − c = 0 there; the x₂ nodes are offset by h₂/2, so
-    r > 0), between nodes, and wholly beyond the matching radius, up to
-    where U underflows."""
+    """Row blocks and reach windows give, bit for bit, the whole-field sums in
+    which each image adds 0 beyond its reach ρ = hypot(P/2, R) + 60 ln 2: on
+    a grid of several blocks whose n₁ is not a multiple of the block's rows,
+    and on one whose n₂ exceeds the block, so each block is a single row.
+    The peak sits on a node column (x₁ − c = 0 there; the x₂ nodes are
+    offset by h₂/2, so r > 0), between nodes, and outside the cell."""
     n2 = 48 if rows == "many" else ansatz._BLOCK + 5
     per_block = max(1, ansatz._BLOCK // n2)
     n1 = 2 * per_block + 7 if rows == "many" else 8
     grid = StripGrid(0.3, 12.0, n1, n2)
     assert grid.size > ansatz._BLOCK and (n1 % per_block if rows == "many" else per_block == 1)
-    half = grid.period / 2
-    centres = [grid.x1[5], 0.123, -half - 40.0, half + 100.0, half + 760.0]
-    for blocked, whole in zip(image_sums(profile_n2, grid, centres),
-                              _image_sums_on_whole_fields(profile_n2, grid, centres)):
-        assert np.array_equal(blocked, whole)
+    reach = np.hypot(grid.period / 2, 12.0) + 60 * np.log(2)
+    for position in (grid.x1[5], 0.123, -grid.period / 2 - 40.0):
+        centres = position + grid.period * np.arange(-8, 9)
+        for windowed, whole in zip(image_sums(profile_n2, grid, position),
+                                   _image_sums_on_whole_fields(profile_n2, grid, centres, reach)):
+            assert np.array_equal(windowed, whole)
+
+
+def _ulps(x, ref):
+    return np.max(np.abs(x - ref) / np.spacing(np.maximum(np.abs(x), np.abs(ref))))
+
+
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(k=st.integers(1, 4), fraction=st.floats(0.0, 1.0), jitter=st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+       tau=st.floats(-np.pi, np.pi), R=st.sampled_from([4.0, 12.0]), h=st.sampled_from([0.25, 0.125]))
+@example(k=1, fraction=1.0, jitter=[0.0] * 4, tau=0.0, R=12.0, h=0.25)  # ε = 3.08: P = 2.04
+@example(k=2, fraction=1.0, jitter=[0.0] * 4, tau=1.0, R=4.0, h=0.25)  # 22 images reach a row
+def test_windowed_ansatz_matches_a_wide_lattice(profile_n2, k, fraction, jitter, tau, R, h):
+    """ΣU^p is within 1 ulp at every node of the sums over a wide lattice in
+    ascending order, ū and each Uᵢ within 2, and ∂₁Uᵢ within 2⁻⁵²·max|∂₁Uᵢ|,
+    for k = 1…4 peaks jittered off the uniform angles by up to 0.45 of the
+    slack over the separation and rotated, at ε from 0.08 to 0.98π/k.  The
+    reference takes ±(L + 3) images, L the former cutoff ⌈ε(30 + g_max)/2π⌉ + 1,
+    and at least those within 120 in x₁, which ±(L + 3) misses at ε near π.
+    The dropped images are below 2⁻⁶⁰ of the nearest copy, yet they can move
+    the rounding of the twenty or so kept ones: both sums are up to 4 ulps
+    from an extended-precision one, and Uᵢ up to 2 apart (250 random cases)."""
+    eps = 0.08 + fraction * (0.98 * np.pi / k - 0.08)
+    G = 2 * np.pi / k
+    slack = 0.45 * (G - 2 * eps)
+    angles = [-np.pi + slack + G * i + slack * jitter[i] for i in range(k)]
+    config = PeakConfiguration(eps, tuple(angles)).shifted(tau)
+    grid = make_grid(eps, R, h)
+    bundle = build_ansatz(config, profile_n2, grid)
+    L = max(int(np.ceil(eps * (30 + max(config.gaps)) / (2 * np.pi))) + 4, int(np.ceil(120 / grid.period)))
+    ubar, power = np.zeros(grid.shape), np.zeros(grid.shape)
+    for i, pos in enumerate(config.positions):
+        v, dv, vp = _image_sums_on_whole_fields(profile_n2, grid, pos + grid.period * np.arange(-L, L + 1))
+        ubar += v
+        power += vp
+        assert _ulps(bundle.peak_fields[:, i], v.ravel()) <= 2
+        t = bundle.translation_modes[:, i]
+        assert np.max(np.abs(t - dv.ravel())) <= 2.0**-52 * np.max(np.abs(dv))
+    assert _ulps(bundle.ubar.data, ubar) <= 2 and _ulps(bundle.power_sum.data, power) <= 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 13])
+def test_profile_log_derivative_is_below_minus_one_beyond_four(p):
+    """U′/U ≤ −1 for r ≥ 4 = `MIN_TRANSVERSE` on the stored profile, the cubic
+    cells (100 points each) and the far field up to r = 700: it bounds an image
+    beyond the reach of `image_sums` by 2⁻⁶⁰ of the peak's nearest copy."""
+    profile = solve_ground_state(2, p)
+    r = np.concatenate([np.arange(4.0, profile.tail_match_radius, profile._cells[0] / 100),
+                        np.linspace(profile.tail_match_radius, 700.0, 10_001)])
+    u, du = radial_pair(profile, r)
+    assert MIN_TRANSVERSE == 4.0 and np.all(u > 0) and np.all(du / u <= -1)
 
 
 def test_residual_dual_route_converges(profile_n2):
@@ -143,13 +196,6 @@ def test_residual_scale(bundle_k2):
     rate = residual_rate(bundle_k2.config.sigma_min, 2)
     assert 1.0 < res.sup_norm() / rate < 1e3
     assert l2_norm(residual(bundle_k2)) > res.sup_norm() / bundle_k2.grid.size
-
-
-def test_lattice_cutoff_covers_period():
-    config = uniform_configuration(0.3, 2)
-    images = config.image_positions(0)
-    assert images.min() < -config.period
-    assert images.max() > config.period
 
 
 def test_residual_rate_rejects_underflow():

@@ -255,7 +255,7 @@ def test_reduce_weighted_report(tmp_path):
         (["--eps", "0.9"], "Newton diverging: step"),
         (["--eps", "0.3", "--p", "7"], "core length is l = (p U(0)^(p-1))^(-1/2) = 0.05607, "
                                           "so h must be at most 2.5 l = 0.1402"),
-        (["--eps", "0.4", "--tol", "2e-21"], "after 30 iterations, tol = 2e-21"),
+        (["--eps", "0.4", "--tol", "2e-21"], "after 5 iterations, tol = 2e-21"),
         (["--eps", "0.3", "--tol", "1e-20"], "or tol is below v's roundoff"),
     ],
     ids=["contraction", "unresolved-core", "unconverged", "roundoff-tol"],
@@ -263,8 +263,8 @@ def test_reduce_weighted_report(tmp_path):
 def test_reduce_numerical_failures(args, reason, capsys):
     """Too close a pair makes the correction's Newton steps grow, at p = 7 the
     desk grid does not resolve the core (h = 0.25 > 2.5ℓ), and a tol below the
-    roundoff of v is never reached (ε = 0.4 and 0.3), however the steps move
-    below that roundoff: all exit 3 and say why."""
+    roundoff of v is refused at the first step solved at the floor term that
+    falls under that roundoff (ε = 0.4 and 0.3): all exit 3 and say why."""
     assert main(["reduce", "--k", "2", *args]) == EXIT_NUMERICAL
     error = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert error["error"] == "numerical"

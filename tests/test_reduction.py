@@ -800,10 +800,21 @@ def test_tol_below_roundoff_fails_for_nearby_profiles(profile_n2, scale):
     """At ε = 0.3, k = 2 Newton's steps after the fourth are noise of 5e-24 to
     1e-19, below the rounding 16 ε_mach‖v‖∞ ≈ 8.8e-19 of v, so tol = 1e-20 fails
     for the profile scaled by 1 ± 1e-11 and 1 ± 3e-11 as for the profile itself;
-    counting such a step as converged would let these four pass."""
+    counting such a step as converged would let a noise step under 1e-20 pass."""
     nearby = dataclasses.replace(profile_n2, values=profile_n2.values * scale)
     with pytest.raises(reduction.ContractionError, match="or tol is below v's roundoff"):
         reduce(uniform_configuration(0.3, 2), nearby, make_grid(0.3), tol=1e-20)
+
+
+def test_tol_below_roundoff_fails_at_the_first_noise_step(profile_n2, monkeypatch):
+    """At ε = 0.3, k = 2 the fourth step is 2.4e-15 and the fifth, at the floor
+    term, 8.3e-20 < 16 ε_mach‖v‖∞ ≈ 8.8e-19: tol = 1e-20 is refused there, not
+    after 26 more steps of noise."""
+    real, calls = reduction.complement_solve, []
+    monkeypatch.setattr(reduction, "complement_solve", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    with pytest.raises(ContractionError, match="or tol is below v's roundoff"):
+        reduce(uniform_configuration(0.3, 2), profile_n2, make_grid(0.3), tol=1e-20)
+    assert 0 < len(calls) <= 5
 
 
 @pytest.mark.filterwarnings("error")
